@@ -1511,9 +1511,7 @@ pub fn smoke_failures(r: &ServeResult) -> Vec<String> {
 /// against live loopback servers and returns the failures:
 ///
 /// 1. **Bit-exactness** — the same request stream served with tracing
-///    off and on must produce bit-identical replies (the compiled-out
-///    case is covered by the telemetry crate's no-default-features CI
-///    run).
+///    off and on must produce bit-identical replies.
 /// 2. **Trace completeness + stats round-trip** — after `n` served
 ///    requests, the `stats` opcode must return a parseable versioned
 ///    snapshot over the wire, and a flight dump must hold exactly `n`

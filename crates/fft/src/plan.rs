@@ -91,7 +91,7 @@ pub fn cached_plan_count() -> usize {
 
 /// Process-wide count of wholesale evictions triggered by the
 /// [`MAX_CACHED_PLANS`] bound (the `fft.plan_cache.evictions` counter).
-/// Requires telemetry to be enabled; always 0 in probe-free builds.
+/// Requires telemetry to be enabled.
 /// Per-timestep recurrent workloads sweeping many transform sizes can
 /// watch this to confirm the cache evicts rather than grows.
 pub fn plan_evictions() -> u64 {
@@ -150,10 +150,6 @@ mod tests {
         // no size ever repeats within a window larger than the bound.
         // The cache must stay bounded and report evictions.
         telemetry::set_enabled(true);
-        if !telemetry::enabled() {
-            // Probe-free build: eviction counting is compiled out.
-            return;
-        }
         clear_plans();
         let before = plan_evictions();
         for step in 0..4 * MAX_CACHED_PLANS {

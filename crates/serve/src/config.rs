@@ -21,7 +21,6 @@ use std::time::Duration;
 /// | `RPBCM_SERVE_SLO_DIR`      | flight-recorder dump directory      | `.`     |
 /// | `RPBCM_SERVE_SESSION_TTL_MS` | idle-session expiry (ms, 0 = never) | 60000 |
 /// | `RPBCM_SERVE_SESSION_CAP`  | max open sessions server-wide       | 1024    |
-/// | `RPBCM_SERVE_SESSION_GANG` | session-gang lane width (≤1 = off)  | 8       |
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ServeConfig {
     /// Maximum requests per dispatched batch (B). A batch launches as
@@ -64,14 +63,6 @@ pub struct ServeConfig {
     /// Server-wide cap on concurrently open streaming sessions; an open
     /// past the cap is refused with `overloaded`. Clamped to at least 1.
     pub session_cap: usize,
-    /// Session-gang lane width: when a readiness burst delivers
-    /// `session_step` frames for several live sessions on one shard,
-    /// same-model-version same-mode steps are grouped into lane gangs of
-    /// up to this many sessions and executed as one lane-form step
-    /// (ragged tails allowed). `0` or `1` disables ganging — every step
-    /// then runs scalar inline. Per-session replies are bit-identical
-    /// either way; the knob only trades throughput.
-    pub session_gang: usize,
 }
 
 impl Default for ServeConfig {
@@ -86,7 +77,6 @@ impl Default for ServeConfig {
             slo_shed_pct: 0,
             session_ttl: Duration::from_millis(60_000),
             session_cap: 1024,
-            session_gang: 8,
         }
     }
 }
@@ -121,7 +111,6 @@ impl ServeConfig {
                 d.session_ttl.as_millis() as usize,
             ) as u64),
             session_cap: telemetry::env::usize_or("RPBCM_SERVE_SESSION_CAP", d.session_cap).max(1),
-            session_gang: telemetry::env::usize_or("RPBCM_SERVE_SESSION_GANG", d.session_gang),
         }
     }
 }
@@ -142,6 +131,5 @@ mod tests {
         assert_eq!(c.slo_shed_pct, 0, "SLO watchdog is off by default");
         assert_eq!(c.session_ttl, Duration::from_millis(60_000));
         assert!(c.session_cap >= 1);
-        assert_eq!(c.session_gang, 8, "lane gangs default to the PE width");
     }
 }

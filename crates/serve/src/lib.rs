@@ -67,8 +67,7 @@
 //!   dumps.
 //!
 //! Tracing obeys the workspace telemetry contract: it only ever counts
-//! and stamps — replies are bit-identical with tracing on, off, or
-//! compiled out.
+//! and stamps — replies are bit-identical with tracing on or off.
 //!
 //! # Example
 //!

@@ -55,6 +55,11 @@ const TICK: Duration = Duration::from_millis(50);
 /// stopped reading are closed with replies still buffered.
 const DRAIN_DEADLINE: Duration = Duration::from_secs(10);
 
+/// Maximum lane-gang width for cross-session stepping: the PE lane
+/// width of the batch-of-8 spectral kernels. Reported under `config` in
+/// the stats snapshot.
+pub(crate) const SESSION_GANG: usize = 8;
+
 /// Per-shard load counters, read by [`crate::server::Server::shard_stats`]
 /// for the imbalance metric.
 #[derive(Default)]
@@ -164,10 +169,10 @@ impl Drop for SessionSlot {
 }
 
 /// A session operation parsed during the current loop iteration and
-/// deferred to the end-of-iteration gang flush (only when
-/// `session_gang >= 2`). Deferral is what lets one readiness burst's
-/// `session_step` frames from *different* sessions meet in a lane gang;
-/// it never delays a reply past the iteration that parsed it.
+/// deferred to the end-of-iteration gang flush. Deferral is what lets
+/// one readiness burst's `session_step` frames from *different* sessions
+/// meet in a lane gang; it never delays a reply past the iteration that
+/// parsed it.
 enum SessionOp {
     Step {
         token: usize,
@@ -324,7 +329,7 @@ pub(crate) fn run(handle: &Arc<ShardHandle>, server: &Arc<ServerShared>, mut pol
         // Replies land in the sequenced output buffers and mark their
         // connections dirty, so the settle pass right below flushes them
         // within this same iteration.
-        flush_session_ops(&mut conns, &mut pending, handle, server);
+        flush_session_ops(&mut conns, &mut pending, handle);
 
         // Cross-thread completions (batch workers deposited replies).
         let mut dirty = handle.notifier.take_dirty();
@@ -779,7 +784,7 @@ fn process_request(
             );
         }
         Request::SessionStep { session, input } => {
-            let Some(s) = conn.sessions.get_mut(&session) else {
+            let Some(s) = conn.sessions.get(&session) else {
                 metrics::REJECTED.add(1);
                 let resp = Response::Error(
                     Status::BadRequest,
@@ -791,106 +796,31 @@ fn process_request(
                 rec.tenant_hash = tenant_hash(&conn.tenant);
                 rec.model_version = s.entry.version();
                 rec.stamps_ns[STAMP_ADMIT] = telemetry::flight::now_ns();
+                rec.stamps_ns[STAMP_ENQUEUE] = telemetry::flight::now_ns();
             }
-            if server.cfg.session_gang >= 2 {
-                // Defer into this iteration's gang flush: steps for
-                // different sessions parsed in the same readiness burst
-                // meet there and share one lane-form step. Wave
-                // partitioning in the flush keeps pipelined steps on one
-                // session strictly ordered.
-                if let Some(rec) = trace.as_mut() {
-                    rec.stamps_ns[STAMP_ENQUEUE] = telemetry::flight::now_ns();
-                }
-                pending.push(SessionOp::Step {
-                    token: conn.shared.token(),
-                    session,
-                    seq,
-                    json,
-                    input,
-                    trace,
-                });
-                return;
-            }
-            // Gang disabled: the step runs inline on the shard thread —
-            // one timestep of a pruned recurrent cell is far below
-            // batching granularity, and inline execution keeps the state
-            // single-threaded by design.
-            if let Some(rec) = trace.as_mut() {
-                let now = telemetry::flight::now_ns();
-                rec.stamps_ns[STAMP_ENQUEUE] = now;
-                rec.stamps_ns[STAMP_BATCH] = now;
-            }
-            let runner = s.runner.as_mut().expect("runner checked in");
-            let t0 = telemetry::flight::now_ns();
-            let resp = match (runner, &input) {
-                (SessionRunner::F32(r), Payload::F32(x)) => {
-                    if x.len() != r.input_len() {
-                        Response::Error(
-                            Status::BadRequest,
-                            format!("step length {} != expected {}", x.len(), r.input_len()),
-                        )
-                    } else {
-                        Response::Output(Payload::F32(r.step(x)))
-                    }
-                }
-                (SessionRunner::Fx(r), Payload::Fx(x)) => {
-                    if x.len() != r.input_len() {
-                        Response::Error(
-                            Status::BadRequest,
-                            format!("step length {} != expected {}", x.len(), r.input_len()),
-                        )
-                    } else {
-                        Response::Output(Payload::Fx(r.step(x)))
-                    }
-                }
-                _ => Response::Error(
-                    Status::BadRequest,
-                    format!("step payload type disagrees with session {session}'s mode"),
-                ),
-            };
-            let t1 = telemetry::flight::now_ns();
-            if matches!(resp, Response::Output(_)) {
-                if let Some(rec) = trace.as_mut() {
-                    rec.stamps_ns[STAMP_INFER_START] = t0;
-                    rec.stamps_ns[STAMP_INFER_END] = t1;
-                }
-                metrics::SESSION_STEP_NS.record(t1.saturating_sub(t0));
-                metrics::SESSION_GANG_WIDTH.record(1);
-                metrics::SESSION_STEPS_SCALAR.add(1);
-                metrics::SESSION_STEPS.add(1);
-                s.last_used = Instant::now();
-                conn.shared
-                    .push_reply(seq, encode_for_wire(&resp, json), trace);
-            } else {
-                metrics::REJECTED.add(1);
-                reply_now(conn, seq, &resp, json);
-            }
+            // Defer into this iteration's gang flush: steps for different
+            // sessions parsed in the same readiness burst meet there and
+            // share one lane-form step. Wave partitioning in the flush
+            // keeps pipelined steps on one session strictly ordered.
+            pending.push(SessionOp::Step {
+                token: conn.shared.token(),
+                session,
+                seq,
+                json,
+                input,
+                trace,
+            });
         }
         Request::SessionClose { session } => {
-            if server.cfg.session_gang >= 2 {
-                // Defer behind any same-session steps parsed this burst:
-                // a close is a barrier in its session's wave order, so
-                // `step, step, close` pipelined in one burst answers
-                // `ok, ok, ok` exactly as inline execution would.
-                pending.push(SessionOp::Close {
-                    token: conn.shared.token(),
-                    session,
-                    seq,
-                    json,
-                });
-                return;
-            }
-            if conn.sessions.remove(&session).is_some() {
-                metrics::SESSIONS_CLOSED.add(1);
-                reply_now(conn, seq, &Response::Output(Payload::F32(Vec::new())), json);
-            } else {
-                metrics::REJECTED.add(1);
-                let resp = Response::Error(
-                    Status::BadRequest,
-                    format!("no open session {session} (unknown, expired, or closed)"),
-                );
-                reply_now(conn, seq, &resp, json);
-            }
+            // Defer behind any same-session steps parsed this burst: a
+            // close is a barrier in its session's wave order, so `step,
+            // step, close` pipelined in one burst answers `ok, ok, ok`.
+            pending.push(SessionOp::Close {
+                token: conn.shared.token(),
+                session,
+                seq,
+                json,
+            });
         }
     }
 }
@@ -935,14 +865,12 @@ fn settle_output(conn: &mut Conn, poller: &mut Poller, hold_open: bool) -> ConnF
 /// strictly in arrival order, and a close is a barrier), executes each
 /// wave's closes in arrival order, groups the wave's validated steps by
 /// (pinned model entry, engine mode), and runs each group in lane gangs
-/// of at most `session_gang` sessions.
+/// of at most [`SESSION_GANG`] sessions.
 fn flush_session_ops(
     conns: &mut HashMap<usize, Conn>,
     pending: &mut Vec<SessionOp>,
     handle: &Arc<ShardHandle>,
-    server: &Arc<ServerShared>,
 ) {
-    let gang_width = server.cfg.session_gang.max(1);
     while !pending.is_empty() {
         let mut seen: HashSet<(usize, u64)> = HashSet::new();
         let mut wave: Vec<SessionOp> = Vec::new();
@@ -1049,7 +977,7 @@ fn flush_session_ops(
         }
         for (_, mut group) in groups {
             while !group.is_empty() {
-                let tail = group.split_off(group.len().min(gang_width));
+                let tail = group.split_off(group.len().min(SESSION_GANG));
                 execute_gang(conns, group, handle);
                 group = tail;
             }

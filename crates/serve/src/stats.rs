@@ -28,6 +28,7 @@ use telemetry::flight::{self, FlightRecord, INTERVAL_NAMES, STAMP_FLUSH};
 
 use crate::metrics;
 use crate::server::ServerShared;
+use crate::shard::SESSION_GANG;
 
 /// Version tag of the stats snapshot document. Bump when the layout
 /// changes shape (adding keys is allowed without a bump; removing or
@@ -64,12 +65,15 @@ fn esc(s: &str) -> String {
     out
 }
 
-/// The `p`-th percentile of an already **sorted** slice (nearest-rank).
+/// The `p`-th percentile (`p <= 100`) of an already **sorted** slice:
+/// nearest-rank, the smallest sample with at least `p` % of the samples
+/// at or below it (rank `ceil(n·p/100)`).
 fn percentile(sorted: &[u64], p: usize) -> u64 {
     if sorted.is_empty() {
         return 0;
     }
-    sorted[(sorted.len() - 1) * p / 100]
+    let rank = (sorted.len() * p).div_ceil(100).max(1);
+    sorted[rank - 1]
 }
 
 /// `{"count":…,"p50_ns":…,"p99_ns":…,"max_ns":…}` over raw samples.
@@ -108,7 +112,7 @@ pub(crate) fn stats_json(server: &Arc<ServerShared>) -> String {
     doc.push_str(&format!(
         "  \"config\": {{\"batch_size\": {}, \"max_wait_us\": {}, \"queue_cap\": {}, \
          \"shards\": {}, \"tenant_quota\": {}, \"slo_p99_us\": {}, \"slo_shed_pct\": {}, \
-         \"session_ttl_ms\": {}, \"session_cap\": {}, \"session_gang\": {}}},\n",
+         \"session_ttl_ms\": {}, \"session_cap\": {}, \"session_gang\": {SESSION_GANG}}},\n",
         cfg.batch_size,
         cfg.max_wait.as_micros(),
         cfg.queue_cap,
@@ -118,7 +122,6 @@ pub(crate) fn stats_json(server: &Arc<ServerShared>) -> String {
         cfg.slo_shed_pct,
         cfg.session_ttl.as_millis(),
         cfg.session_cap,
-        cfg.session_gang,
     ));
 
     let mut models = server.registry.catalog();
@@ -333,6 +336,10 @@ mod tests {
         assert_eq!(percentile(&v, 100), 100);
         assert_eq!(percentile(&[], 99), 0);
         assert_eq!(percentile(&[7], 99), 7);
+        // Small windows: rounding the rank down would read the tail low.
+        assert_eq!(percentile(&[10, 1000], 99), 1000);
+        let ten: Vec<u64> = (1..=10).collect();
+        assert_eq!(percentile(&ten, 99), 10);
     }
 
     #[test]

@@ -93,20 +93,6 @@ fn serve_one(net: Network, meta: CheckpointMeta, cfg: ServeConfig) -> (Server, S
     (server, name)
 }
 
-/// The config the suite runs under: the defaults, with the session-gang
-/// lane width overridden by `RPBCM_SERVE_SESSION_GANG` when set. CI runs
-/// this file twice — gang forced off (`0`) and forced on (`8`) — and
-/// every assertion must hold identically in both legs.
-fn test_config() -> ServeConfig {
-    let mut cfg = ServeConfig::default();
-    if let Ok(v) = std::env::var("RPBCM_SERVE_SESSION_GANG") {
-        if let Ok(n) = v.trim().parse() {
-            cfg.session_gang = n;
-        }
-    }
-    cfg
-}
-
 /// Offline fixed-point reference for one session: the quantized step
 /// inputs and the solo scalar fold's per-step outputs.
 type FxStepRef = (Vec<Vec<i16>>, Vec<Vec<i16>>);
@@ -182,7 +168,7 @@ fn float_session_steps_are_bit_identical_to_the_offline_forward() {
     let (net, meta) = pruned_lstm(41);
     let x = sequence(1);
     let want = offline_per_step(&net, &x);
-    let (server, name) = serve_one(net, meta, test_config());
+    let (server, name) = serve_one(net, meta, ServeConfig::default());
 
     let mut client = Client::connect(server.local_addr()).expect("connect");
     let (sid, version) = client.open_session(&name, false).expect("open");
@@ -223,7 +209,7 @@ fn fx_session_steps_are_bit_identical_to_the_offline_fold() {
         .collect();
     let want: Vec<Vec<i16>> = steps.iter().map(|s| offline.step(s)).collect();
 
-    let (server, name) = serve_one(net, meta, test_config());
+    let (server, name) = serve_one(net, meta, ServeConfig::default());
     let mut client = Client::connect(server.local_addr()).expect("connect");
     let (sid, _version) = client.open_session(&name, true).expect("open fx");
     for (t, s) in steps.iter().enumerate() {
@@ -250,7 +236,7 @@ fn mid_session_hot_swap_keeps_the_pinned_version() {
 
     let registry = Registry::new();
     let e1 = registry.publish(Model::from_network("cls", v1, meta.clone()));
-    let server = Server::bind("127.0.0.1:0", test_config(), registry).expect("bind");
+    let server = Server::bind("127.0.0.1:0", ServeConfig::default(), registry).expect("bind");
     let addr = server.local_addr();
 
     let mut client = Client::connect(addr).expect("connect");
@@ -298,7 +284,7 @@ fn idle_sessions_expire_via_ttl_and_release_their_slots() {
     let cfg = ServeConfig {
         session_ttl: Duration::from_millis(50),
         shards: 1,
-        ..test_config()
+        ..ServeConfig::default()
     };
     let (server, name) = serve_one(net, meta, cfg);
 
@@ -332,7 +318,7 @@ fn session_cap_refuses_excess_opens_until_a_close_frees_a_slot() {
     let (net, meta) = pruned_lstm(71);
     let cfg = ServeConfig {
         session_cap: 1,
-        ..test_config()
+        ..ServeConfig::default()
     };
     let (server, name) = serve_one(net, meta, cfg);
     let addr = server.local_addr();
@@ -358,7 +344,7 @@ fn open_sessions_hold_a_tenant_quota_slot() {
     let (net, meta) = pruned_lstm(81);
     let cfg = ServeConfig {
         tenant_quota: 1,
-        ..test_config()
+        ..ServeConfig::default()
     };
     let (server, name) = serve_one(net, meta, cfg);
     let addr = server.local_addr();
@@ -394,7 +380,7 @@ fn session_misuse_gets_explicit_replies_not_hangups() {
     let (net, meta) = pruned_lstm(91);
     let x = sequence(5);
     let want = offline_per_step(&net, &x);
-    let (server, name) = serve_one(net, meta.clone(), test_config());
+    let (server, name) = serve_one(net, meta.clone(), ServeConfig::default());
     let mut client = Client::connect(server.local_addr()).expect("connect");
 
     // No streaming form: a conv stack refuses session_open outright.
@@ -462,15 +448,15 @@ fn pipelined_multi_session_bursts_stay_bit_identical_per_session() {
     let (net, meta) = pruned_lstm(101);
     let cfg = ServeConfig {
         shards: 1,
-        ..test_config()
+        ..ServeConfig::default()
     };
     let (server, name) = serve_one(net.clone(), meta, cfg);
     let mut conn = Pipelined::connect(server.local_addr());
 
     // Six same-model float sessions on one connection, each streaming a
     // distinct sequence. Every round bursts all six steps in one write
-    // train, so the shard sees them in one readiness wakeup and (gang
-    // enabled) lane-gangs them — replies must still be exactly what each
+    // train, so the shard sees them in one readiness wakeup and
+    // lane-gangs them — replies must still be exactly what each
     // session's solo offline forward produces.
     const W: usize = 6;
     let inputs: Vec<Tensor<f32>> = (0..W as u64).map(|s| sequence(10 + s)).collect();
@@ -511,7 +497,7 @@ fn mixed_mode_gangs_survive_mid_stream_joins_and_leaves() {
     let (net, meta) = pruned_lstm(103);
     let cfg = ServeConfig {
         shards: 1,
-        ..test_config()
+        ..ServeConfig::default()
     };
     let (server, name) = serve_one(net.clone(), meta.clone(), cfg);
     let mut conn = Pipelined::connect(server.local_addr());
@@ -620,7 +606,7 @@ fn pipelined_steps_on_one_session_execute_in_order() {
     let want = offline_per_step(&net, &x);
     let cfg = ServeConfig {
         shards: 1,
-        ..test_config()
+        ..ServeConfig::default()
     };
     let (server, name) = serve_one(net, meta, cfg);
     let mut conn = Pipelined::connect(server.local_addr());
@@ -650,7 +636,7 @@ fn a_pipelined_close_is_a_barrier_for_later_steps() {
     let want = offline_per_step(&net, &x);
     let cfg = ServeConfig {
         shards: 1,
-        ..test_config()
+        ..ServeConfig::default()
     };
     let (server, name) = serve_one(net, meta, cfg);
     let mut conn = Pipelined::connect(server.local_addr());

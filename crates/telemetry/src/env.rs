@@ -10,10 +10,6 @@
 //! result plus an optional warning, so they are unit-testable without
 //! touching process-global environment state; the lookup wrappers read the
 //! environment and emit the warning.
-//!
-//! This module is compiled unconditionally — it does not depend on the
-//! `capture` feature, because consumers like `tensor::parallel` need env
-//! parsing even in probe-free builds.
 
 /// Outcome of parsing one environment variable.
 #[derive(Debug, Clone, PartialEq, Eq)]

@@ -9,19 +9,13 @@
 //! effectiveness) reports through probes defined here, and the `exp_*`
 //! benchmark binaries dump the registry as `results/TELEMETRY_*.json`.
 //!
-//! # Gating: a cargo feature *and* an environment variable
+//! # Gating: one run-time switch
 //!
-//! Two independent switches keep instrumented builds bit-exact and
-//! disabled builds free:
-//!
-//! - **Compile time** — the `capture` cargo feature (on by default).
-//!   Without it every probe is a zero-sized type whose methods are empty
-//!   `#[inline(always)]` bodies: no atomics, no branches, no registry.
-//! - **Run time** — the `RPBCM_TELEMETRY` environment variable (read once
-//!   per process; `1`, `true` or `on` enable). While disabled, a probe
-//!   call is a single relaxed atomic load and an untaken branch, and the
-//!   registry stays empty. [`set_enabled`] overrides the variable for
-//!   tests and tools.
+//! Probes are always compiled in. The `RPBCM_TELEMETRY` environment
+//! variable (read once per process; `1`, `true` or `on` enable) switches
+//! them on. While disabled, a probe call is a single relaxed atomic load
+//! and an untaken branch, and the registry stays empty. [`set_enabled`]
+//! overrides the variable for tests and tools.
 //!
 //! All `RPBCM_*` environment variables across the workspace (including
 //! `RPBCM_THREADS` in `tensor` and the `RPBCM_SERVE_*` family in `serve`)
@@ -31,8 +25,8 @@
 //!
 //! Telemetry only ever *counts* — it never changes an algorithm's
 //! arithmetic, allocation pattern or iteration order — so outputs are
-//! bit-identical whether it is enabled, disabled, or compiled out. The
-//! hwsim property tests lock this in.
+//! bit-identical whether it is enabled or disabled. The hwsim property
+//! tests lock this in.
 //!
 //! # Probes
 //!
@@ -45,11 +39,7 @@
 //! telemetry::set_enabled(true);
 //! HITS.inc();
 //! HITS.add(2);
-//! // With the `capture` feature off, probes are no-ops and `enabled()`
-//! // is always false — so guard assertions on it in portable code.
-//! if telemetry::enabled() {
-//!     assert_eq!(HITS.value(), 3);
-//! }
+//! assert_eq!(HITS.value(), 3);
 //! # telemetry::clear_override();
 //! ```
 //!
@@ -105,48 +95,23 @@
 #![deny(missing_docs)]
 
 pub mod env;
-pub mod fnv;
-
-#[cfg(feature = "capture")]
 pub mod flight;
-#[cfg(feature = "capture")]
+pub mod fnv;
 mod probe;
-#[cfg(feature = "capture")]
 mod registry;
-#[cfg(feature = "capture")]
 mod report;
-#[cfg(feature = "capture")]
 mod trace;
 
-#[cfg(feature = "capture")]
 pub use probe::{
     Counter, Gauge, Histogram, HistogramSpan, OwnedCounter, OwnedGauge, OwnedHistogram, Span, Timer,
 };
-#[cfg(feature = "capture")]
 pub use registry::{
     clear_override, enabled, record_counter, record_gauge, record_histogram, record_timer_ns,
     reset, set_enabled,
 };
-#[cfg(feature = "capture")]
 pub use report::{report_json, snapshot, write_report, HistogramStat, Snapshot, TimerStat};
-#[cfg(feature = "capture")]
 pub use trace::{
     clear_trace_override, flush_trace, reset_trace, set_trace_enabled, trace_complete_cycles,
     trace_cycle_process, trace_dropped, trace_enabled, trace_json, trace_span, write_trace,
     TraceSpan,
-};
-
-#[cfg(not(feature = "capture"))]
-mod noop;
-
-#[cfg(not(feature = "capture"))]
-pub use noop::flight;
-#[cfg(not(feature = "capture"))]
-pub use noop::{
-    clear_override, clear_trace_override, enabled, flush_trace, record_counter, record_gauge,
-    record_histogram, record_timer_ns, report_json, reset, reset_trace, set_enabled,
-    set_trace_enabled, snapshot, trace_complete_cycles, trace_cycle_process, trace_dropped,
-    trace_enabled, trace_json, trace_span, write_report, write_trace, Counter, Gauge, Histogram,
-    HistogramSpan, HistogramStat, OwnedCounter, OwnedGauge, OwnedHistogram, Snapshot, Span, Timer,
-    TimerStat, TraceSpan,
 };

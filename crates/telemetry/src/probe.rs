@@ -186,9 +186,8 @@ impl Drop for Span<'_> {
 /// 65 power-of-two buckets plus exact count/sum/max, so the report can
 /// estimate p50/p90/p99 tail latencies. Recording is a handful of relaxed
 /// `fetch_add`s — no locks — so concurrent `tensor::parallel` workers
-/// merge losslessly. Same dual gating as every other probe: compiled out
-/// without the `capture` feature, a single untaken branch while
-/// `RPBCM_TELEMETRY` is unset.
+/// merge losslessly. Same gating as every other probe: a single untaken
+/// branch while `RPBCM_TELEMETRY` is unset.
 pub struct Histogram {
     name: &'static str,
     cell: OnceLock<Arc<HistCell>>,

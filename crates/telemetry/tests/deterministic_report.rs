@@ -1,7 +1,6 @@
 //! Identical registry contents must render byte-identical JSON, so the
 //! `results/TELEMETRY_*.json` artifacts diff cleanly across runs. Lives
 //! in its own integration-test process because it resets the registry.
-#![cfg(feature = "capture")]
 
 #[test]
 fn reports_are_byte_identical_for_identical_registry_contents() {

@@ -1,7 +1,6 @@
 //! The zero-overhead contract while telemetry is runtime-disabled: probes
 //! must not register metrics, touch the registry, or read the clock. Own
 //! process so the override cannot race other test binaries.
-#![cfg(feature = "capture")]
 
 use telemetry::{Counter, Gauge, Timer};
 

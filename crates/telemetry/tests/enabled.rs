@@ -1,7 +1,6 @@
-//! Behaviour with the `capture` feature compiled in and the runtime gate
-//! forced on. Lives in its own integration-test process so the
-//! process-wide override cannot race other test binaries.
-#![cfg(feature = "capture")]
+//! Behaviour with the runtime gate forced on. Lives in its own
+//! integration-test process so the process-wide override cannot race
+//! other test binaries.
 
 use telemetry::{Counter, Gauge, Histogram, Timer};
 

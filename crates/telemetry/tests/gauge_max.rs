@@ -2,7 +2,6 @@
 //! pattern 0 (= `0.0`), so a stream of strictly negative maxima never
 //! recorded anything. Lives in its own integration-test process because
 //! it flips the process-wide override and resets the registry.
-#![cfg(feature = "capture")]
 
 use telemetry::Gauge;
 

@@ -2,7 +2,6 @@
 //! JSON and timestamps are monotonic within each `(pid, tid)` track.
 //! Lives in its own integration-test process because it flips the
 //! process-wide trace override.
-#![cfg(feature = "capture")]
 
 /// Pulls every `"ts":<number>` out of serialized events in order,
 /// keyed by the `(pid, tid)` that precedes it in the same event object.

@@ -4,7 +4,15 @@
 //! flips the process-wide telemetry override, which must not race probes
 //! exercised by other tests.
 
+use std::sync::Mutex;
+
 use rpbcm_repro::tensor::parallel;
+
+/// Serializes the tests below: each reads global `tensor.parallel.*`
+/// counters before and after its own jobs, and the harness would
+/// otherwise run them concurrently, so one test's workers (or registry
+/// reset) could land between the other's two snapshots.
+static REGISTRY: Mutex<()> = Mutex::new(());
 
 /// A probe shared by every worker closure below: all increments must land
 /// in the same registry cell no matter which thread performs them.
@@ -15,6 +23,7 @@ static ITEM_VALUES: telemetry::Histogram = telemetry::Histogram::new("test.paral
 
 #[test]
 fn counters_aggregate_across_workers() {
+    let _serial = REGISTRY.lock().unwrap_or_else(|e| e.into_inner());
     telemetry::set_enabled(true);
     telemetry::reset();
 
@@ -77,6 +86,7 @@ fn histogram_merge_preserves_every_observation() {
 
 #[test]
 fn serial_fallback_counts_separately() {
+    let _serial = REGISTRY.lock().unwrap_or_else(|e| e.into_inner());
     telemetry::set_enabled(true);
 
     let before = telemetry::snapshot();
