@@ -152,7 +152,7 @@ fn run_stat(addr: &str) -> ExitCode {
 fn run_listen(addr: &str, models: &[String]) -> ExitCode {
     let registry = Registry::new();
     let (net, meta) = bench::experiments::serve::demo_model(42);
-    registry.insert(serve::Model::from_network("demo", net, meta));
+    registry.publish(serve::Model::from_network("demo", net, meta));
     for path in models {
         match registry.load_file(std::path::Path::new(path)) {
             Ok(entry) => println!("loaded {} as {:?} v{}", path, entry.name(), entry.version()),

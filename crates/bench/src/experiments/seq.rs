@@ -162,10 +162,13 @@ pub fn run(quick: bool) -> SeqResult {
     let mut fx_offline = seq.new_fx().expect("fx streaming form");
     let q = fx_offline.qformat();
     let fx_inputs: Vec<Vec<i16>> = step_inputs.iter().map(|s| q.quantize_slice(s)).collect();
-    let fx_want: Vec<Vec<i16>> = fx_inputs.iter().map(|s| fx_offline.step(s)).collect();
+    let fx_want: Vec<Vec<i16>> = fx_inputs
+        .iter()
+        .map(|s| fx_offline.step_scalar(s))
+        .collect();
 
     let registry = Registry::new();
-    registry.insert(Model::from_network("seq", pruned, meta));
+    registry.publish(Model::from_network("seq", pruned, meta));
     let server = Server::bind("127.0.0.1:0", ServeConfig::default(), registry).expect("bind");
     let mut client = Client::connect(server.local_addr()).expect("connect");
 

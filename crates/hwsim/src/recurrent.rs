@@ -1,16 +1,23 @@
 //! Fixed-point recurrent cells over the eMAC datapath.
 //!
 //! A BCM recurrent layer folds to a 1×1-kernel block-circulant grid, so a
-//! cell step *is* [`conv_forward_fx`] on a 1×1 feature map: the same
-//! FFT→eMAC→IFFT lanes that serve conv and FC layers also serve the gate
-//! stacks — the paper's point that one PE array covers every layer type.
+//! cell step *is* a 1×1 convolution: the same FFT→eMAC→IFFT lanes
+//! ([`conv_forward_fx_batch_packed`]) that serve conv and FC layers also
+//! serve the gate stacks — the paper's point that one PE array covers
+//! every layer type. A step always runs as a lane gang
+//! ([`FxLstmCell::step_gang`], [`FxGruCell::step_gang`]); one cell stepped
+//! alone is a gang of one. The packed kernel is per-sample bit-identical
+//! to the scalar oracle [`conv_forward_fx`] at every width, so a member's
+//! words never depend on its gang-mates. [`FxLstmCell::step_scalar`] and
+//! [`FxGruCell::step_scalar`] are the cell-level oracles on that kernel:
+//! no serving path calls them; tests check the gangs against them.
 //!
 //! Gate nonlinearities use the hardware-style piecewise-linear forms
 //! ([`QFormat::hard_sigmoid`], [`QFormat::hard_tanh`]) — shift, add,
 //! clamp; no LUT, no exponential. State (`h`, and `c` for LSTM) is held
 //! in format words, so a step is a pure function of quantized state and
-//! quantized input: replaying the same inputs through [`FxLstmCell::step`]
-//! one at a time is **bit-identical** to an offline pass over the whole
+//! quantized input: replaying the same inputs one step at a time is
+//! **bit-identical** to an offline pass over the whole
 //! sequence, which is what lets the serving tier stream sessions without
 //! an accuracy story separate from batch inference.
 
@@ -31,7 +38,6 @@ pub struct FxLstmCell {
     bias: Vec<i16>,
     h: Vec<i16>,
     c: Vec<i16>,
-    scratch: Vec<i16>,
 }
 
 impl FxLstmCell {
@@ -61,7 +67,6 @@ impl FxLstmCell {
             bias,
             h: vec![0; hidden],
             c: vec![0; hidden],
-            scratch: vec![0; cols],
         }
     }
 
@@ -81,20 +86,21 @@ impl FxLstmCell {
         self.c.fill(0);
     }
 
-    /// One step: consumes `x_t` (length `F`), returns the new hidden
-    /// state (length `H`).
+    /// Scalar oracle for [`FxLstmCell::step_gang`]: one step of this cell
+    /// alone on [`conv_forward_fx`], with the gate word arithmetic written
+    /// out independently of the lane path. Consumes `x_t` (length `F`),
+    /// returns the new hidden state (length `H`). Not a serving path.
     ///
     /// # Panics
     ///
     /// Panics if `x.len() != F`.
-    pub fn step(&mut self, x: &[i16]) -> &[i16] {
+    pub fn step_scalar(&mut self, x: &[i16]) -> &[i16] {
         assert_eq!(x.len(), self.in_features, "step input length");
-        FX_CELL_STEPS.inc();
         let q = self.q;
         let hd = self.hidden;
-        self.scratch[..self.in_features].copy_from_slice(x);
-        self.scratch[self.in_features..].copy_from_slice(&self.h);
-        let mut pre = conv_forward_fx(q, &self.weights, &self.scratch, 1, 1);
+        let mut z = x.to_vec();
+        z.extend_from_slice(&self.h);
+        let mut pre = conv_forward_fx(q, &self.weights, &z, 1, 1);
         for (p, &b) in pre.iter_mut().zip(&self.bias) {
             *p = q.add(*p, b);
         }
@@ -113,18 +119,18 @@ impl FxLstmCell {
     /// Advances a lane gang of same-shape cells one step with a single
     /// packed pass over the fixed-point lane kernels
     /// ([`conv_forward_fx_batch_packed`] on the concatenated `[x; h]`
-    /// rows), then finishes bias and gates per lane with the exact
-    /// [`FxLstmCell::step`] word arithmetic. Returns one new hidden state
-    /// per member, in member order.
+    /// rows), then finishes bias and gates per lane with scalar word
+    /// arithmetic. Returns one new hidden state per member, in member
+    /// order.
     ///
     /// The gate matvec routes through member 0's weight words; members
     /// must be clones of the same quantized cell (same grid, `Q`-format
     /// and shape — the serving tier groups sessions by registry entry
     /// before ganging). Because the packed batch path is per-sample
-    /// bit-identical to [`conv_forward_fx`] and the gate math is the
-    /// scalar code verbatim, **every member's `h`/`c` after a gang step is
-    /// bit-identical to a solo [`FxLstmCell::step`]**, regardless of
-    /// gang-mates.
+    /// bit-identical to [`conv_forward_fx`] and the gate math is per lane,
+    /// **every member's `h`/`c` after a gang step is bit-identical to
+    /// [`FxLstmCell::step_scalar`]** at every gang width, one included,
+    /// regardless of gang-mates.
     ///
     /// # Panics
     ///
@@ -239,15 +245,14 @@ impl FxGruCell {
         self.h.fill(0);
     }
 
-    /// One step: consumes `x_t` (length `F`), returns the new hidden
-    /// state (length `H`).
+    /// Scalar oracle for [`FxGruCell::step_gang`], built like
+    /// [`FxLstmCell::step_scalar`]. Not a serving path.
     ///
     /// # Panics
     ///
     /// Panics if `x.len() != F`.
-    pub fn step(&mut self, x: &[i16]) -> &[i16] {
+    pub fn step_scalar(&mut self, x: &[i16]) -> &[i16] {
         assert_eq!(x.len(), self.in_features, "step input length");
-        FX_CELL_STEPS.inc();
         let q = self.q;
         let hd = self.hidden;
         let mut pre_w = conv_forward_fx(q, &self.w, x, 1, 1);
@@ -271,10 +276,10 @@ impl FxGruCell {
 
     /// GRU sibling of [`FxLstmCell::step_gang`]: two packed lane passes
     /// (input stack over the lane inputs, recurrent stack over the lane
-    /// hidden states), then per-lane bias and gates with the exact
-    /// [`FxGruCell::step`] word arithmetic. Same contract: member 0's
-    /// weight words, same-shape clones only, and every member's post-step
-    /// `h` is bit-identical to a solo scalar step.
+    /// hidden states), then per-lane bias and gates in scalar word
+    /// arithmetic. Same contract: member 0's weight words, same-shape
+    /// clones only, and every member's post-step `h` is bit-identical to
+    /// [`FxGruCell::step_scalar`] at every gang width.
     ///
     /// # Panics
     ///
@@ -390,6 +395,14 @@ mod tests {
     use super::*;
     use circulant::{BlockCirculant, CirculantMatrix, ConvBlockCirculant};
 
+    fn lstm_step(cell: &mut FxLstmCell, x: &[i16]) -> Vec<i16> {
+        FxLstmCell::step_gang(&mut [cell], &[x]).remove(0)
+    }
+
+    fn gru_step(cell: &mut FxGruCell, x: &[i16]) -> Vec<i16> {
+        FxGruCell::step_gang(&mut [cell], &[x]).remove(0)
+    }
+
     fn grid_1x1(bs: usize, rows: usize, cols: usize, seed: u64) -> ConvBlockCirculant<f32> {
         let mut state = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15).max(1);
         let mut next = move || {
@@ -443,12 +456,12 @@ mod tests {
             })
             .collect();
         // One continuous run vs a run replayed after reset: identical words.
-        let run_a: Vec<Vec<i16>> = steps.iter().map(|s| a.step(s).to_vec()).collect();
+        let run_a: Vec<Vec<i16>> = steps.iter().map(|s| lstm_step(&mut a, s)).collect();
         let warmup: Vec<i16> = vec![q.from_f64(0.5); f];
-        b.step(&warmup);
+        lstm_step(&mut b, &warmup);
         b.reset();
         for (t, s) in steps.iter().enumerate() {
-            assert_eq!(b.step(s), &run_a[t][..], "step {t} diverged");
+            assert_eq!(lstm_step(&mut b, s), run_a[t], "step {t} diverged");
         }
     }
 
@@ -465,8 +478,8 @@ mod tests {
             let x: Vec<i16> = (0..f)
                 .map(|j| q.from_f64(((t + j) % 7) as f64 - 3.0))
                 .collect();
-            let hs = cell.step(&x);
-            for &v in hs {
+            let hs = gru_step(&mut cell, &x);
+            for &v in &hs {
                 assert!(v.abs() <= q.one(), "state escaped the rails: {v}");
             }
         }
@@ -501,7 +514,7 @@ mod tests {
         let x1: Vec<i16> = (0..f).map(|j| q.from_f64(j as f64)).collect();
         let x2 = vec![0i16; f];
         for _ in 0..3 {
-            assert_eq!(a.step(&x1), b.step(&x2));
+            assert_eq!(lstm_step(&mut a, &x1), lstm_step(&mut b, &x2));
         }
     }
 
@@ -550,21 +563,24 @@ mod tests {
                 for s in 0..width {
                     assert_eq!(
                         louts[s],
-                        lstm_solo[s].step(&xs[s]).to_vec(),
+                        lstm_solo[s].step_scalar(&xs[s]),
                         "lstm width {width} lane {s} step {t}"
                     );
                     assert_eq!(
                         gouts[s],
-                        gru_solo[s].step(&xs[s]).to_vec(),
+                        gru_solo[s].step_scalar(&xs[s]),
                         "gru width {width} lane {s} step {t}"
                     );
                 }
             }
-            // Extraction back to scalar: one more solo step must agree.
+            // Leaving the gang: one more step alone must agree.
             let x = vec![q.from_f64(0.5); f];
             for s in 0..width {
-                assert_eq!(lstm_gang[s].step(&x), lstm_solo[s].step(&x));
-                assert_eq!(gru_gang[s].step(&x), gru_solo[s].step(&x));
+                assert_eq!(
+                    lstm_step(&mut lstm_gang[s], &x),
+                    lstm_solo[s].step_scalar(&x)
+                );
+                assert_eq!(gru_step(&mut gru_gang[s], &x), gru_solo[s].step_scalar(&x));
             }
         }
     }

@@ -7,9 +7,10 @@
 //! a full-sequence eval forward and a step-at-a-time [`SeqRunner`] replay
 //! the exact same arithmetic. That property rests on two pillars:
 //!
-//! 1. `BlockCirculant::matmat` is documented (and tested) to be
-//!    per-sample bit-identical to `matvec`, so the batched layer forward
-//!    and the single-sample stepper share the spectral kernel exactly.
+//! 1. `BlockCirculant::matmat` and `BlockCirculant::matvec_lanes` are
+//!    documented (and tested) to be per-sample bit-identical to `matvec`,
+//!    so the batched layer forward and the lane-gang stepper (at any
+//!    width, one included) share the spectral kernel exactly.
 //! 2. Everything after the matvec — bias addition and the nonlinear cell
 //!    update — goes through the free functions in this module
 //!    ([`add_bias`], [`lstm_cell`], [`gru_cell`]), in the same order on
@@ -187,46 +188,6 @@ impl Cell {
                 c.iter_mut().for_each(|v| *v = 0.0);
             }
             Cell::Gru { h, .. } => h.iter_mut().for_each(|v| *v = 0.0),
-        }
-    }
-
-    /// Advances one timestep; returns the new hidden state.
-    fn step(&mut self, x: &[f32]) -> Vec<f32> {
-        match self {
-            Cell::Lstm {
-                grid,
-                bias,
-                in_features,
-                h,
-                c,
-                ..
-            } => {
-                debug_assert_eq!(x.len(), *in_features);
-                let mut z = Vec::with_capacity(x.len() + h.len());
-                z.extend_from_slice(x);
-                z.extend_from_slice(h);
-                let mut pre = grid.matvec(&z);
-                add_bias(&mut pre, bias);
-                lstm_cell(&mut pre, h, c);
-                h.clone()
-            }
-            Cell::Gru {
-                w,
-                u,
-                bias_w,
-                bias_u,
-                in_features,
-                h,
-                ..
-            } => {
-                debug_assert_eq!(x.len(), *in_features);
-                let mut pre_w = w.matvec(x);
-                add_bias(&mut pre_w, bias_w);
-                let mut pre_u = u.matvec(h);
-                add_bias(&mut pre_u, bias_u);
-                gru_cell(&mut pre_w, &mut pre_u, h);
-                h.clone()
-            }
         }
     }
 }
@@ -427,23 +388,16 @@ impl SeqRunner {
         self.steps = 0;
     }
 
-    /// Advances one timestep and returns the per-step output.
+    /// Advances one timestep and returns the per-step output: a
+    /// [`SeqRunnerBatch::step`] over a gang of one.
     ///
     /// # Panics
     ///
     /// Panics if `x.len() != self.input_len()` (the serving tier validates
     /// lengths before stepping).
     pub fn step(&mut self, x: &[f32]) -> Vec<f32> {
-        assert_eq!(x.len(), self.input_len(), "step input length");
-        let mut cur = x.to_vec();
-        for cell in &mut self.cells {
-            cur = cell.step(&cur);
-        }
-        self.steps += 1;
-        match &self.head {
-            Some(h) => h.apply(&cur),
-            None => cur,
-        }
+        let mut outs = SeqRunnerBatch::step(&mut [self], &[x]);
+        outs.pop().expect("one output per member")
     }
 }
 
@@ -453,15 +407,18 @@ impl SeqRunner {
 /// of streaming independent recurrent sequences through one block-circulant
 /// FFT pipeline.
 ///
+/// This is the only step datapath: [`SeqRunner::step`] is a gang of one.
 /// Gate matvecs route through [`BlockCirculant::matvec_lanes`] (sample
-/// dimension innermost over the split spectral planes); everything
-/// non-linear — `add_bias`, [`lstm_cell`], [`gru_cell`], the head — runs
-/// per lane with the exact scalar code, so **every member's output and
-/// hidden state is bit-identical to what its own [`SeqRunner::step`] would
-/// have produced**, regardless of gang width or gang-mates. The serving
-/// tier's session gang scheduler depends on this: a session can be pulled
-/// out of a gang back to scalar stepping (or re-ganged with different
-/// mates) at any step boundary with no observable difference on the wire.
+/// dimension innermost over the split spectral planes), which is
+/// per-lane bit-identical to [`BlockCirculant::matvec`] at every width;
+/// everything non-linear — `add_bias`, [`lstm_cell`], [`gru_cell`], the
+/// head — runs per lane with the same per-sample code as the batched
+/// layer forward, so **every member's output and hidden state is
+/// bit-identical to the offline full-sequence forward**, regardless of
+/// gang width or gang-mates. The serving tier's session gang scheduler
+/// depends on this: a session can step alone or be re-ganged with
+/// different mates at any step boundary with no observable difference on
+/// the wire.
 ///
 /// Members must all be runners of the same checkpoint (the shard groups
 /// sessions by registry entry before forming a gang); the gang steps
@@ -686,38 +643,53 @@ mod tests {
         );
         net.bcm_eliminate(&[1, 5, 28]);
         let template = SeqRunner::from_network(&net).expect("streamable");
+        // Six gang steps, then one more step alone: the referee is each
+        // member's own offline full-sequence layer forward over all seven.
+        let (f, gang_steps, t_len) = (4, 6, 7);
+        let input = |s: usize, t: usize, i: usize| -> f32 {
+            if t < gang_steps {
+                ((t * 13 + s * 7 + i) as f32 * 0.19).sin()
+            } else {
+                0.125
+            }
+        };
         for width in [1usize, 2, 3, 8] {
+            let want: Vec<Vec<Vec<f32>>> = (0..width)
+                .map(|s| {
+                    let x = Tensor::from_fn(&[1, f, t_len, 1], |k| input(s, k % t_len, k / t_len));
+                    offline_per_step(&net, &x)
+                })
+                .collect();
             let mut gang: Vec<SeqRunner> = (0..width).map(|_| template.clone()).collect();
-            let mut solo: Vec<SeqRunner> = (0..width).map(|_| template.clone()).collect();
-            for t in 0..6 {
+            for t in 0..gang_steps {
                 let xs: Vec<Vec<f32>> = (0..width)
-                    .map(|s| {
-                        (0..4)
-                            .map(|i| ((t * 13 + s * 7 + i) as f32 * 0.19).sin())
-                            .collect()
-                    })
+                    .map(|s| (0..f).map(|i| input(s, t, i)).collect())
                     .collect();
                 let mut refs: Vec<&mut SeqRunner> = gang.iter_mut().collect();
                 let x_refs: Vec<&[f32]> = xs.iter().map(|x| x.as_slice()).collect();
                 let outs = SeqRunnerBatch::step(&mut refs, &x_refs);
                 for s in 0..width {
-                    let want = solo[s].step(&xs[s]);
                     assert_eq!(
                         outs[s].iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                        want.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+                        want[s][t].iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
                         "width {width} lane {s} step {t}"
                     );
                 }
             }
-            // Post-gang state must be scalar-identical too: one more solo
-            // step on every (ex-)member must agree.
+            // Post-gang state must match too: one more step on every
+            // (ex-)member, now alone, agrees with the offline last step.
             for s in 0..width {
-                let x = vec![0.125f32; 4];
-                let a = gang[s].step(&x);
-                let b = solo[s].step(&x);
+                let x: Vec<f32> = (0..f).map(|i| input(s, gang_steps, i)).collect();
                 assert_eq!(
-                    a.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                    b.iter().map(|v| v.to_bits()).collect::<Vec<_>>()
+                    gang[s]
+                        .step(&x)
+                        .iter()
+                        .map(|v| v.to_bits())
+                        .collect::<Vec<_>>(),
+                    want[s][gang_steps]
+                        .iter()
+                        .map(|v| v.to_bits())
+                        .collect::<Vec<_>>()
                 );
             }
         }

@@ -63,26 +63,27 @@ pub(crate) static SESSIONS_EXPIRED: telemetry::Counter =
 pub(crate) static SESSION_STEPS: telemetry::Counter =
     telemetry::Counter::new("serve.sessions.steps");
 
-/// Wall time of one session-step execution (nanoseconds). A gang-formed
-/// step records once for the whole gang — divide by the paired
-/// `serve.session.gang_width` sample for a per-session figure.
+/// Wall time of one session-step execution (nanoseconds). Every step
+/// runs as a gang and records once for the whole gang — divide by the
+/// paired `serve.session.gang_width` sample for a per-session figure.
 pub(crate) static SESSION_STEP_NS: telemetry::Histogram =
     telemetry::Histogram::new("serve.session.step_ns");
 
-/// Lane occupancy of executed session steps: width 1 is a scalar step,
-/// 2..=gang is a lane gang.
+/// Lane occupancy of executed session gangs: 1 is a gang of one (a
+/// session that stepped alone this flush), up to the gang width cap.
 pub(crate) static SESSION_GANG_WIDTH: telemetry::Histogram =
     telemetry::Histogram::new("serve.session.gang_width");
 
-/// Lane gangs executed (width ≥ 2 only).
+/// Lane gangs of two or more sessions executed.
 pub(crate) static SESSION_GANGS: telemetry::Counter =
     telemetry::Counter::new("serve.sessions.gangs");
 
-/// Timesteps that rode a lane gang (width ≥ 2).
+/// Timesteps that rode a lane gang of two or more sessions.
 pub(crate) static SESSION_STEPS_GANGED: telemetry::Counter =
     telemetry::Counter::new("serve.sessions.steps_ganged");
 
-/// Timesteps executed scalar (gang disabled, or a gang of one).
+/// Timesteps run as a gang of one (the stats snapshot keeps the
+/// historical `steps_scalar` name that clients read).
 pub(crate) static SESSION_STEPS_SCALAR: telemetry::Counter =
     telemetry::Counter::new("serve.sessions.steps_scalar");
 

@@ -34,9 +34,7 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
-use hwsim::inference::{
-    conv_forward_fx, conv_forward_fx_batch_packed, conv_forward_fx_batch_scalar, FxWeights,
-};
+use hwsim::inference::{conv_forward_fx_batch_packed, conv_forward_fx_batch_scalar, FxWeights};
 use hwsim::{FxBatch, QFormat};
 use nn::layers::checkpoint::LayerSnapshot;
 use nn::{CheckpointError, CheckpointMeta, Network};
@@ -135,21 +133,12 @@ impl FxModel {
         self.output_len
     }
 
-    /// Runs one sample through the fixed-point stack.
+    /// Runs one sample through the fixed-point stack: a one-row
+    /// [`FxModel::forward_batch_packed`].
     pub fn forward(&self, sample: &[i16]) -> Vec<i16> {
-        assert_eq!(sample.len(), self.input_len, "fx sample length");
-        let mut cur = sample.to_vec();
-        for stage in &self.stages {
-            match stage {
-                FxStage::Conv(wts) => cur = conv_forward_fx(self.q, wts, &cur, self.h, self.w),
-                FxStage::Relu => {
-                    for v in &mut cur {
-                        *v = (*v).max(0);
-                    }
-                }
-            }
-        }
-        cur
+        self.forward_batch_packed(FxBatch::from_borrowed_rows(self.q, &[sample]))
+            .row(0)
+            .to_vec()
     }
 
     /// Runs a packed batch through the fixed-point stack via the
@@ -160,8 +149,9 @@ impl FxModel {
     /// prepared once per dispatch instead of once per sample — the
     /// amortization micro-batching exists to buy — and the lane form
     /// additionally shares each weight load across every sample in the
-    /// batch. Outputs are bit-identical per sample to
-    /// [`FxModel::forward`].
+    /// batch. This is the only fx model datapath ([`FxModel::forward`]
+    /// is a batch of one); per sample it is bit-identical to a
+    /// [`hwsim::inference::conv_forward_fx`] fold of the stages.
     pub fn forward_batch_packed(&self, batch: FxBatch) -> FxBatch {
         assert!(!batch.is_empty(), "empty fx batch");
         assert_eq!(batch.sample_len(), self.input_len, "fx sample length");
@@ -182,17 +172,9 @@ impl FxModel {
         cur
     }
 
-    /// Row-vector convenience over [`FxModel::forward_batch_packed`]:
-    /// packs the rows into an [`FxBatch`], runs the lane datapath, and
-    /// splits the result back into per-sample rows.
-    pub fn forward_batch(&self, samples: &[Vec<i16>]) -> Vec<Vec<i16>> {
-        self.forward_batch_packed(FxBatch::from_rows(self.q, samples))
-            .into_rows()
-    }
-
     /// Reference batch execution on the **scalar oracle** kernel
     /// ([`conv_forward_fx_batch_scalar`]). Bit-identical to
-    /// [`FxModel::forward_batch`]; kept callable (not test-gated) so
+    /// [`FxModel::forward_batch_packed`]; kept callable (not test-gated) so
     /// `exp_serve` can measure the engine-level scalar-vs-lane speedup at
     /// runtime.
     pub fn forward_batch_scalar(&self, samples: &[Vec<i16>]) -> Vec<Vec<i16>> {
@@ -395,27 +377,16 @@ impl ModelEntry {
         out.as_slice().chunks(row).map(<[f32]>::to_vec).collect()
     }
 
-    /// Runs a fixed-point batch through the shared-plan batched datapath
-    /// ([`FxModel::forward_batch`]); every sample's output stays
-    /// bit-identical to a per-request [`FxModel::forward`] call.
+    /// Runs a fixed-point batch through [`FxModel::forward_batch_packed`]
+    /// — the batch worker's entry point: the request payloads are
+    /// flattened straight into an [`FxBatch`] and the `i16` lanes never
+    /// leave it until reply split. Every sample's output is bit-identical
+    /// to a per-request [`FxModel::forward`] call.
     ///
     /// # Panics
     ///
     /// Panics if the model has no fx mirror — callers gate on
     /// [`ModelEntry::fx`] at admission time.
-    pub fn forward_fx_batch(&self, samples: &[Vec<i16>]) -> Vec<Vec<i16>> {
-        let fx = self.fx.as_ref().expect("fx mode unavailable");
-        fx.forward_batch(samples)
-    }
-
-    /// Packed-container variant of [`ModelEntry::forward_fx_batch`] — the
-    /// batch worker's entry point: the request payloads are flattened
-    /// straight into an [`FxBatch`] and the `i16` lanes never leave it
-    /// until reply split.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the model has no fx mirror.
     pub fn forward_fx_batch_packed(&self, batch: FxBatch) -> FxBatch {
         let fx = self.fx.as_ref().expect("fx mode unavailable");
         fx.forward_batch_packed(batch)
@@ -474,11 +445,6 @@ impl Registry {
         entry
     }
 
-    /// [`Registry::publish`] under its historical name.
-    pub fn insert(&self, model: Model) -> Arc<ModelEntry> {
-        self.publish(model)
-    }
-
     /// Loads a `.rpbcm` checkpoint and publishes it.
     ///
     /// # Errors
@@ -529,6 +495,7 @@ impl Registry {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hwsim::inference::conv_forward_fx;
     use nn::layers::{BcmConv2d, Flatten, HadaBcmConv2d, Linear, ReLU};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -622,6 +589,20 @@ mod tests {
         }
     }
 
+    /// Direct hwsim reference: the scalar oracle kernel
+    /// [`conv_forward_fx`] folded over the model's stages, one sample at
+    /// a time.
+    fn hwsim_fold(fx: &FxModel, sample: &[i16]) -> Vec<i16> {
+        let mut cur = sample.to_vec();
+        for stage in &fx.stages {
+            match stage {
+                FxStage::Conv(wts) => cur = conv_forward_fx(fx.q, wts, &cur, fx.h, fx.w),
+                FxStage::Relu => cur.iter_mut().for_each(|v| *v = (*v).max(0)),
+            }
+        }
+        cur
+    }
+
     #[test]
     fn fx_batches_match_direct_hwsim_inference() {
         let (net, meta) = conv_stack(6);
@@ -636,9 +617,13 @@ mod tests {
                     .collect()
             })
             .collect();
-        let batched = entry.forward_fx_batch(&samples);
+        let batched = entry
+            .forward_fx_batch_packed(FxBatch::from_rows(fx.qformat(), &samples))
+            .into_rows();
         for (s, b) in samples.iter().zip(&batched) {
-            assert_eq!(&fx.forward(s), b);
+            let want = hwsim_fold(fx, s);
+            assert_eq!(&want, b);
+            assert_eq!(fx.forward(s), want);
         }
     }
 
@@ -655,11 +640,18 @@ mod tests {
                     .collect()
             })
             .collect();
-        let lane = fx.forward_batch(&samples);
+        let lane = fx
+            .forward_batch_packed(FxBatch::from_rows(fx.qformat(), &samples))
+            .into_rows();
         let scalar = fx.forward_batch_scalar(&samples);
         assert_eq!(lane, scalar, "lane engine diverged from scalar oracle");
-        let packed = fx.forward_batch_packed(FxBatch::from_rows(fx.qformat(), &samples));
-        assert_eq!(packed.into_rows(), lane);
+        for (s, row) in samples.iter().zip(&lane) {
+            assert_eq!(
+                &fx.forward(s),
+                row,
+                "a batch of one diverged from the batch"
+            );
+        }
     }
 
     #[test]

@@ -14,6 +14,10 @@
 //!   streamed replay is trivially bit-identical to an offline fold of
 //!   the same step sequence.
 //!
+//! Each datapath has one step path, the lane gang
+//! ([`nn::seq::SeqRunnerBatch`], [`FxSeqRunnerBatch`]); a single
+//! session's `step` is a gang of one.
+//!
 //! Both runners are built **once per published model version** as
 //! zero-state templates inside [`SeqModel`] (carried by the registry's
 //! `ModelEntry`), and cloned per session — so `session_open` never
@@ -57,10 +61,10 @@ impl FxCell {
         }
     }
 
-    fn step(&mut self, x: &[i16]) -> Vec<i16> {
+    fn step_scalar(&mut self, x: &[i16]) -> Vec<i16> {
         match self {
-            FxCell::Lstm(c) => c.step(x).to_vec(),
-            FxCell::Gru(c) => c.step(x).to_vec(),
+            FxCell::Lstm(c) => c.step_scalar(x).to_vec(),
+            FxCell::Gru(c) => c.step_scalar(x).to_vec(),
         }
     }
 }
@@ -92,9 +96,9 @@ fn fx_weights(
 }
 
 /// The fixed-point streaming stepper: the "FPGA mode" twin of
-/// [`SeqRunner`], running every gate matvec through the same
-/// [`hwsim::inference::conv_forward_fx`] eMAC kernels as batch fx
-/// inference.
+/// [`SeqRunner`], running every gate matvec through the same packed eMAC
+/// lane kernels ([`hwsim::inference::conv_forward_fx_batch_packed`]) as
+/// batch fx inference.
 #[derive(Debug, Clone)]
 pub struct FxSeqRunner {
     q: QFormat,
@@ -224,17 +228,31 @@ impl FxSeqRunner {
         }
     }
 
-    /// Advances one timestep and returns the per-step output.
+    /// Advances one timestep and returns the per-step output: a
+    /// [`FxSeqRunnerBatch::step`] over a gang of one.
     ///
     /// # Panics
     ///
     /// Panics if `x.len() != self.input_len()` (the shard validates
     /// lengths before stepping).
     pub fn step(&mut self, x: &[i16]) -> Vec<i16> {
+        let mut outs = FxSeqRunnerBatch::step(&mut [self], &[x]);
+        outs.pop().expect("one output per member")
+    }
+
+    /// Scalar oracle for [`FxSeqRunner::step`]: chains the cells'
+    /// [`FxLstmCell::step_scalar`] / [`FxGruCell::step_scalar`] and the
+    /// head, independently of the lane gang. Not a serving path; tests
+    /// check the gang against it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `x.len() != self.input_len()`.
+    pub fn step_scalar(&mut self, x: &[i16]) -> Vec<i16> {
         assert_eq!(x.len(), self.input_len(), "fx step input length");
         let mut cur = x.to_vec();
         for cell in &mut self.cells {
-            cur = cell.step(&cur);
+            cur = cell.step_scalar(&cur);
         }
         match &self.head {
             Some(h) => h.apply(&cur),
@@ -246,14 +264,15 @@ impl FxSeqRunner {
 /// Lane-batched stepping over independent [`FxSeqRunner`]s of the same
 /// model version: the fixed-point twin of [`nn::seq::SeqRunnerBatch`].
 ///
-/// Each cell level dispatches to [`FxLstmCell::step_gang`] /
-/// [`FxGruCell::step_gang`], which pack the lanes' state into an
-/// `FxBatch` and run one pass over the packed eMAC lane kernels; bias,
-/// gates and the head stay per-lane scalar word arithmetic. Every
-/// member's output and hidden state after a gang step is **bit-identical
-/// to a solo [`FxSeqRunner::step`]**, so the shard can gang and un-gang
-/// sessions freely between steps with no observable difference on the
-/// wire.
+/// This is the only fixed-point step datapath: [`FxSeqRunner::step`] is
+/// a gang of one. Each cell level dispatches to
+/// [`FxLstmCell::step_gang`] / [`FxGruCell::step_gang`], which pack the
+/// lanes' state into an `FxBatch` and run one pass over the packed eMAC
+/// lane kernels; bias, gates and the head stay per-lane scalar word
+/// arithmetic. Every member's output and hidden state after a gang step
+/// is **bit-identical to [`FxSeqRunner::step_scalar`] at every gang
+/// width**, so the shard can gang and un-gang sessions freely between
+/// steps with no observable difference on the wire.
 ///
 /// Members must be clones of the same model version's template (the
 /// shard groups sessions by registry entry before ganging); the gang
@@ -463,15 +482,15 @@ mod tests {
                 for s in 0..width {
                     assert_eq!(
                         outs[s],
-                        solo[s].step(&xs[s]),
+                        solo[s].step_scalar(&xs[s]),
                         "width {width} lane {s} step {t}"
                     );
                 }
             }
-            // Extraction back to scalar stepping must be seamless.
+            // Leaving the gang (a gang of one) must be seamless.
             let x = vec![q.from_f64(0.25); 4];
             for s in 0..width {
-                assert_eq!(gang[s].step(&x), solo[s].step(&x));
+                assert_eq!(gang[s].step(&x), solo[s].step_scalar(&x));
             }
         }
     }
@@ -491,9 +510,9 @@ mod tests {
                 q.quantize_slice(&row)
             })
             .collect();
-        // "Offline": one stepper consumes the whole sequence in a fold.
+        // "Offline": the scalar oracle consumes the whole sequence in a fold.
         let mut offline = seq.new_fx().unwrap();
-        let offline_outs: Vec<Vec<i16>> = steps.iter().map(|x| offline.step(x)).collect();
+        let offline_outs: Vec<Vec<i16>> = steps.iter().map(|x| offline.step_scalar(x)).collect();
         // "Streamed": a second session replays the same steps one at a
         // time (between other work, here interleaved with a third).
         let mut streamed = seq.new_fx().unwrap();

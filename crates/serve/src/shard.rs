@@ -966,7 +966,7 @@ fn flush_session_ops(
         }
         // Gang formation: group by (entry, mode) preserving arrival
         // order, then chunk each group to the lane width (ragged tails
-        // run as narrower gangs; a tail of one runs scalar).
+        // run as narrower gangs, down to a gang of one).
         let mut groups: Vec<((usize, bool), Vec<ReadyStep>)> = Vec::new();
         for st in steps {
             let key = (st.entry_key, st.fx);
@@ -986,11 +986,11 @@ fn flush_session_ops(
 }
 
 /// Executes one lane gang: checks every member's runner out of its
-/// session, advances all of them with a single lane-form step (a gang of
-/// one steps scalar), and checks the runners back in bit-exactly. Every
-/// member's reply is byte-identical to a solo scalar step — the lane
-/// kernels' per-lane bit-identity contract — so gang membership is
-/// invisible on the wire.
+/// session, advances all of them with a single lane-form step (the same
+/// code at every width, one included), and checks the runners back in
+/// bit-exactly. Every member's reply is byte-identical to the offline
+/// forward at any width — the lane kernels' per-lane bit-identity
+/// contract — so gang membership is invisible on the wire.
 fn execute_gang(
     conns: &mut HashMap<usize, Conn>,
     mut gang: Vec<ReadyStep>,
@@ -1035,12 +1035,10 @@ fn execute_gang(
                 Payload::F32(_) => unreachable!("gang grouped by mode"),
             })
             .collect();
-        let outs = if width == 1 {
-            vec![members[0].step(xs[0])]
-        } else {
-            FxSeqRunnerBatch::step(&mut members, &xs)
-        };
-        outs.into_iter().map(Payload::Fx).collect()
+        FxSeqRunnerBatch::step(&mut members, &xs)
+            .into_iter()
+            .map(Payload::Fx)
+            .collect()
     } else {
         let mut members: Vec<&mut SeqRunner> = runners
             .iter_mut()
@@ -1056,12 +1054,10 @@ fn execute_gang(
                 Payload::Fx(_) => unreachable!("gang grouped by mode"),
             })
             .collect();
-        let outs = if width == 1 {
-            vec![members[0].step(xs[0])]
-        } else {
-            SeqRunnerBatch::step(&mut members, &xs)
-        };
-        outs.into_iter().map(Payload::F32).collect()
+        SeqRunnerBatch::step(&mut members, &xs)
+            .into_iter()
+            .map(Payload::F32)
+            .collect()
     };
     let t1 = telemetry::flight::now_ns();
     metrics::SESSION_STEP_NS.record(t1.saturating_sub(t0));

@@ -68,7 +68,7 @@ fn serve_one(net: Network, meta: CheckpointMeta, cfg: ServeConfig) -> (Server, S
     let model = Model::from_network(&net_name, net, meta);
     let name = model.name().to_string();
     let registry = Registry::new();
-    registry.insert(model);
+    registry.publish(model);
     let server = Server::bind("127.0.0.1:0", cfg, registry).expect("bind");
     (server, name)
 }
@@ -136,7 +136,8 @@ fn fx_replies_are_bit_identical_to_direct_hwsim_inference() {
         handles.into_iter().map(|h| h.join().unwrap()).collect()
     });
     for (s, out) in samples.iter().zip(&served) {
-        assert_eq!(&fx.forward(s), out, "fx loopback must be bit-identical");
+        let want = fx.forward_batch_scalar(std::slice::from_ref(s)).remove(0);
+        assert_eq!(&want, out, "fx loopback must be bit-identical");
     }
     server.shutdown();
     assert_eq!(server.protocol_errors(), 0);
@@ -369,7 +370,10 @@ fn all_blocks_pruned_layer_serves_zeros_consistently_on_both_paths() {
     assert_eq!(bits(want.as_slice()), bits(&fout));
 
     let xout = client.infer_fx(&name, &xsample).expect("fx infer");
-    assert_eq!(fx.forward(&xsample), xout);
+    let want = fx
+        .forward_batch_scalar(std::slice::from_ref(&xsample))
+        .remove(0);
+    assert_eq!(want, xout);
 
     server.shutdown();
     assert_eq!(server.protocol_errors(), 0);
@@ -407,7 +411,8 @@ fn heavily_pruned_network_serves_bit_identically_on_both_paths() {
     }
     for s in &xsamples {
         let out = client.infer_fx(&name, s).expect("fx infer");
-        assert_eq!(fx.forward(s), out);
+        let want = fx.forward_batch_scalar(std::slice::from_ref(s)).remove(0);
+        assert_eq!(want, out);
     }
 
     server.shutdown();

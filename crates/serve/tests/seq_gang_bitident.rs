@@ -1,12 +1,17 @@
 //! Property-based bit-identity contract for lane-gang session stepping.
 //!
 //! The gang steppers ([`nn::seq::SeqRunnerBatch`] and
-//! [`serve::FxSeqRunnerBatch`]) must produce **exactly** the words a solo
-//! scalar runner produces for every member, across random recurrent
+//! [`serve::FxSeqRunnerBatch`]) must produce **exactly** the words of a
+//! reference stepped alone for every member, across random recurrent
 //! stacks (LSTM/GRU mixes, random widths and block sizes, random block
 //! pruning, head or headless), random gang widths, random Q-formats, and
 //! random join/leave schedules — a lane's output can never depend on who
-//! its gang-mates are, or whether it rode a gang at all.
+//! its gang-mates are, or how many there are. The fixed-point reference
+//! is the scalar oracle [`serve::FxSeqRunner::step_scalar`] (cells on
+//! `conv_forward_fx`, independent of the lane kernels). The float
+//! reference is a runner stepped alone, a gang of one; its agreement with
+//! the offline layer forward is proven in `nn::seq`'s streaming and
+//! `gang_step_bit_identical_to_solo_scalar` tests.
 
 use nn::layers::{BcmGru, BcmLstm, GlobalAvgPool, Layer, Linear, Network};
 use nn::seq::{SeqRunner, SeqRunnerBatch};
@@ -87,9 +92,9 @@ fn windows(width: usize, steps: usize, seed: u64) -> Vec<(usize, usize)> {
 }
 
 proptest! {
-    /// Every float gang member's reply stream is bit-identical to a solo
-    /// scalar runner fed the same inputs, whatever the gang around it
-    /// looked like round by round.
+    /// Every float gang member's reply stream is bit-identical to a
+    /// runner stepped alone on the same inputs, whatever the gang around
+    /// it looked like round by round.
     #[test]
     fn float_gang_members_match_solo_scalar_runs(
         n_cells in 1usize..=2,
@@ -136,7 +141,7 @@ proptest! {
     }
 
     /// The fixed-point mirror of the property, additionally drawing the
-    /// Q-format: gang-stepped words equal solo-stepped words exactly.
+    /// Q-format: gang-stepped words equal the scalar oracle's exactly.
     #[test]
     fn fx_gang_members_match_solo_scalar_runs(
         n_cells in 1usize..=2,
@@ -175,7 +180,7 @@ proptest! {
                 .collect();
             let outs = FxSeqRunnerBatch::step(&mut members, &xs);
             for (k, &i) in active.iter().enumerate() {
-                let want = solo[i].step(xs[k]);
+                let want = solo[i].step_scalar(xs[k]);
                 prop_assert_eq!(
                     &outs[k],
                     &want,

@@ -94,7 +94,8 @@ fn serve_one(net: Network, meta: CheckpointMeta, cfg: ServeConfig) -> (Server, S
 }
 
 /// Offline fixed-point reference for one session: the quantized step
-/// inputs and the solo scalar fold's per-step outputs.
+/// inputs and the per-step outputs of the scalar oracle
+/// ([`serve::FxSeqRunner::step_scalar`]).
 type FxStepRef = (Vec<Vec<i16>>, Vec<Vec<i16>>);
 
 fn offline_fx_steps(net: &Network, meta: &CheckpointMeta, x: &Tensor<f32>) -> FxStepRef {
@@ -105,7 +106,7 @@ fn offline_fx_steps(net: &Network, meta: &CheckpointMeta, x: &Tensor<f32>) -> Fx
     let steps: Vec<Vec<i16>> = (0..T)
         .map(|t| q.quantize_slice(&step_input(x, t)))
         .collect();
-    let outs = steps.iter().map(|s| runner.step(s)).collect();
+    let outs = steps.iter().map(|s| runner.step_scalar(s)).collect();
     (steps, outs)
 }
 
@@ -207,7 +208,7 @@ fn fx_session_steps_are_bit_identical_to_the_offline_fold() {
     let steps: Vec<Vec<i16>> = (0..T)
         .map(|t| q.quantize_slice(&step_input(&x, t)))
         .collect();
-    let want: Vec<Vec<i16>> = steps.iter().map(|s| offline.step(s)).collect();
+    let want: Vec<Vec<i16>> = steps.iter().map(|s| offline.step_scalar(s)).collect();
 
     let (server, name) = serve_one(net, meta, ServeConfig::default());
     let mut client = Client::connect(server.local_addr()).expect("connect");

@@ -13,6 +13,16 @@ cargo test -q
 echo "== workspace tests =="
 cargo test --workspace -q
 
+echo "== lane/gang bit-identity suites on one worker =="
+# The lane kernels and the session gang steppers must be bit-identical
+# across any worker count. The workspace run above uses the host default;
+# this re-runs the referees with the serial path forced.
+RPBCM_THREADS=1 cargo test -q -p hwsim --test fx_lane_bitident
+RPBCM_THREADS=1 cargo test -q -p serve --test seq_gang_bitident
+RPBCM_THREADS=1 cargo test -q -p nn --lib seq::
+RPBCM_THREADS=1 cargo test -q -p hwsim --lib recurrent::
+RPBCM_THREADS=1 cargo test -q -p serve --lib session::
+
 echo "== serve tests with telemetry enabled (flight tracing live) =="
 # Re-runs the serve suite with the metrics registry and per-request
 # flight tracing switched on, so the traced code paths (stage stamps,
