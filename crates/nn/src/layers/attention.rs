@@ -60,9 +60,9 @@ impl BcmAttention {
         BcmAttention {
             name: format!("bcmattn{dim}bs{bs}"),
             dim,
-            q: GateStack::new(rng, dim, dim, bs),
-            k: GateStack::new(rng, dim, dim, bs),
-            v: GateStack::new(rng, dim, dim, bs),
+            q: GateStack::new(rng, dim, dim, 1, bs),
+            k: GateStack::new(rng, dim, dim, 1, bs),
+            v: GateStack::new(rng, dim, dim, 1, bs),
             cache: None,
         }
     }
@@ -82,9 +82,9 @@ impl BcmAttention {
         BcmAttention {
             name: format!("bcmattn{dim}bs{bs}"),
             dim,
-            q: GateStack::from_parts(dim, dim, bs, q_vecs, q_live),
-            k: GateStack::from_parts(dim, dim, bs, k_vecs, k_live),
-            v: GateStack::from_parts(dim, dim, bs, v_vecs, v_live),
+            q: GateStack::from_parts(dim, dim, 1, bs, q_vecs, q_live),
+            k: GateStack::from_parts(dim, dim, 1, bs, k_vecs, k_live),
+            v: GateStack::from_parts(dim, dim, 1, bs, v_vecs, v_live),
             cache: None,
         }
     }
@@ -246,9 +246,9 @@ impl Layer for BcmAttention {
                 *acc += x;
             }
             // dxn = dq·Wq + dk·Wk + dv·Wv + g (residual).
-            let dxn_q = dq.matmul(&qd);
-            let dxn_k = dk.matmul(&kd);
-            let dxn_v = dv.matmul(&vd);
+            let dxn_q = dq.matmul(qd);
+            let dxn_k = dk.matmul(kd);
+            let dxn_v = dv.matmul(vd);
             for t in 0..t_len {
                 for j in 0..d {
                     dx[(s * d + j) * t_len + t] = dxn_q.as_slice()[t * d + j]
@@ -258,9 +258,9 @@ impl Layer for BcmAttention {
                 }
             }
         }
-        self.q.project_grad(&Tensor::from_vec(dqw, &[d, d]));
-        self.k.project_grad(&Tensor::from_vec(dkw, &[d, d]));
-        self.v.project_grad(&Tensor::from_vec(dvw, &[d, d]));
+        self.q.accumulate_grad(&Tensor::from_vec(dqw, &[d, d]));
+        self.k.accumulate_grad(&Tensor::from_vec(dkw, &[d, d]));
+        self.v.accumulate_grad(&Tensor::from_vec(dvw, &[d, d]));
         Tensor::from_vec(dx, &[n, d, t_len, 1])
     }
 
@@ -276,11 +276,11 @@ impl Layer for BcmAttention {
     }
 
     fn params(&self) -> Vec<&Param> {
-        vec![&self.q.vecs, &self.k.vecs, &self.v.vecs]
+        vec![self.q.vecs(), self.k.vecs(), self.v.vecs()]
     }
 
     fn params_mut(&mut self) -> Vec<&mut Param> {
-        vec![&mut self.q.vecs, &mut self.k.vecs, &mut self.v.vecs]
+        vec![self.q.vecs_mut(), self.k.vecs_mut(), self.v.vecs_mut()]
     }
 
     fn clone_box(&self) -> Box<dyn Layer> {
@@ -300,11 +300,11 @@ impl Layer for BcmAttention {
             dim: self.dim,
             bs: self.q.block_size(),
             q_live: self.q.skip_index(),
-            q_vecs: self.q.vecs.value.as_slice().to_vec(),
+            q_vecs: self.q.vecs().value.as_slice().to_vec(),
             k_live: self.k.skip_index(),
-            k_vecs: self.k.vecs.value.as_slice().to_vec(),
+            k_vecs: self.k.vecs().value.as_slice().to_vec(),
             v_live: self.v.skip_index(),
-            v_vecs: self.v.vecs.value.as_slice().to_vec(),
+            v_vecs: self.v.vecs().value.as_slice().to_vec(),
         })
     }
 }

@@ -7,11 +7,14 @@
 //! model in `hwsim` exercises the FFT path itself). The backward pass
 //! projects the dense weight gradient back onto the circulant subspace —
 //! the exact chain rule through the weight-tying `W[i][j] = w[(i−j) mod BS]`.
+//! Both mappings live in [`BcmLayout`]; `BcmConv2d` keeps its vectors and
+//! caches in the shared [`GateStack`] store.
 
 use crate::layers::conv::ConvCore;
+use crate::layers::gates::{BcmLayout, GateStack};
 use crate::layers::{Layer, Param};
 use crate::optim::SgdUpdate;
-use circulant::{BlockCirculant, CirculantMatrix, ConvBlockCirculant};
+use circulant::ConvBlockCirculant;
 use rand::Rng;
 use tensor::{init, Tensor};
 
@@ -42,131 +45,13 @@ pub trait BcmLayer {
     fn folded(&self) -> ConvBlockCirculant<f32>;
 }
 
-/// Dimensions of a block-circulant convolution weight and its block
-/// indexing: tap-major, then output-block, then input-block.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct BcmLayout {
-    c_in: usize,
-    c_out: usize,
-    k: usize,
-    bs: usize,
-    out_blocks: usize,
-    in_blocks: usize,
-}
-
-impl BcmLayout {
-    fn new(c_in: usize, c_out: usize, k: usize, bs: usize) -> Self {
-        assert!(
-            bs.is_power_of_two() && bs >= 2,
-            "BS must be a power of two >= 2"
-        );
-        assert_eq!(c_in % bs, 0, "c_in {c_in} not divisible by BS {bs}");
-        assert_eq!(c_out % bs, 0, "c_out {c_out} not divisible by BS {bs}");
-        BcmLayout {
-            c_in,
-            c_out,
-            k,
-            bs,
-            out_blocks: c_out / bs,
-            in_blocks: c_in / bs,
-        }
-    }
-
-    fn block_count(&self) -> usize {
-        self.k * self.k * self.out_blocks * self.in_blocks
-    }
-
-    fn block_index(&self, p: usize, q: usize, bo: usize, bi: usize) -> usize {
-        ((p * self.k + q) * self.out_blocks + bo) * self.in_blocks + bi
-    }
-
-    /// Expands per-block defining vectors (`[block_count, bs]` flat) into a
-    /// `[c_out, c_in·k·k]` im2col weight matrix.
-    fn expand(&self, vecs: &[f32]) -> Tensor<f32> {
-        let mut w = Tensor::zeros(&[self.c_out, self.c_in * self.k * self.k]);
-        let ws = w.as_mut_slice();
-        let row_len = self.c_in * self.k * self.k;
-        for p in 0..self.k {
-            for q in 0..self.k {
-                for bo in 0..self.out_blocks {
-                    for bi in 0..self.in_blocks {
-                        let blk = self.block_index(p, q, bo, bi);
-                        let v = &vecs[blk * self.bs..(blk + 1) * self.bs];
-                        for oi in 0..self.bs {
-                            let o = bo * self.bs + oi;
-                            for ii in 0..self.bs {
-                                let i = bi * self.bs + ii;
-                                let col = (i * self.k + p) * self.k + q;
-                                ws[o * row_len + col] = v[(oi + self.bs - ii) % self.bs];
-                            }
-                        }
-                    }
-                }
-            }
-        }
-        w
-    }
-
-    /// Adjoint of [`BcmLayout::expand`]: accumulates a dense weight-matrix
-    /// gradient onto the defining-vector gradient buffer.
-    fn project_grad(&self, dw_mat: &Tensor<f32>, dvecs: &mut [f32]) {
-        let ds = dw_mat.as_slice();
-        let row_len = self.c_in * self.k * self.k;
-        for p in 0..self.k {
-            for q in 0..self.k {
-                for bo in 0..self.out_blocks {
-                    for bi in 0..self.in_blocks {
-                        let blk = self.block_index(p, q, bo, bi);
-                        let dv = &mut dvecs[blk * self.bs..(blk + 1) * self.bs];
-                        for oi in 0..self.bs {
-                            let o = bo * self.bs + oi;
-                            for ii in 0..self.bs {
-                                let i = bi * self.bs + ii;
-                                let col = (i * self.k + p) * self.k + q;
-                                dv[(oi + self.bs - ii) % self.bs] += ds[o * row_len + col];
-                            }
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    fn folded_from(&self, vecs: &[f32], pruned: &[bool]) -> ConvBlockCirculant<f32> {
-        let grids = (0..self.k * self.k)
-            .map(|tap| {
-                let (p, q) = (tap / self.k, tap % self.k);
-                let blocks = (0..self.out_blocks * self.in_blocks)
-                    .map(|g| {
-                        let (bo, bi) = (g / self.in_blocks, g % self.in_blocks);
-                        let blk = self.block_index(p, q, bo, bi);
-                        if pruned[blk] {
-                            CirculantMatrix::zeros(self.bs)
-                        } else {
-                            CirculantMatrix::new(vecs[blk * self.bs..(blk + 1) * self.bs].to_vec())
-                        }
-                    })
-                    .collect();
-                BlockCirculant::from_blocks(self.bs, self.out_blocks, self.in_blocks, blocks)
-            })
-            .collect();
-        ConvBlockCirculant::from_grids(self.k, self.k, grids)
-    }
-}
-
 /// Traditional BCM-compressed convolution: one trainable defining vector
-/// per block (paper §II-A).
+/// per block (paper §II-A), held in the shared `GateStack` weight store.
 #[derive(Debug, Clone)]
 pub struct BcmConv2d {
     name: String,
-    layout: BcmLayout,
-    /// Defining vectors, flat `[block_count, bs]`.
-    vecs: Param,
-    pruned: Vec<bool>,
+    weights: GateStack,
     core: ConvCore,
-    /// Expanded im2col weight from the latest `forward`, reused by
-    /// `backward` in the same step; dropped on any weight update.
-    cached_w: Option<Tensor<f32>>,
 }
 
 impl BcmConv2d {
@@ -189,16 +74,10 @@ impl BcmConv2d {
         pad: usize,
         bs: usize,
     ) -> Self {
-        let layout = BcmLayout::new(c_in, c_out, kernel, bs);
-        let std = (2.0 / (c_in * kernel * kernel) as f64).sqrt();
-        let vecs = Param::new(init::gaussian(rng, &[layout.block_count(), bs], 0.0, std));
         BcmConv2d {
             name: format!("bcmconv{c_in}x{c_out}k{kernel}bs{bs}"),
-            layout,
-            vecs,
-            pruned: vec![false; layout.block_count()],
+            weights: GateStack::new(rng, c_in, c_out, kernel, bs),
             core: ConvCore::new(c_in, c_out, kernel, kernel, stride, pad),
-            cached_w: None,
         }
     }
 
@@ -216,27 +95,10 @@ impl BcmConv2d {
         vecs: Vec<f32>,
         live: &[bool],
     ) -> Self {
-        let layout = BcmLayout::new(c_in, c_out, kernel, bs);
-        assert_eq!(live.len(), layout.block_count(), "skip index length");
-        assert_eq!(vecs.len(), layout.block_count() * bs, "defining vectors");
         BcmConv2d {
             name: format!("bcmconv{c_in}x{c_out}k{kernel}bs{bs}"),
-            layout,
-            vecs: Param::new(Tensor::from_vec(vecs, &[layout.block_count(), bs])),
-            pruned: live.iter().map(|&l| !l).collect(),
+            weights: GateStack::from_parts(c_in, c_out, kernel, bs, vecs, live),
             core: ConvCore::new(c_in, c_out, kernel, kernel, stride, pad),
-            cached_w: None,
-        }
-    }
-
-    fn masked_grad(&mut self) {
-        for (blk, &p) in self.pruned.iter().enumerate() {
-            if p {
-                let bs = self.layout.bs;
-                for g in &mut self.vecs.grad.as_mut_slice()[blk * bs..(blk + 1) * bs] {
-                    *g = 0.0;
-                }
-            }
         }
     }
 }
@@ -247,40 +109,29 @@ impl Layer for BcmConv2d {
     }
 
     fn forward(&mut self, x: &Tensor<f32>, _train: bool) -> Tensor<f32> {
-        // Expand once per step; `backward` reuses the identical weights.
-        let w = self.layout.expand(self.vecs.value.as_slice());
-        let y = self.core.forward(x, &w);
-        self.cached_w = Some(w);
-        y
+        self.core.forward(x, self.weights.dense())
     }
 
     fn backward(&mut self, grad: &Tensor<f32>) -> Tensor<f32> {
-        let w = self
-            .cached_w
-            .take()
-            .unwrap_or_else(|| self.layout.expand(self.vecs.value.as_slice()));
-        let (dw, dx) = self.core.backward(grad, &w);
-        self.cached_w = Some(w);
-        self.layout.project_grad(&dw, self.vecs.grad.as_mut_slice());
-        self.masked_grad();
+        let (dw, dx) = self.core.backward(grad, self.weights.dense());
+        self.weights.accumulate_grad(&dw);
         dx
     }
 
     fn step(&mut self, update: &SgdUpdate) {
-        self.cached_w = None;
-        self.vecs.step(update);
+        self.weights.step(update);
     }
 
     fn param_count(&self) -> usize {
-        self.live_blocks() * self.layout.bs
+        self.weights.folded_param_count()
     }
 
     fn params(&self) -> Vec<&Param> {
-        vec![&self.vecs]
+        vec![self.weights.vecs()]
     }
 
     fn params_mut(&mut self) -> Vec<&mut Param> {
-        vec![&mut self.vecs]
+        vec![self.weights.vecs_mut()]
     }
 
     fn clone_box(&self) -> Box<dyn Layer> {
@@ -296,74 +147,59 @@ impl Layer for BcmConv2d {
     }
 
     fn snapshot(&self) -> Option<crate::layers::checkpoint::LayerSnapshot> {
+        let layout = self.weights.layout();
         Some(crate::layers::checkpoint::LayerSnapshot::BcmConv2d {
-            c_in: self.layout.c_in,
-            c_out: self.layout.c_out,
-            kernel: self.layout.k,
+            c_in: layout.c_in,
+            c_out: layout.c_out,
+            kernel: layout.k,
             stride: self.core.stride,
             pad: self.core.pad,
-            bs: self.layout.bs,
-            live: self.skip_index(),
-            vecs: self.vecs.value.as_slice().to_vec(),
+            bs: layout.bs,
+            live: self.weights.skip_index(),
+            vecs: self.weights.vecs().value.as_slice().to_vec(),
         })
     }
 }
 
 impl BcmLayer for BcmConv2d {
     fn block_size(&self) -> usize {
-        self.layout.bs
+        self.weights.block_size()
     }
 
     fn block_count(&self) -> usize {
-        self.layout.block_count()
+        self.weights.block_count()
     }
 
     fn importances(&self) -> Vec<f64> {
-        let bs = self.layout.bs;
-        (0..self.block_count())
-            .map(|blk| {
-                self.vecs.value.as_slice()[blk * bs..(blk + 1) * bs]
-                    .iter()
-                    .map(|&v| f64::from(v) * f64::from(v))
-                    .sum::<f64>()
-                    .sqrt()
-            })
-            .collect()
+        self.weights.importances()
     }
 
     fn eliminate(&mut self, local_indices: &[usize]) {
-        self.cached_w = None;
-        let bs = self.layout.bs;
-        for &blk in local_indices {
-            assert!(blk < self.pruned.len(), "block index out of range");
-            self.pruned[blk] = true;
-            self.vecs.reset_region(blk * bs..(blk + 1) * bs);
-        }
+        self.weights.eliminate(local_indices);
     }
 
     fn live_blocks(&self) -> usize {
-        self.pruned.iter().filter(|&&p| !p).count()
+        self.weights.live_blocks()
     }
 
     fn skip_index(&self) -> Vec<bool> {
-        self.pruned.iter().map(|&p| !p).collect()
+        self.weights.skip_index()
     }
 
     fn folded_param_count(&self) -> usize {
-        self.live_blocks() * self.layout.bs
+        self.weights.folded_param_count()
     }
 
     fn train_param_surrogate(&self) -> usize {
-        self.live_blocks() * self.layout.bs
+        self.weights.folded_param_count()
     }
 
     fn dense_param_count(&self) -> usize {
-        self.layout.c_out * self.layout.c_in * self.layout.k * self.layout.k
+        self.weights.layout().dense_len()
     }
 
     fn folded(&self) -> ConvBlockCirculant<f32> {
-        self.layout
-            .folded_from(self.vecs.value.as_slice(), &self.pruned)
+        self.weights.folded()
     }
 }
 
@@ -452,24 +288,17 @@ impl Layer for HadaBcmConv2d {
         let (dw_mat, dx) = self.core.backward(grad, &w);
         self.cached_w = Some(w);
         // Project onto the folded defining vectors, then split by Eq. (1):
-        // ∂L/∂A = ∂L/∂W ⊙ B, ∂L/∂B = ∂L/∂W ⊙ A.
+        // ∂L/∂A = ∂L/∂W ⊙ B, ∂L/∂B = ∂L/∂W ⊙ A. `project_grad` leaves
+        // pruned blocks at zero, and `eliminate` zeroed their grads.
         let mut dfold = vec![0.0f32; self.a.value.len()];
-        self.layout.project_grad(&dw_mat, &mut dfold);
+        self.layout.project_grad(&dw_mat, &self.pruned, &mut dfold);
         let av = self.a.value.as_slice();
         let bv = self.b.value.as_slice();
         let ga = self.a.grad.as_mut_slice();
         let gb = self.b.grad.as_mut_slice();
-        let bs = self.layout.bs;
-        for (blk, &p) in self.pruned.iter().enumerate() {
-            for k in blk * bs..(blk + 1) * bs {
-                if p {
-                    ga[k] = 0.0;
-                    gb[k] = 0.0;
-                } else {
-                    ga[k] += dfold[k] * bv[k];
-                    gb[k] += dfold[k] * av[k];
-                }
-            }
+        for (k, &d) in dfold.iter().enumerate() {
+            ga[k] += d * bv[k];
+            gb[k] += d * av[k];
         }
         dx
     }
@@ -531,17 +360,7 @@ impl BcmLayer for HadaBcmConv2d {
     }
 
     fn importances(&self) -> Vec<f64> {
-        let bs = self.layout.bs;
-        let folded = self.folded_vecs();
-        (0..self.block_count())
-            .map(|blk| {
-                folded[blk * bs..(blk + 1) * bs]
-                    .iter()
-                    .map(|&v| f64::from(v) * f64::from(v))
-                    .sum::<f64>()
-                    .sqrt()
-            })
-            .collect()
+        self.layout.importances(&self.folded_vecs())
     }
 
     fn eliminate(&mut self, local_indices: &[usize]) {
@@ -572,7 +391,7 @@ impl BcmLayer for HadaBcmConv2d {
     }
 
     fn dense_param_count(&self) -> usize {
-        self.layout.c_out * self.layout.c_in * self.layout.k * self.layout.k
+        self.layout.dense_len()
     }
 
     fn folded(&self) -> ConvBlockCirculant<f32> {
@@ -591,9 +410,9 @@ mod tests {
         // Expanding through BcmLayout must agree with the circulant crate's
         // dense expansion, tap by tap.
         let mut rng = StdRng::seed_from_u64(0);
-        let conv = BcmConv2d::new(&mut rng, 4, 4, 3, 1, 1, 4);
+        let mut conv = BcmConv2d::new(&mut rng, 4, 4, 3, 1, 1, 4);
         let folded = conv.folded();
-        let w_mat = conv.layout.expand(conv.vecs.value.as_slice());
+        let w_mat = conv.weights.dense();
         let dense4 = folded.to_dense(); // [c_out, c_in, kh, kw]
         for o in 0..4 {
             for i in 0..4 {
@@ -618,7 +437,7 @@ mod tests {
         assert_eq!(y.dims(), &[2, 8, 5, 5]);
         // Same input through a Conv2d with the expanded weight.
         let mut dense = crate::layers::Conv2d::new(&mut rng, 4, 8, 3, 1, 1);
-        dense.weight.value = bcm.layout.expand(bcm.vecs.value.as_slice());
+        dense.weight.value = bcm.weights.dense().clone();
         let want = dense.forward(&x, true);
         for (a, b) in y.as_slice().iter().zip(want.as_slice()) {
             assert!((a - b).abs() < 1e-5);
@@ -635,13 +454,13 @@ mod tests {
         let eps = 1e-3;
         for idx in [0usize, 1, 3] {
             let mut p = bcm.clone();
-            p.vecs.value.as_mut_slice()[idx] += eps;
+            p.weights.vecs_mut().value.as_mut_slice()[idx] += eps;
             let y1 = p.forward(&x, true).sum();
             let mut m = bcm.clone();
-            m.vecs.value.as_mut_slice()[idx] -= eps;
+            m.weights.vecs_mut().value.as_mut_slice()[idx] -= eps;
             let y0 = m.forward(&x, true).sum();
             let fd = (y1 - y0) / (2.0 * eps);
-            let got = bcm.vecs.grad.as_slice()[idx];
+            let got = bcm.weights.vecs().grad.as_slice()[idx];
             assert!((fd - got).abs() < 2e-2, "idx={idx}: fd={fd} got={got}");
         }
     }

@@ -3,36 +3,29 @@
 //! The paper's framework applies to FC layers exactly as to convolutions
 //! (its FC notation is the `K = 1` case of Fig. 1b); prior BCM work
 //! (CirCNN, C-LSTM, FTRANS) compressed FC/LSTM/transformer layers this
-//! way. `BcmLinear` stores one defining vector per `BS×BS` block of the
-//! `[out, in]` weight matrix and exposes the same [`BcmLayer`] surface as
-//! the convolutions, so Algorithm 1 prunes it transparently.
+//! way. `BcmLinear` is a 1-tap [`GateStack`] — the same weight store as
+//! [`crate::layers::BcmConv2d`] and the recurrent gates — plus a bias, and
+//! exposes the same [`BcmLayer`] surface as the convolutions, so
+//! Algorithm 1 prunes it transparently. Training multiplies the store's
+//! dense expansion; inference runs the batched "FFT → eMAC → IFFT" path
+//! against the store's prepared spectra.
 
+use crate::layers::gates::GateStack;
 use crate::layers::{BcmLayer, Layer, Param};
 use crate::optim::SgdUpdate;
-use circulant::{BlockCirculant, CirculantMatrix, ConvBlockCirculant};
+use circulant::{BlockCirculant, ConvBlockCirculant};
 use rand::Rng;
-use tensor::{init, Tensor};
+use tensor::Tensor;
 
 /// A block-circulant affine layer `y = C(w)·x + b` over
 /// `[batch, in] → [batch, out]`.
 #[derive(Debug, Clone)]
 pub struct BcmLinear {
     name: String,
-    bs: usize,
-    out_blocks: usize,
-    in_blocks: usize,
-    /// Defining vectors, flat `[out_blocks·in_blocks, bs]`, row-major over
-    /// (out-block, in-block).
-    vecs: Param,
+    /// The `[out, in]` block-circulant weight.
+    weights: GateStack,
     bias: Param,
-    pruned: Vec<bool>,
     input: Option<Tensor<f32>>,
-    /// Dense weight expanded by the training forward, reused by `backward`
-    /// in the same step instead of re-expanding identical weights.
-    cached_dense: Option<Tensor<f32>>,
-    /// Folded grid with prepared weight spectra for the inference path;
-    /// invalidated whenever the weights change (`step`/`eliminate`).
-    cached_grid: Option<BlockCirculant<f32>>,
 }
 
 impl BcmLinear {
@@ -43,25 +36,11 @@ impl BcmLinear {
     /// Panics if features are not divisible by `bs` or `bs` is not a power
     /// of two ≥ 2.
     pub fn new(rng: &mut impl Rng, in_features: usize, out_features: usize, bs: usize) -> Self {
-        assert!(
-            bs.is_power_of_two() && bs >= 2,
-            "BS must be a power of two >= 2"
-        );
-        assert_eq!(in_features % bs, 0, "in_features not divisible by BS");
-        assert_eq!(out_features % bs, 0, "out_features not divisible by BS");
-        let (ob, ib) = (out_features / bs, in_features / bs);
-        let std = (2.0 / in_features as f64).sqrt();
         BcmLinear {
             name: format!("bcmlinear{in_features}x{out_features}bs{bs}"),
-            bs,
-            out_blocks: ob,
-            in_blocks: ib,
-            vecs: Param::new(init::gaussian(rng, &[ob * ib, bs], 0.0, std)),
+            weights: GateStack::new(rng, in_features, out_features, 1, bs),
             bias: Param::new(Tensor::zeros(&[out_features])),
-            pruned: vec![false; ob * ib],
             input: None,
-            cached_dense: None,
-            cached_grid: None,
         }
     }
 
@@ -76,75 +55,24 @@ impl BcmLinear {
         bias: Vec<f32>,
         live: &[bool],
     ) -> Self {
-        assert!(
-            bs.is_power_of_two() && bs >= 2,
-            "BS must be a power of two >= 2"
-        );
-        assert_eq!(in_features % bs, 0, "in_features not divisible by BS");
-        assert_eq!(out_features % bs, 0, "out_features not divisible by BS");
-        let (ob, ib) = (out_features / bs, in_features / bs);
-        assert_eq!(live.len(), ob * ib, "skip index length");
-        assert_eq!(vecs.len(), ob * ib * bs, "defining vectors");
         assert_eq!(bias.len(), out_features, "bias length");
         BcmLinear {
             name: format!("bcmlinear{in_features}x{out_features}bs{bs}"),
-            bs,
-            out_blocks: ob,
-            in_blocks: ib,
-            vecs: Param::new(Tensor::from_vec(vecs, &[ob * ib, bs])),
+            weights: GateStack::from_parts(in_features, out_features, 1, bs, vecs, live),
             bias: Param::new(Tensor::from_vec(bias, &[out_features])),
-            pruned: live.iter().map(|&l| !l).collect(),
             input: None,
-            cached_dense: None,
-            cached_grid: None,
         }
     }
 
     /// `(in_features, out_features)`.
     pub fn features(&self) -> (usize, usize) {
-        (self.in_blocks * self.bs, self.out_blocks * self.bs)
-    }
-
-    fn block_index(&self, bo: usize, bi: usize) -> usize {
-        bo * self.in_blocks + bi
-    }
-
-    /// Expands to the dense `[out, in]` matrix.
-    fn expand(&self) -> Tensor<f32> {
-        let (inf, outf) = (self.in_blocks * self.bs, self.out_blocks * self.bs);
-        let mut w = Tensor::zeros(&[outf, inf]);
-        let ws = w.as_mut_slice();
-        let vs = self.vecs.value.as_slice();
-        for bo in 0..self.out_blocks {
-            for bi in 0..self.in_blocks {
-                let blk = self.block_index(bo, bi);
-                let v = &vs[blk * self.bs..(blk + 1) * self.bs];
-                for oi in 0..self.bs {
-                    let o = bo * self.bs + oi;
-                    for ii in 0..self.bs {
-                        let i = bi * self.bs + ii;
-                        ws[o * inf + i] = v[(oi + self.bs - ii) % self.bs];
-                    }
-                }
-            }
-        }
-        w
+        let layout = self.weights.layout();
+        (layout.c_in, layout.c_out)
     }
 
     /// The folded grid (for analysis and hardware export).
     pub fn folded_grid(&self) -> BlockCirculant<f32> {
-        let blocks = (0..self.out_blocks * self.in_blocks)
-            .map(|blk| {
-                if self.pruned[blk] {
-                    CirculantMatrix::zeros(self.bs)
-                } else {
-                    CirculantMatrix::new(
-                        self.vecs.value.as_slice()[blk * self.bs..(blk + 1) * self.bs].to_vec(),
-                    )
-                }
-            })
-            .collect();
-        BlockCirculant::from_blocks(self.bs, self.out_blocks, self.in_blocks, blocks)
+        self.weights.folded_grid()
     }
 }
 
@@ -155,26 +83,14 @@ impl Layer for BcmLinear {
 
     fn forward(&mut self, x: &Tensor<f32>, train: bool) -> Tensor<f32> {
         assert_eq!(x.shape().ndim(), 2, "bcm linear expects [batch, features]");
-        let (inf, outf) = (self.in_blocks * self.bs, self.out_blocks * self.bs);
+        let (inf, outf) = self.features();
         assert_eq!(x.dims()[1], inf, "feature mismatch");
         self.input = Some(x.clone());
         let n = x.dims()[0];
         let mut y = if train {
-            // Training path: expand once; `backward` reuses the same matrix.
-            let w = self.expand();
-            let y = x.matmul(&w.transpose());
-            self.cached_dense = Some(w);
-            y
+            x.matmul(&self.weights.dense().transpose())
         } else {
-            // Inference path: batched "FFT → eMAC → IFFT" against the
-            // cached weight spectra — no densification at all.
-            if self.cached_grid.is_none() {
-                let grid = self.folded_grid();
-                grid.prepare_spectra();
-                self.cached_grid = Some(grid);
-            }
-            let grid = self.cached_grid.as_ref().expect("grid cached above");
-            Tensor::from_vec(grid.matmat(x.as_slice(), n), &[n, outf])
+            Tensor::from_vec(self.weights.grid().matmat(x.as_slice(), n), &[n, outf])
         };
         let b = self.bias.value.as_slice();
         for row in 0..n {
@@ -187,68 +103,31 @@ impl Layer for BcmLinear {
 
     fn backward(&mut self, grad: &Tensor<f32>) -> Tensor<f32> {
         let x = self.input.as_ref().expect("backward before forward");
-        let w = self.cached_dense.take().unwrap_or_else(|| self.expand());
-        let dw = grad.transpose().matmul(x); // [out, in]
-                                             // Project the dense gradient onto the circulant subspace:
-                                             // dvec[k] += dW[o][i] where (o−i) ≡ k (mod BS) within the block.
-        let (inf, outf) = (self.in_blocks * self.bs, self.out_blocks * self.bs);
-        {
-            let dv = self.vecs.grad.as_mut_slice();
-            let ds = dw.as_slice();
-            for bo in 0..self.out_blocks {
-                for bi in 0..self.in_blocks {
-                    let blk = bo * self.in_blocks + bi;
-                    if self.pruned[blk] {
-                        continue;
-                    }
-                    let g = &mut dv[blk * self.bs..(blk + 1) * self.bs];
-                    for oi in 0..self.bs {
-                        let o = bo * self.bs + oi;
-                        for ii in 0..self.bs {
-                            let i = bi * self.bs + ii;
-                            g[(oi + self.bs - ii) % self.bs] += ds[o * inf + i];
-                        }
-                    }
-                }
-            }
-        }
-        let (n, _) = (grad.dims()[0], grad.dims()[1]);
+        self.weights.accumulate_grad(&grad.transpose().matmul(x));
+        let (n, outf) = (grad.dims()[0], grad.dims()[1]);
         for i in 0..n {
             for j in 0..outf {
                 self.bias.grad.as_mut_slice()[j] += grad.as_slice()[i * outf + j];
             }
         }
-        let dx = grad.matmul(&w);
-        // Keep the expansion: repeated backward without an intervening
-        // weight update reuses it; `step`/`eliminate` drop it.
-        self.cached_dense = Some(w);
-        dx
+        grad.matmul(self.weights.dense())
     }
 
     fn step(&mut self, update: &SgdUpdate) {
-        self.cached_dense = None;
-        self.cached_grid = None;
-        self.vecs.step(update);
+        self.weights.step(update);
         self.bias.step(update);
-        // step() applies weight decay to zeroed regions harmlessly (they
-        // stay zero); re-zero for exactness against momentum drift.
-        for (blk, &p) in self.pruned.iter().enumerate() {
-            if p {
-                self.vecs.reset_region(blk * self.bs..(blk + 1) * self.bs);
-            }
-        }
     }
 
     fn param_count(&self) -> usize {
-        self.live_blocks() * self.bs + self.bias.len()
+        self.weights.folded_param_count() + self.bias.len()
     }
 
     fn params(&self) -> Vec<&Param> {
-        vec![&self.vecs, &self.bias]
+        vec![self.weights.vecs(), &self.bias]
     }
 
     fn params_mut(&mut self) -> Vec<&mut Param> {
-        vec![&mut self.vecs, &mut self.bias]
+        vec![self.weights.vecs_mut(), &mut self.bias]
     }
 
     fn clone_box(&self) -> Box<dyn Layer> {
@@ -268,9 +147,9 @@ impl Layer for BcmLinear {
         Some(crate::layers::checkpoint::LayerSnapshot::BcmLinear {
             in_features,
             out_features,
-            bs: self.bs,
-            live: self.skip_index(),
-            vecs: self.vecs.value.as_slice().to_vec(),
+            bs: self.weights.block_size(),
+            live: self.weights.skip_index(),
+            vecs: self.weights.vecs().value.as_slice().to_vec(),
             bias: self.bias.value.as_slice().to_vec(),
         })
     }
@@ -278,57 +157,43 @@ impl Layer for BcmLinear {
 
 impl BcmLayer for BcmLinear {
     fn block_size(&self) -> usize {
-        self.bs
+        self.weights.block_size()
     }
 
     fn block_count(&self) -> usize {
-        self.out_blocks * self.in_blocks
+        self.weights.block_count()
     }
 
     fn importances(&self) -> Vec<f64> {
-        (0..self.block_count())
-            .map(|blk| {
-                self.vecs.value.as_slice()[blk * self.bs..(blk + 1) * self.bs]
-                    .iter()
-                    .map(|&v| f64::from(v) * f64::from(v))
-                    .sum::<f64>()
-                    .sqrt()
-            })
-            .collect()
+        self.weights.importances()
     }
 
     fn eliminate(&mut self, local_indices: &[usize]) {
-        self.cached_dense = None;
-        self.cached_grid = None;
-        for &blk in local_indices {
-            assert!(blk < self.pruned.len(), "block index out of range");
-            self.pruned[blk] = true;
-            self.vecs.reset_region(blk * self.bs..(blk + 1) * self.bs);
-        }
+        self.weights.eliminate(local_indices);
     }
 
     fn live_blocks(&self) -> usize {
-        self.pruned.iter().filter(|&&p| !p).count()
+        self.weights.live_blocks()
     }
 
     fn skip_index(&self) -> Vec<bool> {
-        self.pruned.iter().map(|&p| !p).collect()
+        self.weights.skip_index()
     }
 
     fn folded_param_count(&self) -> usize {
-        self.live_blocks() * self.bs
+        self.weights.folded_param_count()
     }
 
     fn train_param_surrogate(&self) -> usize {
-        self.live_blocks() * self.bs + self.bias.len()
+        self.weights.folded_param_count() + self.bias.len()
     }
 
     fn dense_param_count(&self) -> usize {
-        self.out_blocks * self.in_blocks * self.bs * self.bs + self.bias.len()
+        self.weights.layout().dense_len() + self.bias.len()
     }
 
     fn folded(&self) -> ConvBlockCirculant<f32> {
-        ConvBlockCirculant::from_grids(1, 1, vec![self.folded_grid()])
+        self.weights.folded()
     }
 }
 
@@ -337,6 +202,7 @@ mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+    use tensor::init;
 
     #[test]
     fn forward_matches_folded_grid_matvec() {
@@ -366,13 +232,13 @@ mod tests {
         let eps = 1e-3;
         for idx in [0usize, 5, 11] {
             let mut p = l.clone();
-            p.vecs.value.as_mut_slice()[idx] += eps;
+            p.weights.vecs_mut().value.as_mut_slice()[idx] += eps;
             let y1 = p.forward(&x, true).sum();
             let mut m = l.clone();
-            m.vecs.value.as_mut_slice()[idx] -= eps;
+            m.weights.vecs_mut().value.as_mut_slice()[idx] -= eps;
             let y0 = m.forward(&x, true).sum();
             let fd = (y1 - y0) / (2.0 * eps);
-            let got = l.vecs.grad.as_slice()[idx];
+            let got = l.weights.vecs().grad.as_slice()[idx];
             assert!((fd - got).abs() < 2e-2, "idx={idx}: fd={fd} got={got}");
         }
     }
@@ -432,16 +298,26 @@ mod tests {
         let mut l = BcmLinear::new(&mut rng, 8, 8, 4);
         let x: Tensor<f32> = init::gaussian(&mut rng, &[2, 8], 0.0, 1.0);
         let _ = l.forward(&x, true);
-        assert!(l.cached_dense.is_some(), "forward caches the expansion");
+        assert!(l.weights.caches_built().0, "forward caches the expansion");
         let _ = l.backward(&Tensor::ones(&[2, 8]));
-        assert!(l.cached_dense.is_some(), "backward keeps it for reuse");
+        assert!(l.weights.caches_built().0, "backward keeps it for reuse");
+        let _ = l.forward(&x, false);
+        assert_eq!(l.weights.caches_built(), (true, true));
         l.step(&SgdUpdate {
             lr: 0.1,
             momentum: 0.9,
             weight_decay: 0.0,
         });
-        assert!(l.cached_dense.is_none(), "step invalidates the expansion");
-        assert!(l.cached_grid.is_none());
+        assert!(
+            !l.weights.caches_built().0,
+            "step invalidates the expansion"
+        );
+        assert!(!l.weights.caches_built().1);
+        // The mutable parameter path (sync, gradchecks) invalidates too.
+        let _ = l.forward(&x, true);
+        let _ = l.forward(&x, false);
+        let _ = l.params_mut();
+        assert_eq!(l.weights.caches_built(), (false, false));
     }
 
     #[test]

@@ -1,136 +1,97 @@
-//! Shared block-circulant weight stack for multi-gate layers.
+//! The block-circulant weight store.
 //!
-//! `BcmLstm`, `BcmGru` and `BcmAttention` all own one or more `[out, in]`
-//! weight matrices whose `BS×BS` blocks are circulant — exactly the
-//! structure `BcmLinear` uses, factored out here (without the bias) so the
-//! recurrent/attention layers can hold several independent stacks while
-//! sharing the expansion, gradient-projection, pruning and spectral-cache
-//! machinery. C-LSTM (FPGA'18) and E-RNN (HPCA'19) compress LSTM/GRU gate
-//! matrices with this exact parameterization.
+//! Every BCM layer that trains one defining vector per `BS×BS` block holds
+//! its weights in a [`GateStack`]: [`super::BcmConv2d`] (one `[c_out, c_in]`
+//! grid per `k×k` tap), [`super::BcmLinear`] (the paper's `K = 1` FC case),
+//! and the gate matrices of `BcmLstm`, `BcmGru` and `BcmAttention` — the
+//! parameterization C-LSTM (FPGA'18) and E-RNN (HPCA'19) use for LSTM/GRU
+//! gates. [`BcmLayout`] is the one place that maps defining vectors to a
+//! dense im2col weight, dense gradients back to vectors, and vectors to a
+//! folded grid. `HadaBcmConv2d`, whose trained parameters are two factors
+//! rather than the defining vectors, uses the layout directly.
+//!
+//! **Cache rule.** A stack owns two derived caches: the dense expansion
+//! shared by forward and backward, and the folded grid with prepared
+//! spectra for 1-tap inference. The vectors are private, and every path
+//! that can change them — [`GateStack::step`], [`GateStack::eliminate`] and
+//! the single mutable accessor [`GateStack::vecs_mut`] that each layer's
+//! `params_mut` (and so `Network::sync_params_from`) goes through — drops
+//! both. A stale expansion is therefore unrepresentable.
 
 use crate::layers::Param;
 use crate::optim::SgdUpdate;
-use circulant::{BlockCirculant, CirculantMatrix};
+use circulant::{BlockCirculant, CirculantMatrix, ConvBlockCirculant};
 use rand::Rng;
 use tensor::{init, Tensor};
 
-/// One block-circulant `[out, in]` weight matrix: defining vectors, a
-/// per-block pruning mask, and lazily-built dense/spectral caches.
-#[derive(Debug, Clone)]
-pub(crate) struct GateStack {
-    bs: usize,
+/// Dimensions of a block-circulant weight and its block indexing:
+/// tap-major, then output-block, then input-block.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct BcmLayout {
+    pub(crate) c_in: usize,
+    pub(crate) c_out: usize,
+    /// Square kernel side; `1` for FC layers and gate matrices.
+    pub(crate) k: usize,
+    pub(crate) bs: usize,
     out_blocks: usize,
     in_blocks: usize,
-    /// Defining vectors, flat `[out_blocks·in_blocks, bs]`, row-major over
-    /// (out-block, in-block).
-    pub(crate) vecs: Param,
-    pruned: Vec<bool>,
-    /// Dense expansion reused between `forward` and `backward` of the same
-    /// step; dropped by `step`/`eliminate`.
-    cached_dense: Option<Tensor<f32>>,
-    /// Folded grid with prepared weight spectra for the inference path;
-    /// invalidated whenever the weights change.
-    cached_grid: Option<BlockCirculant<f32>>,
 }
 
-impl GateStack {
-    /// Kaiming-scaled stack for an `[out_features, in_features]` matrix.
-    ///
+impl BcmLayout {
     /// # Panics
     ///
-    /// Panics if features are not divisible by `bs` or `bs` is not a power
+    /// Panics if channels are not divisible by `bs` or `bs` is not a power
     /// of two ≥ 2.
-    pub(crate) fn new(
-        rng: &mut impl Rng,
-        in_features: usize,
-        out_features: usize,
-        bs: usize,
-    ) -> Self {
-        Self::check_shape(in_features, out_features, bs);
-        let (ob, ib) = (out_features / bs, in_features / bs);
-        let std = (2.0 / in_features as f64).sqrt();
-        GateStack {
-            bs,
-            out_blocks: ob,
-            in_blocks: ib,
-            vecs: Param::new(init::gaussian(rng, &[ob * ib, bs], 0.0, std)),
-            pruned: vec![false; ob * ib],
-            cached_dense: None,
-            cached_grid: None,
-        }
-    }
-
-    /// Rebuilds a stack from checkpointed parts: `vecs` is the full
-    /// `[block_count, bs]` defining-vector layout (zeros at pruned blocks)
-    /// and `live` the skip index.
-    pub(crate) fn from_parts(
-        in_features: usize,
-        out_features: usize,
-        bs: usize,
-        vecs: Vec<f32>,
-        live: &[bool],
-    ) -> Self {
-        Self::check_shape(in_features, out_features, bs);
-        let (ob, ib) = (out_features / bs, in_features / bs);
-        assert_eq!(live.len(), ob * ib, "skip index length");
-        assert_eq!(vecs.len(), ob * ib * bs, "defining vectors");
-        GateStack {
-            bs,
-            out_blocks: ob,
-            in_blocks: ib,
-            vecs: Param::new(Tensor::from_vec(vecs, &[ob * ib, bs])),
-            pruned: live.iter().map(|&l| !l).collect(),
-            cached_dense: None,
-            cached_grid: None,
-        }
-    }
-
-    fn check_shape(in_features: usize, out_features: usize, bs: usize) {
+    pub(crate) fn new(c_in: usize, c_out: usize, k: usize, bs: usize) -> Self {
         assert!(
             bs.is_power_of_two() && bs >= 2,
             "BS must be a power of two >= 2"
         );
-        assert_eq!(in_features % bs, 0, "in_features not divisible by BS");
-        assert_eq!(out_features % bs, 0, "out_features not divisible by BS");
-    }
-
-    pub(crate) fn block_size(&self) -> usize {
-        self.bs
-    }
-
-    pub(crate) fn in_features(&self) -> usize {
-        self.in_blocks * self.bs
-    }
-
-    pub(crate) fn out_features(&self) -> usize {
-        self.out_blocks * self.bs
-    }
-
-    /// Expands to the dense `[out, in]` matrix, caching the result for the
-    /// matching `backward`.
-    pub(crate) fn dense(&mut self) -> Tensor<f32> {
-        if let Some(w) = &self.cached_dense {
-            return w.clone();
+        assert_eq!(c_in % bs, 0, "c_in {c_in} not divisible by BS {bs}");
+        assert_eq!(c_out % bs, 0, "c_out {c_out} not divisible by BS {bs}");
+        BcmLayout {
+            c_in,
+            c_out,
+            k,
+            bs,
+            out_blocks: c_out / bs,
+            in_blocks: c_in / bs,
         }
-        let w = self.expand();
-        self.cached_dense = Some(w.clone());
-        w
     }
 
-    fn expand(&self) -> Tensor<f32> {
-        let (inf, outf) = (self.in_features(), self.out_features());
-        let mut w = Tensor::zeros(&[outf, inf]);
+    pub(crate) fn block_count(&self) -> usize {
+        self.k * self.k * self.out_blocks * self.in_blocks
+    }
+
+    /// Parameters of the dense equivalent (`c_out·c_in·k·k`).
+    pub(crate) fn dense_len(&self) -> usize {
+        self.c_out * self.c_in * self.k * self.k
+    }
+
+    fn block_index(&self, p: usize, q: usize, bo: usize, bi: usize) -> usize {
+        ((p * self.k + q) * self.out_blocks + bo) * self.in_blocks + bi
+    }
+
+    /// Expands per-block defining vectors (`[block_count, bs]` flat) into a
+    /// `[c_out, c_in·k·k]` im2col weight matrix (`[c_out, c_in]` at `k = 1`).
+    pub(crate) fn expand(&self, vecs: &[f32]) -> Tensor<f32> {
+        let mut w = Tensor::zeros(&[self.c_out, self.c_in * self.k * self.k]);
         let ws = w.as_mut_slice();
-        let vs = self.vecs.value.as_slice();
-        for bo in 0..self.out_blocks {
-            for bi in 0..self.in_blocks {
-                let blk = bo * self.in_blocks + bi;
-                let v = &vs[blk * self.bs..(blk + 1) * self.bs];
-                for oi in 0..self.bs {
-                    let o = bo * self.bs + oi;
-                    for ii in 0..self.bs {
-                        let i = bi * self.bs + ii;
-                        ws[o * inf + i] = v[(oi + self.bs - ii) % self.bs];
+        let row_len = self.c_in * self.k * self.k;
+        for p in 0..self.k {
+            for q in 0..self.k {
+                for bo in 0..self.out_blocks {
+                    for bi in 0..self.in_blocks {
+                        let blk = self.block_index(p, q, bo, bi);
+                        let v = &vecs[blk * self.bs..(blk + 1) * self.bs];
+                        for oi in 0..self.bs {
+                            let o = bo * self.bs + oi;
+                            for ii in 0..self.bs {
+                                let i = bi * self.bs + ii;
+                                let col = (i * self.k + p) * self.k + q;
+                                ws[o * row_len + col] = v[(oi + self.bs - ii) % self.bs];
+                            }
+                        }
                     }
                 }
             }
@@ -138,97 +99,225 @@ impl GateStack {
         w
     }
 
-    /// Projects a dense `[out, in]` gradient onto the circulant subspace:
-    /// `dvec[k] += dW[o][i]` where `(o−i) ≡ k (mod BS)` within the block,
-    /// skipping pruned blocks so eliminated weights stay frozen.
-    pub(crate) fn project_grad(&mut self, dw: &Tensor<f32>) {
-        let inf = self.in_features();
-        assert_eq!(dw.dims(), &[self.out_features(), inf], "gradient shape");
-        let dv = self.vecs.grad.as_mut_slice();
-        let ds = dw.as_slice();
-        for bo in 0..self.out_blocks {
-            for bi in 0..self.in_blocks {
-                let blk = bo * self.in_blocks + bi;
-                if self.pruned[blk] {
-                    continue;
-                }
-                let g = &mut dv[blk * self.bs..(blk + 1) * self.bs];
-                for oi in 0..self.bs {
-                    let o = bo * self.bs + oi;
-                    for ii in 0..self.bs {
-                        let i = bi * self.bs + ii;
-                        g[(oi + self.bs - ii) % self.bs] += ds[o * inf + i];
+    /// Adjoint of [`BcmLayout::expand`]: accumulates a dense weight-matrix
+    /// gradient onto the defining-vector gradient buffer,
+    /// `dvec[(o−i) mod BS] += dW[o][i]` within each block. Pruned blocks
+    /// are skipped, so eliminated weights stay frozen.
+    pub(crate) fn project_grad(&self, dw_mat: &Tensor<f32>, pruned: &[bool], dvecs: &mut [f32]) {
+        let row_len = self.c_in * self.k * self.k;
+        assert_eq!(dw_mat.dims(), &[self.c_out, row_len], "gradient shape");
+        let ds = dw_mat.as_slice();
+        for p in 0..self.k {
+            for q in 0..self.k {
+                for bo in 0..self.out_blocks {
+                    for bi in 0..self.in_blocks {
+                        let blk = self.block_index(p, q, bo, bi);
+                        if pruned[blk] {
+                            continue;
+                        }
+                        let dv = &mut dvecs[blk * self.bs..(blk + 1) * self.bs];
+                        for oi in 0..self.bs {
+                            let o = bo * self.bs + oi;
+                            for ii in 0..self.bs {
+                                let i = bi * self.bs + ii;
+                                let col = (i * self.k + p) * self.k + q;
+                                dv[(oi + self.bs - ii) % self.bs] += ds[o * row_len + col];
+                            }
+                        }
                     }
                 }
             }
         }
     }
 
-    /// The folded grid (zero circulants at pruned blocks).
-    pub(crate) fn folded_grid(&self) -> BlockCirculant<f32> {
+    /// The folded grid of tap `(p, q)`: zero circulants at pruned blocks.
+    fn tap_grid(&self, vecs: &[f32], pruned: &[bool], p: usize, q: usize) -> BlockCirculant<f32> {
         let blocks = (0..self.out_blocks * self.in_blocks)
-            .map(|blk| {
-                if self.pruned[blk] {
+            .map(|g| {
+                let (bo, bi) = (g / self.in_blocks, g % self.in_blocks);
+                let blk = self.block_index(p, q, bo, bi);
+                if pruned[blk] {
                     CirculantMatrix::zeros(self.bs)
                 } else {
-                    CirculantMatrix::new(
-                        self.vecs.value.as_slice()[blk * self.bs..(blk + 1) * self.bs].to_vec(),
-                    )
+                    CirculantMatrix::new(vecs[blk * self.bs..(blk + 1) * self.bs].to_vec())
                 }
             })
             .collect();
         BlockCirculant::from_blocks(self.bs, self.out_blocks, self.in_blocks, blocks)
     }
 
-    /// The folded grid with prepared spectra, cached until the weights
-    /// change — the batched "FFT → eMAC → IFFT" inference path.
-    pub(crate) fn grid(&mut self) -> &BlockCirculant<f32> {
-        if self.cached_grid.is_none() {
-            let grid = self.folded_grid();
-            grid.prepare_spectra();
-            self.cached_grid = Some(grid);
-        }
-        self.cached_grid.as_ref().expect("grid cached above")
+    /// The folded weights: one grid per tap.
+    pub(crate) fn folded_from(&self, vecs: &[f32], pruned: &[bool]) -> ConvBlockCirculant<f32> {
+        let grids = (0..self.k * self.k)
+            .map(|tap| self.tap_grid(vecs, pruned, tap / self.k, tap % self.k))
+            .collect();
+        ConvBlockCirculant::from_grids(self.k, self.k, grids)
     }
 
-    /// Applies one SGD update, drops caches, and re-zeroes pruned regions
-    /// for exactness against momentum drift.
+    /// ℓ₂ norm of each block's defining vector, in block order.
+    pub(crate) fn importances(&self, vecs: &[f32]) -> Vec<f64> {
+        vecs.chunks_exact(self.bs)
+            .map(|v| {
+                v.iter()
+                    .map(|&x| f64::from(x) * f64::from(x))
+                    .sum::<f64>()
+                    .sqrt()
+            })
+            .collect()
+    }
+}
+
+/// One block-circulant weight: defining vectors, a per-block pruning mask,
+/// and lazily-built dense/spectral caches kept valid by construction.
+#[derive(Debug, Clone)]
+pub(crate) struct GateStack {
+    layout: BcmLayout,
+    /// Defining vectors, flat `[block_count, bs]` in layout block order.
+    vecs: Param,
+    pruned: Vec<bool>,
+    /// Dense im2col expansion shared by forward and backward.
+    dense: Option<Tensor<f32>>,
+    /// Folded 1-tap grid with prepared weight spectra for inference.
+    spectra: Option<BlockCirculant<f32>>,
+}
+
+impl GateStack {
+    /// Kaiming-scaled stack: defining vectors drawn with the std of the
+    /// equivalent dense layer (`sqrt(2/fan_in)`), so folded activations
+    /// match dense ones in scale.
+    ///
+    /// # Panics
+    ///
+    /// As [`BcmLayout::new`].
+    pub(crate) fn new(rng: &mut impl Rng, c_in: usize, c_out: usize, k: usize, bs: usize) -> Self {
+        let layout = BcmLayout::new(c_in, c_out, k, bs);
+        let std = (2.0 / (c_in * k * k) as f64).sqrt();
+        let vecs = init::gaussian(rng, &[layout.block_count(), bs], 0.0, std);
+        Self::with_vecs(layout, vecs, vec![false; layout.block_count()])
+    }
+
+    /// Rebuilds a stack from checkpointed parts: `vecs` is the full
+    /// `[block_count, bs]` defining-vector layout (zeros at pruned blocks)
+    /// and `live` the skip index.
+    pub(crate) fn from_parts(
+        c_in: usize,
+        c_out: usize,
+        k: usize,
+        bs: usize,
+        vecs: Vec<f32>,
+        live: &[bool],
+    ) -> Self {
+        let layout = BcmLayout::new(c_in, c_out, k, bs);
+        assert_eq!(live.len(), layout.block_count(), "skip index length");
+        assert_eq!(vecs.len(), layout.block_count() * bs, "defining vectors");
+        let vecs = Tensor::from_vec(vecs, &[layout.block_count(), bs]);
+        Self::with_vecs(layout, vecs, live.iter().map(|&l| !l).collect())
+    }
+
+    fn with_vecs(layout: BcmLayout, vecs: Tensor<f32>, pruned: Vec<bool>) -> Self {
+        GateStack {
+            layout,
+            vecs: Param::new(vecs),
+            pruned,
+            dense: None,
+            spectra: None,
+        }
+    }
+
+    pub(crate) fn layout(&self) -> &BcmLayout {
+        &self.layout
+    }
+
+    pub(crate) fn vecs(&self) -> &Param {
+        &self.vecs
+    }
+
+    /// The only mutable path to the defining vectors: drops both caches,
+    /// since the caller may rewrite the values.
+    pub(crate) fn vecs_mut(&mut self) -> &mut Param {
+        self.drop_caches();
+        &mut self.vecs
+    }
+
+    fn drop_caches(&mut self) {
+        self.dense = None;
+        self.spectra = None;
+    }
+
+    /// The dense `[c_out, c_in·k·k]` expansion, built on first use after
+    /// any change to the vectors.
+    pub(crate) fn dense(&mut self) -> &Tensor<f32> {
+        let (layout, vecs) = (&self.layout, &self.vecs);
+        self.dense
+            .get_or_insert_with(|| layout.expand(vecs.value.as_slice()))
+    }
+
+    /// The folded grid with prepared spectra — the batched
+    /// "FFT → eMAC → IFFT" inference path of a 1-tap stack.
+    pub(crate) fn grid(&mut self) -> &BlockCirculant<f32> {
+        assert_eq!(self.layout.k, 1, "spectral path is for 1-tap stacks");
+        let (layout, vecs, pruned) = (&self.layout, &self.vecs, &self.pruned);
+        self.spectra.get_or_insert_with(|| {
+            let grid = layout.tap_grid(vecs.value.as_slice(), pruned, 0, 0);
+            grid.prepare_spectra();
+            grid
+        })
+    }
+
+    /// Accumulates a dense `[c_out, c_in·k·k]` weight gradient onto the
+    /// defining-vector gradient (pruned blocks stay at zero).
+    pub(crate) fn accumulate_grad(&mut self, dw: &Tensor<f32>) {
+        self.layout
+            .project_grad(dw, &self.pruned, self.vecs.grad.as_mut_slice());
+    }
+
+    /// The folded weights, one grid per tap.
+    pub(crate) fn folded(&self) -> ConvBlockCirculant<f32> {
+        self.layout
+            .folded_from(self.vecs.value.as_slice(), &self.pruned)
+    }
+
+    /// The folded grid of a 1-tap stack.
+    pub(crate) fn folded_grid(&self) -> BlockCirculant<f32> {
+        assert_eq!(self.layout.k, 1, "folded_grid is for 1-tap stacks");
+        self.layout
+            .tap_grid(self.vecs.value.as_slice(), &self.pruned, 0, 0)
+    }
+
+    /// Applies one SGD update, drops the caches, and re-zeroes pruned
+    /// regions for exactness against momentum drift.
     pub(crate) fn step(&mut self, update: &SgdUpdate) {
-        self.cached_dense = None;
-        self.cached_grid = None;
+        self.drop_caches();
         self.vecs.step(update);
+        let bs = self.layout.bs;
         for (blk, &p) in self.pruned.iter().enumerate() {
             if p {
-                self.vecs.reset_region(blk * self.bs..(blk + 1) * self.bs);
+                self.vecs.reset_region(blk * bs..(blk + 1) * bs);
             }
         }
     }
 
     // --- BcmLayer building blocks -----------------------------------
 
+    pub(crate) fn block_size(&self) -> usize {
+        self.layout.bs
+    }
+
     pub(crate) fn block_count(&self) -> usize {
-        self.out_blocks * self.in_blocks
+        self.layout.block_count()
     }
 
     pub(crate) fn importances(&self) -> Vec<f64> {
-        (0..self.block_count())
-            .map(|blk| {
-                self.vecs.value.as_slice()[blk * self.bs..(blk + 1) * self.bs]
-                    .iter()
-                    .map(|&v| f64::from(v) * f64::from(v))
-                    .sum::<f64>()
-                    .sqrt()
-            })
-            .collect()
+        self.layout.importances(self.vecs.value.as_slice())
     }
 
     pub(crate) fn eliminate(&mut self, local_indices: &[usize]) {
-        self.cached_dense = None;
-        self.cached_grid = None;
+        self.drop_caches();
+        let bs = self.layout.bs;
         for &blk in local_indices {
             assert!(blk < self.pruned.len(), "block index out of range");
             self.pruned[blk] = true;
-            self.vecs.reset_region(blk * self.bs..(blk + 1) * self.bs);
+            self.vecs.reset_region(blk * bs..(blk + 1) * bs);
         }
     }
 
@@ -238,5 +327,16 @@ impl GateStack {
 
     pub(crate) fn skip_index(&self) -> Vec<bool> {
         self.pruned.iter().map(|&p| !p).collect()
+    }
+
+    /// Folded inference parameters (`live · BS`).
+    pub(crate) fn folded_param_count(&self) -> usize {
+        self.live_blocks() * self.layout.bs
+    }
+
+    /// Whether the dense and spectral caches are currently built.
+    #[cfg(test)]
+    pub(crate) fn caches_built(&self) -> (bool, bool) {
+        (self.dense.is_some(), self.spectra.is_some())
     }
 }

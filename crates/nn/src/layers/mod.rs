@@ -72,6 +72,9 @@ pub trait Layer: Send {
     /// Mutable variant of [`Layer::params`], in the same stable order. The
     /// data-parallel trainer uses it to sync replica weights from the
     /// master and to reduce replica gradients back in a fixed order.
+    /// BCM layers with one defining vector per block drop their cached
+    /// dense and spectral weights here, since the caller may rewrite the
+    /// values.
     fn params_mut(&mut self) -> Vec<&mut Param> {
         Vec::new()
     }

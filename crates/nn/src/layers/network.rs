@@ -131,6 +131,14 @@ impl Network {
     /// pass. Momentum buffers are untouched: replicas never call
     /// [`Network::step`], so optimizer state lives only on the master.
     ///
+    /// Cache contract: the copy goes through each layer's
+    /// [`Layer::params_mut`], where every BCM layer with one defining
+    /// vector per block drops its cached dense expansion and weight
+    /// spectra (hadaBCM re-expands on every forward). The next forward
+    /// therefore uses the copied weights, bit-identical to a fresh clone
+    /// of `src`. Skip indices are not copied: replicas must share the
+    /// master's pruning state (clone them after any elimination).
+    ///
     /// # Panics
     ///
     /// Panics if the parameter lists differ in length or any shape differs.

@@ -132,7 +132,7 @@ impl BcmLstm {
             name: format!("bcmlstm{in_features}x{hidden}bs{bs}"),
             in_features,
             hidden,
-            gates: GateStack::new(rng, in_features + hidden, 4 * hidden, bs),
+            gates: GateStack::new(rng, in_features + hidden, 4 * hidden, 1, bs),
             bias: Param::new(Tensor::zeros(&[4 * hidden])),
             cache: None,
         };
@@ -164,7 +164,7 @@ impl BcmLstm {
             name: format!("bcmlstm{in_features}x{hidden}bs{bs}"),
             in_features,
             hidden,
-            gates: GateStack::from_parts(in_features + hidden, 4 * hidden, bs, vecs, live),
+            gates: GateStack::from_parts(in_features + hidden, 4 * hidden, 1, bs, vecs, live),
             bias: Param::new(Tensor::from_vec(bias, &[4 * hidden])),
             cache: None,
         }
@@ -283,7 +283,7 @@ impl Layer for BcmLstm {
                     db[k] += dp[s * g4 + k];
                 }
             }
-            let dz = dpre_t.matmul(&wd);
+            let dz = dpre_t.matmul(wd);
             let dzs = dz.as_slice();
             for s in 0..n {
                 for j in 0..f {
@@ -292,7 +292,8 @@ impl Layer for BcmLstm {
                 dh_next[s * hd..(s + 1) * hd].copy_from_slice(&dzs[s * fh + f..(s + 1) * fh]);
             }
         }
-        self.gates.project_grad(&Tensor::from_vec(dwd, &[g4, fh]));
+        self.gates
+            .accumulate_grad(&Tensor::from_vec(dwd, &[g4, fh]));
         for (acc, &v) in self.bias.grad.as_mut_slice().iter_mut().zip(&db) {
             *acc += v;
         }
@@ -306,15 +307,15 @@ impl Layer for BcmLstm {
     }
 
     fn param_count(&self) -> usize {
-        self.gates.live_blocks() * self.gates.block_size() + self.bias.len()
+        self.gates.folded_param_count() + self.bias.len()
     }
 
     fn params(&self) -> Vec<&Param> {
-        vec![&self.gates.vecs, &self.bias]
+        vec![self.gates.vecs(), &self.bias]
     }
 
     fn params_mut(&mut self) -> Vec<&mut Param> {
-        vec![&mut self.gates.vecs, &mut self.bias]
+        vec![self.gates.vecs_mut(), &mut self.bias]
     }
 
     fn clone_box(&self) -> Box<dyn Layer> {
@@ -335,7 +336,7 @@ impl Layer for BcmLstm {
             hidden: self.hidden,
             bs: self.gates.block_size(),
             live: self.gates.skip_index(),
-            vecs: self.gates.vecs.value.as_slice().to_vec(),
+            vecs: self.gates.vecs().value.as_slice().to_vec(),
             bias: self.bias.value.as_slice().to_vec(),
         })
     }
@@ -367,19 +368,19 @@ impl BcmLayer for BcmLstm {
     }
 
     fn folded_param_count(&self) -> usize {
-        self.gates.live_blocks() * self.gates.block_size()
+        self.gates.folded_param_count()
     }
 
     fn train_param_surrogate(&self) -> usize {
-        self.gates.live_blocks() * self.gates.block_size() + self.bias.len()
+        self.gates.folded_param_count() + self.bias.len()
     }
 
     fn dense_param_count(&self) -> usize {
-        self.gates.out_features() * self.gates.in_features() + self.bias.len()
+        self.gates.layout().dense_len() + self.bias.len()
     }
 
     fn folded(&self) -> ConvBlockCirculant<f32> {
-        ConvBlockCirculant::from_grids(1, 1, vec![self.gates.folded_grid()])
+        self.gates.folded()
     }
 }
 
@@ -433,8 +434,8 @@ impl BcmGru {
             name: format!("bcmgru{in_features}x{hidden}bs{bs}"),
             in_features,
             hidden,
-            w: GateStack::new(rng, in_features, 3 * hidden, bs),
-            u: GateStack::new(rng, hidden, 3 * hidden, bs),
+            w: GateStack::new(rng, in_features, 3 * hidden, 1, bs),
+            u: GateStack::new(rng, hidden, 3 * hidden, 1, bs),
             bias_w: Param::new(Tensor::zeros(&[3 * hidden])),
             bias_u: Param::new(Tensor::zeros(&[3 * hidden])),
             cache: None,
@@ -460,8 +461,8 @@ impl BcmGru {
             name: format!("bcmgru{in_features}x{hidden}bs{bs}"),
             in_features,
             hidden,
-            w: GateStack::from_parts(in_features, 3 * hidden, bs, w_vecs, w_live),
-            u: GateStack::from_parts(hidden, 3 * hidden, bs, u_vecs, u_live),
+            w: GateStack::from_parts(in_features, 3 * hidden, 1, bs, w_vecs, w_live),
+            u: GateStack::from_parts(hidden, 3 * hidden, 1, bs, u_vecs, u_live),
             bias_w: Param::new(Tensor::from_vec(bias_w, &[3 * hidden])),
             bias_u: Param::new(Tensor::from_vec(bias_u, &[3 * hidden])),
             cache: None,
@@ -596,13 +597,13 @@ impl Layer for BcmGru {
                     dbu[k] += dpu.as_slice()[s * g3 + k];
                 }
             }
-            let dxt = dpw.matmul(&wd);
+            let dxt = dpw.matmul(wd);
             for s in 0..n {
                 for j in 0..f {
                     dx[(s * f + j) * t_len + t] = dxt.as_slice()[s * f + j];
                 }
             }
-            let dhu = dpu.matmul(&ud);
+            let dhu = dpu.matmul(ud);
             for (dst, (&a, &b)) in dh_next
                 .iter_mut()
                 .zip(dhu.as_slice().iter().zip(&dh_direct))
@@ -610,8 +611,8 @@ impl Layer for BcmGru {
                 *dst = a + b;
             }
         }
-        self.w.project_grad(&Tensor::from_vec(dwd, &[g3, f]));
-        self.u.project_grad(&Tensor::from_vec(dud, &[g3, hd]));
+        self.w.accumulate_grad(&Tensor::from_vec(dwd, &[g3, f]));
+        self.u.accumulate_grad(&Tensor::from_vec(dud, &[g3, hd]));
         for (acc, &v) in self.bias_w.grad.as_mut_slice().iter_mut().zip(&dbw) {
             *acc += v;
         }
@@ -636,13 +637,13 @@ impl Layer for BcmGru {
     }
 
     fn params(&self) -> Vec<&Param> {
-        vec![&self.w.vecs, &self.u.vecs, &self.bias_w, &self.bias_u]
+        vec![self.w.vecs(), self.u.vecs(), &self.bias_w, &self.bias_u]
     }
 
     fn params_mut(&mut self) -> Vec<&mut Param> {
         vec![
-            &mut self.w.vecs,
-            &mut self.u.vecs,
+            self.w.vecs_mut(),
+            self.u.vecs_mut(),
             &mut self.bias_w,
             &mut self.bias_u,
         ]
@@ -666,9 +667,9 @@ impl Layer for BcmGru {
             hidden: self.hidden,
             bs: self.w.block_size(),
             w_live: self.w.skip_index(),
-            w_vecs: self.w.vecs.value.as_slice().to_vec(),
+            w_vecs: self.w.vecs().value.as_slice().to_vec(),
             u_live: self.u.skip_index(),
-            u_vecs: self.u.vecs.value.as_slice().to_vec(),
+            u_vecs: self.u.vecs().value.as_slice().to_vec(),
             bias_w: self.bias_w.value.as_slice().to_vec(),
             bias_u: self.bias_u.value.as_slice().to_vec(),
         })
@@ -720,8 +721,8 @@ impl BcmLayer for BcmGru {
     }
 
     fn dense_param_count(&self) -> usize {
-        self.w.out_features() * self.w.in_features()
-            + self.u.out_features() * self.u.in_features()
+        self.w.layout().dense_len()
+            + self.u.layout().dense_len()
             + self.bias_w.len()
             + self.bias_u.len()
     }
@@ -881,7 +882,7 @@ mod tests {
             let _ = lstm.backward(&Tensor::ones(y.dims()));
             lstm.step(&update());
         }
-        let vs = lstm.gates.vecs.value.as_slice();
+        let vs = lstm.gates.vecs().value.as_slice();
         for blk in [0usize, 5, 31] {
             assert!(
                 vs[blk * 2..(blk + 1) * 2].iter().all(|&v| v == 0.0),
@@ -917,7 +918,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(7);
         let mut lstm = BcmLstm::new(&mut rng, 4, 4, 2);
         lstm.eliminate(&[3]);
-        let dense = lstm.gates.dense();
+        let dense = lstm.gates.dense().clone();
         let folded = BcmLayer::folded(&lstm);
         let (kh, kw) = folded.kernel_dims();
         assert_eq!((kh, kw), (1, 1));
@@ -931,8 +932,8 @@ mod tests {
         // GRU: folded is [W U] over [x; h].
         let mut gru = BcmGru::new(&mut rng, 4, 4, 2);
         gru.eliminate(&[0, 13]);
-        let wd = gru.w.dense();
-        let ud = gru.u.dense();
+        let wd = gru.w.dense().clone();
+        let ud = gru.u.dense().clone();
         let folded = BcmLayer::folded(&gru);
         let got = folded.grid(0, 0).matvec_naive(&z);
         let (x_part, h_part) = z.split_at(4);

@@ -1,0 +1,171 @@
+//! Block-circulant weight-store contracts, one network per BCM layer kind.
+//!
+//! - **Replica sync:** a data-parallel replica that has already trained
+//!   (so its layers hold cached expansions) must, after
+//!   `Network::sync_params_from`, forward and backward exactly like a fresh
+//!   clone of the master.
+//! - **Golden training fingerprint:** a few seeded forward/backward/step
+//!   rounds with an Algorithm 1 elimination midway, hashed bit for bit
+//!   (every parameter word plus the train- and inference-mode outputs).
+//!   The constants pin the training arithmetic of every BCM layer kind, so
+//!   a refactor of the weight store that changes a single bit fails here.
+//!   They were recorded on x86_64 Linux; the recurrent and attention cells
+//!   call `exp`/`tanh`, whose last bit may differ on another libm.
+
+use nn::layers::{BcmAttention, BcmConv2d, BcmGru, BcmLinear, BcmLstm, HadaBcmConv2d, Layer};
+use nn::optim::SgdUpdate;
+use nn::Network;
+use rand::rngs::StdRng;
+use rand::SeedableRng;
+use telemetry::fnv::Fnv1a;
+use tensor::{init, Tensor};
+
+const UPDATE: SgdUpdate = SgdUpdate {
+    lr: 0.05,
+    momentum: 0.9,
+    weight_decay: 1e-4,
+};
+
+/// A one-layer network of the given BCM kind and a matching input batch.
+fn build(kind: &str, seed: u64) -> (Network, Tensor<f32>) {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let (layer, dims): (Box<dyn Layer>, Vec<usize>) = match kind {
+        "bcmconv" => (
+            Box::new(BcmConv2d::new(&mut rng, 8, 8, 3, 1, 1, 4)),
+            vec![2, 8, 5, 5],
+        ),
+        "hadabcmconv" => (
+            Box::new(HadaBcmConv2d::new(&mut rng, 8, 8, 3, 1, 1, 4)),
+            vec![2, 8, 5, 5],
+        ),
+        "bcmlinear" => (Box::new(BcmLinear::new(&mut rng, 16, 8, 4)), vec![3, 16]),
+        "bcmlstm" => (Box::new(BcmLstm::new(&mut rng, 8, 8, 4)), vec![2, 8, 5, 1]),
+        "bcmgru" => (Box::new(BcmGru::new(&mut rng, 8, 8, 4)), vec![2, 8, 5, 1]),
+        "bcmattn" => (
+            Box::new(BcmAttention::new(&mut rng, 8, 4)),
+            vec![2, 8, 5, 1],
+        ),
+        other => panic!("unknown layer kind {other}"),
+    };
+    let x = init::gaussian(&mut rng, &dims, 0.0, 1.0);
+    (Network::new(kind, vec![layer]), x)
+}
+
+/// A deterministic upstream gradient shaped like `out`.
+fn upstream(out: &Tensor<f32>, seed: u64) -> Tensor<f32> {
+    init::gaussian(&mut StdRng::seed_from_u64(seed), out.dims(), 0.0, 1.0)
+}
+
+fn train_round(net: &mut Network, x: &Tensor<f32>, seed: u64) -> Tensor<f32> {
+    let out = net.forward(x, true);
+    net.backward(&upstream(&out, seed));
+    out
+}
+
+fn assert_bits_eq(got: &Tensor<f32>, want: &Tensor<f32>, what: &str) {
+    assert_eq!(got.dims(), want.dims(), "{what}: shape");
+    for (i, (a, b)) in got.as_slice().iter().zip(want.as_slice()).enumerate() {
+        assert_eq!(a.to_bits(), b.to_bits(), "{what}[{i}]: {a} vs {b}");
+    }
+}
+
+/// Replica: train once (caches built), master steps, sync, then the replica
+/// must match a fresh clone of the master bit for bit — outputs in both
+/// modes and every parameter gradient.
+fn check_replica_sync(kind: &str) {
+    let (mut master, x) = build(kind, 11);
+    let mut replica = master.clone();
+    let _ = train_round(&mut replica, &x, 12);
+    let _ = train_round(&mut master, &x, 13);
+    master.step(&UPDATE);
+    replica.sync_params_from(&master);
+    let mut fresh = master.clone();
+    let got = train_round(&mut replica, &x, 14);
+    let want = train_round(&mut fresh, &x, 14);
+    assert_bits_eq(&got, &want, &format!("{kind} train forward"));
+    for (pi, (a, b)) in replica.params().iter().zip(fresh.params()).enumerate() {
+        assert_bits_eq(&a.grad, &b.grad, &format!("{kind} param {pi} grad"));
+    }
+    let got = replica.forward(&x, false);
+    let want = fresh.forward(&x, false);
+    assert_bits_eq(&got, &want, &format!("{kind} inference forward"));
+}
+
+#[test]
+fn bcmconv_replica_matches_fresh_clone_after_sync() {
+    check_replica_sync("bcmconv");
+}
+
+#[test]
+fn hadabcmconv_replica_matches_fresh_clone_after_sync() {
+    check_replica_sync("hadabcmconv");
+}
+
+#[test]
+fn bcmlinear_replica_matches_fresh_clone_after_sync() {
+    check_replica_sync("bcmlinear");
+}
+
+#[test]
+fn bcmlstm_replica_matches_fresh_clone_after_sync() {
+    check_replica_sync("bcmlstm");
+}
+
+#[test]
+fn bcmgru_replica_matches_fresh_clone_after_sync() {
+    check_replica_sync("bcmgru");
+}
+
+#[test]
+fn bcmattn_replica_matches_fresh_clone_after_sync() {
+    check_replica_sync("bcmattn");
+}
+
+/// Four seeded training rounds, a quarter of the blocks eliminated after
+/// the second, then a hash of every round's output, every parameter's
+/// value and gradient bits, and the final train/inference outputs.
+fn training_fingerprint(kind: &str) -> u64 {
+    let (mut net, x) = build(kind, 21);
+    let mut h = Fnv1a::new();
+    let feed = |h: &mut Fnv1a, t: &Tensor<f32>| {
+        for v in t.as_slice() {
+            h.write_u32(v.to_bits());
+        }
+    };
+    for round in 0..4u64 {
+        if round == 2 {
+            let blocks = net.bcm_block_count();
+            let victims: Vec<usize> = (0..blocks).step_by(4).collect();
+            net.bcm_eliminate(&victims);
+        }
+        let out = train_round(&mut net, &x, 30 + round);
+        feed(&mut h, &out);
+        net.step(&UPDATE);
+    }
+    for p in net.params() {
+        feed(&mut h, &p.value);
+        feed(&mut h, &p.grad);
+    }
+    feed(&mut h, &net.forward(&x, true));
+    feed(&mut h, &net.forward(&x, false));
+    h.finish()
+}
+
+#[test]
+fn training_fingerprint_is_pinned_for_every_bcm_layer_kind() {
+    const GOLDEN: [(&str, u64); 6] = [
+        ("bcmconv", 0xae6b_9b86_d641_1a86),
+        ("hadabcmconv", 0xa60f_0521_1c0e_dedf),
+        ("bcmlinear", 0x63ec_1826_3a8d_3d84),
+        ("bcmlstm", 0x126b_d69e_4af6_0830),
+        ("bcmgru", 0x8d05_fc94_4573_855a),
+        ("bcmattn", 0xf17e_fe12_2643_ec91),
+    ];
+    let got: Vec<(&str, u64)> = GOLDEN
+        .iter()
+        .map(|&(kind, _)| (kind, training_fingerprint(kind)))
+        .collect();
+    for (&(kind, want), &(_, fp)) in GOLDEN.iter().zip(&got) {
+        assert_eq!(fp, want, "{kind}: fingerprint {fp:#018x}; all: {got:x?}");
+    }
+}
