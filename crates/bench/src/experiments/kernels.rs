@@ -30,7 +30,7 @@
 use crate::table::Table;
 use hwsim::fixed::{ComplexAcc, ComplexFx, QFormat};
 use hwsim::fxfft::FxFftPe;
-use hwsim::inference::{conv_forward_fx_batch, FxWeights};
+use hwsim::inference::{conv_forward_fx_batch_packed, FxWeights};
 use hwsim::FxBatch;
 
 /// One kernel's scalar-vs-lane comparison.
@@ -332,10 +332,11 @@ pub fn fingerprint() -> u64 {
     let live = skip.iter().filter(|&&s| s).count();
     let words = lcg_words(97, live * bins * 2);
     let weights = FxWeights::from_parts(bs, k, ob, ib, &skip, &words);
-    let xs = lcg_words(98, n * ib * bs * h * w);
-    let out = conv_forward_fx_batch(q, &weights, &xs, n, h, w);
+    let sample_len = ib * bs * h * w;
+    let xs = FxBatch::from_flat(q, n, sample_len, lcg_words(98, n * sample_len));
+    let out = conv_forward_fx_batch_packed(&weights, &xs, h, w);
     let mut hash = telemetry::fnv::Fnv1a::new();
-    for v in out {
+    for &v in out.as_flat() {
         hash.write_u16(v as u16);
     }
     hash.finish()

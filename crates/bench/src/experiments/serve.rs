@@ -12,7 +12,7 @@
 //!    The throughput ratio of the two runs is the batching win: each
 //!    dispatch prepares plans and weight streams once and runs the batch
 //!    through `hwsim`'s sample-parallel eMAC lanes
-//!    (`conv_forward_fx_batch`), exactly how the accelerator amortizes
+//!    (`conv_forward_fx_batch_packed`), exactly how the accelerator amortizes
 //!    its double-buffered weight streams.
 //! 3. **Open loop, 2× overload** — requests fired on a fixed schedule at
 //!    twice the measured B = 8 capacity against a small queue: admission

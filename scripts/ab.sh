@@ -22,9 +22,16 @@
 # Output: one line per run (workload, seed, side, the end-to-end metrics,
 # failed operations), then per workload and metric the parent and change
 # medians, the parent's first and third quartiles, the change/parent ratio
-# of the medians, how many of the pairs the change won, and how many runs
-# were invalid. Every run's line, invalid ones included, also lands in
-# target/ab/runs.tsv.
+# of the medians, the median of the per-pair change/parent ratios with a
+# distribution-free interval for it, how many of the pairs the change won,
+# and how many runs were invalid. Every run's line, invalid ones included,
+# also lands in target/ab/runs.tsv.
+#
+# The interval runs from the j-th smallest to the j-th largest pair ratio,
+# with j the largest rank whose coverage of the true median ratio,
+# 1 - 2·P(Binomial(pairs, 1/2) < j), is still at least 95 % (j = 1 when
+# no rank reaches it). With 10 valid pairs that is the 2nd and 9th
+# smallest ratios, at 97.9 % coverage; the `cover` column prints it.
 #
 # Takes minutes per pair (two builds, then 2 × 10 × run_seconds per
 # workload plus set-up), so it is not part of scripts/verify.sh.
@@ -120,6 +127,19 @@ function quantile(a, n, p,    h, lo) {
     lo = int(h)
     return lo >= n ? a[n] : a[lo] + (h - lo) * (a[lo + 1] - a[lo])
 }
+# Sign-test interval rank: the largest j whose order-statistic interval
+# [a(j), a(n+1-j)] covers the median with probability >= 95 %, and that
+# coverage in `cov`.
+function ci_rank(n,    j, c, tail, best) {
+    best = 1; cov = 1 - 2 * 0.5 ^ n
+    c = 1; tail = 0
+    for (j = 1; 2 * j <= n; j++) {
+        tail += c * 0.5 ^ n          # P(B <= j - 1)
+        c = c * (n - j + 1) / j      # C(n, j)
+        if (1 - 2 * tail >= 0.95) { best = j; cov = 1 - 2 * tail }
+    }
+    return best
+}
 NR == 1 {
     nm = NF - 1
     split(better, b, " ")
@@ -133,13 +153,14 @@ NR == 1 {
     seeds[$1, $2] = 1
 }
 END {
-    printf "%-15s %-17s %12s %12s %12s %12s %8s %6s %7s\n",
-        "workload", "metric", "parent_med", "parent_q1", "parent_q3", "change_med", "ratio", "wins", "invalid"
+    printf "%-15s %-17s %12s %12s %12s %12s %8s %10s %8s %8s %6s %6s %7s\n",
+        "workload", "metric", "parent_med", "parent_q1", "parent_q3", "change_med", "ratio",
+        "pair_ratio", "ci_lo", "ci_hi", "cover", "wins", "invalid"
     for (w = 1; w <= nw; w++) {
         wl = order[w]
         for (m = 4; m <= nm; m++) {
-            np = nc = pairs = wins = 0
-            delete P; delete C
+            np = nc = pairs = wins = nr = 0
+            delete P; delete C; delete R
             for (k in seeds) {
                 split(k, ks, SUBSEP)
                 if (ks[1] != wl) continue
@@ -152,14 +173,24 @@ END {
                     pairs++
                     p = val[wl, s, "parent", m]; c = val[wl, s, "change", m]
                     if (higher[m] ? c > p : c < p) wins++
+                    if (p != 0) R[++nr] = c / p
                 }
             }
             if (np == 0 || nc == 0) continue
             sort(P, np); sort(C, nc)
             pm = quantile(P, np, 0.5); cm = quantile(C, nc, 0.5)
-            printf "%-15s %-17s %12.4g %12.4g %12.4g %12.4g %8.3f %3d/%-2d %7d\n",
+            if (nr > 0) {
+                sort(R, nr)
+                j = ci_rank(nr)
+                pr = sprintf("%.3f", quantile(R, nr, 0.5))
+                lo = sprintf("%.3f", R[j]); hi = sprintf("%.3f", R[nr + 1 - j])
+                cv = sprintf("%.1f%%", 100 * cov)
+            } else {
+                pr = lo = hi = cv = "-"
+            }
+            printf "%-15s %-17s %12.4g %12.4g %12.4g %12.4g %8.3f %10s %8s %8s %6s %3d/%-2d %7d\n",
                 wl, name[m], pm, quantile(P, np, 0.25), quantile(P, np, 0.75), cm,
-                (pm != 0 ? cm / pm : 0), wins, pairs, invalid[wl]
+                (pm != 0 ? cm / pm : 0), pr, lo, hi, cv, wins, pairs, invalid[wl]
         }
     }
 }' "$runs"
