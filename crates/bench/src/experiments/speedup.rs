@@ -313,7 +313,7 @@ pub fn run() -> SpeedupResult {
     let cached_ns = median_ns(
         || {
             for s in 0..batch {
-                let y = grid.matvec_with_workers(&xs[s * cb * bs..(s + 1) * cb * bs], 1);
+                let y = grid.matvec(&xs[s * cb * bs..(s + 1) * cb * bs]);
                 std::hint::black_box(y);
             }
         },

@@ -7,10 +7,11 @@
 //! a full-sequence eval forward and a step-at-a-time [`SeqRunner`] replay
 //! the exact same arithmetic. That property rests on two pillars:
 //!
-//! 1. `BlockCirculant::matmat` and `BlockCirculant::matvec_lanes` are
-//!    documented (and tested) to be per-sample bit-identical to `matvec`,
-//!    so the batched layer forward and the lane-gang stepper (at any
-//!    width, one included) share the spectral kernel exactly.
+//! 1. `BlockCirculant::matmat` and `BlockCirculant::matvec_lanes` run the
+//!    same lane kernel, whose per-lane arithmetic does not depend on how
+//!    many lanes share a pass. So the batched layer forward (one lane
+//!    group per worker) and the lane-gang stepper (at any width, one
+//!    included) compute every sample through the same expression tree.
 //! 2. Everything after the matvec — bias addition and the nonlinear cell
 //!    update — goes through the free functions in this module
 //!    ([`add_bias`], [`lstm_cell`], [`gru_cell`]), in the same order on
@@ -21,8 +22,8 @@
 //! state server-side, and advances one timestep per `session_step`.
 
 use crate::layers::checkpoint::LayerSnapshot;
-use crate::layers::Network;
-use circulant::{BlockCirculant, CirculantMatrix};
+use crate::layers::{GateStack, Network};
+use circulant::BlockCirculant;
 
 /// Logistic sigmoid — the gate nonlinearity of both cells.
 #[inline]
@@ -89,34 +90,6 @@ pub fn gru_cell(pre_w: &mut [f32], pre_u: &mut [f32], h: &mut [f32]) {
         pre_w[hd + j] = z;
         pre_w[2 * hd + j] = n;
     }
-}
-
-/// Rebuilds a spectra-prepared [`BlockCirculant`] grid from checkpointed
-/// defining vectors (full layout, zeros at pruned blocks) and a skip
-/// index.
-pub(crate) fn grid_from_vecs(
-    bs: usize,
-    out_blocks: usize,
-    in_blocks: usize,
-    vecs: &[f32],
-    live: &[bool],
-) -> BlockCirculant<f32> {
-    assert_eq!(live.len(), out_blocks * in_blocks, "skip index length");
-    assert_eq!(vecs.len(), live.len() * bs, "defining vectors");
-    let blocks = live
-        .iter()
-        .enumerate()
-        .map(|(blk, &l)| {
-            if l {
-                CirculantMatrix::new(vecs[blk * bs..(blk + 1) * bs].to_vec())
-            } else {
-                CirculantMatrix::zeros(bs)
-            }
-        })
-        .collect();
-    let grid = BlockCirculant::from_blocks(bs, out_blocks, in_blocks, blocks);
-    grid.prepare_spectra();
-    grid
 }
 
 /// Why a network cannot be driven as a streaming sequence model.
@@ -270,13 +243,10 @@ impl SeqRunner {
                     vecs,
                     bias,
                 } => {
-                    let grid = grid_from_vecs(
-                        bs,
-                        4 * hidden / bs,
-                        (in_features + hidden) / bs,
-                        &vecs,
-                        &live,
-                    );
+                    let grid =
+                        GateStack::from_parts(in_features + hidden, 4 * hidden, 1, bs, vecs, &live)
+                            .folded_grid();
+                    grid.prepare_spectra();
                     cells.push(Cell::Lstm {
                         grid,
                         bias,
@@ -297,8 +267,12 @@ impl SeqRunner {
                     bias_w,
                     bias_u,
                 } => {
-                    let w = grid_from_vecs(bs, 3 * hidden / bs, in_features / bs, &w_vecs, &w_live);
-                    let u = grid_from_vecs(bs, 3 * hidden / bs, hidden / bs, &u_vecs, &u_live);
+                    let w = GateStack::from_parts(in_features, 3 * hidden, 1, bs, w_vecs, &w_live)
+                        .folded_grid();
+                    let u = GateStack::from_parts(hidden, 3 * hidden, 1, bs, u_vecs, &u_live)
+                        .folded_grid();
+                    w.prepare_spectra();
+                    u.prepare_spectra();
                     cells.push(Cell::Gru {
                         w,
                         u,
@@ -409,8 +383,9 @@ impl SeqRunner {
 ///
 /// This is the only step datapath: [`SeqRunner::step`] is a gang of one.
 /// Gate matvecs route through [`BlockCirculant::matvec_lanes`] (sample
-/// dimension innermost over the split spectral planes), which is
-/// per-lane bit-identical to [`BlockCirculant::matvec`] at every width;
+/// dimension innermost over the split spectral planes), the kernel the
+/// batched layer forward's `matmat` also runs, per-lane independent of
+/// the width;
 /// everything non-linear — `add_bias`, [`lstm_cell`], [`gru_cell`], the
 /// head — runs per lane with the same per-sample code as the batched
 /// layer forward, so **every member's output and hidden state is

@@ -22,6 +22,8 @@ RPBCM_THREADS=1 cargo test -q -p serve --test seq_gang_bitident
 RPBCM_THREADS=1 cargo test -q -p nn --lib seq::
 RPBCM_THREADS=1 cargo test -q -p hwsim --lib recurrent::
 RPBCM_THREADS=1 cargo test -q -p serve --lib session::
+RPBCM_THREADS=1 cargo test -q -p circulant
+RPBCM_THREADS=1 cargo test -q --test properties
 
 echo "== serve tests with telemetry enabled (flight tracing live) =="
 # Re-runs the serve suite with the metrics registry and per-request

@@ -9,7 +9,7 @@ use rpbcm_repro::hwsim::pe::PeBankConfig;
 use rpbcm_repro::hwsim::tiling::tiled_conv_forward_fx;
 use rpbcm_repro::rpbcm::pruning::{prune_indices, prune_threshold};
 use rpbcm_repro::rpbcm::{HadaBcm, SkipIndexBuffer};
-use rpbcm_repro::tensor::svd;
+use rpbcm_repro::tensor::{parallel, svd};
 
 /// Random block-circulant conv weight from a proptest value vector.
 fn conv_from_values(
@@ -169,26 +169,51 @@ proptest! {
         prop_assert!(close(&grid.matvec(&x), &grid.matvec_naive(&x)));
     }
 
-    /// Worker count never changes results: 1, 2, and 8 workers produce
-    /// bit-identical matvec and batched matmat outputs.
+    /// Lane grouping and worker count never change results: on a randomly
+    /// pruned grid, `matvec_lanes` over a random split of the batch into
+    /// lane groups, `matmat` at the default worker count, `matmat` under
+    /// `serial_scope` and the per-sample uncached oracle agree bit for bit.
     #[test]
     fn worker_count_is_bit_exact(
-        vals in proptest::collection::vec(-2.0_f64..2.0, 48),
-        xs in proptest::collection::vec(-2.0_f64..2.0, 64),
+        log_bs in 2usize..=4,
+        rb in 1usize..=3,
+        cb in 1usize..=3,
+        vals in proptest::collection::vec(-2.0_f64..2.0, 144),
+        live in proptest::collection::vec(any::<bool>(), 9),
+        n in 0usize..=11,
+        x_vals in proptest::collection::vec(-2.0_f64..2.0, 64),
+        cuts in proptest::collection::vec(any::<bool>(), 11),
     ) {
+        let bs = 1 << log_bs;
         let mut it = vals.iter().copied().cycle();
-        let blocks = (0..2 * 2)
-            .map(|_| CirculantMatrix::new((0..8).map(|_| it.next().expect("cycle")).collect()))
+        let blocks = (0..rb * cb)
+            .map(|b| {
+                let v: Vec<f64> = (0..bs).map(|_| it.next().expect("cycle")).collect();
+                if live[b] { CirculantMatrix::new(v) } else { CirculantMatrix::zeros(bs) }
+            })
             .collect();
-        let grid = BlockCirculant::from_blocks(8, 2, 2, blocks);
-        let base = grid.matvec_with_workers(&xs[..16], 1);
-        for workers in [2usize, 8] {
-            prop_assert_eq!(&grid.matvec_with_workers(&xs[..16], workers), &base);
+        let grid = BlockCirculant::from_blocks(bs, rb, cb, blocks);
+        let (rows, cols) = grid.dense_dims();
+        let xs: Vec<f64> = x_vals.iter().copied().cycle().take(n * cols).collect();
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let oracle: Vec<f64> = xs
+            .chunks(cols)
+            .flat_map(|x| grid.matvec_uncached(x))
+            .collect();
+        prop_assert_eq!(oracle.len(), n * rows);
+        let samples: Vec<&[f64]> = xs.chunks(cols).collect();
+        let mut grouped = Vec::with_capacity(n * rows);
+        let mut lo = 0;
+        for s in 1..=n {
+            if s == n || cuts[s] {
+                grouped.extend(grid.matvec_lanes(&samples[lo..s]).concat());
+                lo = s;
+            }
         }
-        let batched = grid.matmat_with_workers(&xs, 4, 1);
-        for workers in [2usize, 8] {
-            prop_assert_eq!(&grid.matmat_with_workers(&xs, 4, workers), &batched);
-        }
+        prop_assert_eq!(bits(&grouped), bits(&oracle));
+        prop_assert_eq!(bits(&grid.matmat(&xs, n)), bits(&oracle));
+        let serial = parallel::serial_scope(|| grid.matmat(&xs, n));
+        prop_assert_eq!(bits(&serial), bits(&oracle));
     }
 
     /// Deployment packages round-trip and execute identically to the

@@ -6,6 +6,7 @@
 
 use std::sync::Mutex;
 
+use rpbcm_repro::circulant::{BlockCirculant, CirculantMatrix};
 use rpbcm_repro::tensor::parallel;
 
 /// Serializes the tests below: each reads global `tensor.parallel.*`
@@ -109,4 +110,45 @@ fn serial_fallback_counts_separately() {
         after.counters.get("tensor.parallel.workers_spawned"),
         before.counters.get("tensor.parallel.workers_spawned")
     );
+}
+
+/// The eMAC counters count one block product per lane: a 3-lane gang adds
+/// exactly three times what one single-sample product adds.
+#[test]
+fn emac_counters_count_every_lane() {
+    let _serial = REGISTRY.lock().unwrap_or_else(|e| e.into_inner());
+    telemetry::set_enabled(true);
+
+    let blocks = (0..6)
+        .map(|b| {
+            if b % 3 == 1 {
+                CirculantMatrix::zeros(4)
+            } else {
+                CirculantMatrix::new(vec![1.0, -0.5, 0.25, b as f32])
+            }
+        })
+        .collect();
+    let grid = BlockCirculant::from_blocks(4, 2, 3, blocks);
+    let xs: Vec<Vec<f32>> = (0..3)
+        .map(|s| (0..12).map(|i| (i * 3 + s) as f32 * 0.1).collect())
+        .collect();
+    let emacs = || {
+        let snap = telemetry::snapshot();
+        let get = |name: &str| snap.counters.get(name).copied().unwrap_or(0);
+        (
+            get("circulant.emac.blocks_computed"),
+            get("circulant.emac.blocks_skipped"),
+        )
+    };
+
+    let (c0, s0) = emacs();
+    grid.matvec(&xs[0]);
+    let (c1, s1) = emacs();
+    let refs: Vec<&[f32]> = xs.iter().map(Vec::as_slice).collect();
+    grid.matvec_lanes(&refs);
+    let (c3, s3) = emacs();
+
+    // One sample: 2 rows × 3 col-blocks, 2 pruned.
+    assert_eq!((c1 - c0, s1 - s0), (4, 2));
+    assert_eq!((c3 - c1, s3 - s1), (3 * (c1 - c0), 3 * (s1 - s0)));
 }
