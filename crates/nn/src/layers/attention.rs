@@ -10,6 +10,7 @@
 //! axis) with a residual connection `y = attn(x) + x`, so the layer can
 //! ride between recurrent cells without re-learning the identity.
 
+use crate::layers::checkpoint::{LayerSnapshot, StackSnapshot};
 use crate::layers::gates::GateStack;
 use crate::layers::{BcmLayer, Layer, Param};
 use crate::optim::SgdUpdate;
@@ -67,24 +68,15 @@ impl BcmAttention {
         }
     }
 
-    /// Rebuilds from checkpointed parts.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn from_parts(
-        dim: usize,
-        bs: usize,
-        q_vecs: Vec<f32>,
-        q_live: &[bool],
-        k_vecs: Vec<f32>,
-        k_live: &[bool],
-        v_vecs: Vec<f32>,
-        v_live: &[bool],
-    ) -> Self {
+    /// Rebuilds from its checkpoint record: three `[D, D]` stacks.
+    pub(crate) fn from_parts(q: StackSnapshot, k: StackSnapshot, v: StackSnapshot) -> Self {
+        let (dim, bs) = (q.c_in, q.bs);
         BcmAttention {
             name: format!("bcmattn{dim}bs{bs}"),
             dim,
-            q: GateStack::from_parts(dim, dim, 1, bs, q_vecs, q_live),
-            k: GateStack::from_parts(dim, dim, 1, bs, k_vecs, k_live),
-            v: GateStack::from_parts(dim, dim, 1, bs, v_vecs, v_live),
+            q: GateStack::from_snapshot(q),
+            k: GateStack::from_snapshot(k),
+            v: GateStack::from_snapshot(v),
             cache: None,
         }
     }
@@ -295,16 +287,11 @@ impl Layer for BcmAttention {
         Some(self)
     }
 
-    fn snapshot(&self) -> Option<crate::layers::checkpoint::LayerSnapshot> {
-        Some(crate::layers::checkpoint::LayerSnapshot::BcmAttention {
-            dim: self.dim,
-            bs: self.q.block_size(),
-            q_live: self.q.skip_index(),
-            q_vecs: self.q.vecs().value.as_slice().to_vec(),
-            k_live: self.k.skip_index(),
-            k_vecs: self.k.vecs().value.as_slice().to_vec(),
-            v_live: self.v.skip_index(),
-            v_vecs: self.v.vecs().value.as_slice().to_vec(),
+    fn snapshot(&self) -> Option<LayerSnapshot> {
+        Some(LayerSnapshot::BcmAttention {
+            q: self.q.snapshot(),
+            k: self.k.snapshot(),
+            v: self.v.snapshot(),
         })
     }
 }

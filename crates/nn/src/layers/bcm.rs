@@ -10,6 +10,7 @@
 //! Both mappings live in [`BcmLayout`]; `BcmConv2d` keeps its vectors and
 //! caches in the shared [`GateStack`] store.
 
+use crate::layers::checkpoint::{LayerSnapshot, StackSnapshot};
 use crate::layers::conv::ConvCore;
 use crate::layers::gates::{BcmLayout, GateStack};
 use crate::layers::{Layer, Param};
@@ -81,23 +82,12 @@ impl BcmConv2d {
         }
     }
 
-    /// Rebuilds a BCM convolution from checkpointed parts: `vecs` is the
-    /// full `[block_count, bs]` defining-vector layout (zeros at pruned
-    /// blocks) and `live` the skip index.
-    #[allow(clippy::too_many_arguments)] // mirrors the checkpoint record fields
-    pub(crate) fn from_parts(
-        c_in: usize,
-        c_out: usize,
-        kernel: usize,
-        stride: usize,
-        pad: usize,
-        bs: usize,
-        vecs: Vec<f32>,
-        live: &[bool],
-    ) -> Self {
+    /// Rebuilds a BCM convolution from its checkpoint record.
+    pub(crate) fn from_parts(stride: usize, pad: usize, weights: StackSnapshot) -> Self {
+        let (c_in, c_out, kernel, bs) = (weights.c_in, weights.c_out, weights.k, weights.bs);
         BcmConv2d {
             name: format!("bcmconv{c_in}x{c_out}k{kernel}bs{bs}"),
-            weights: GateStack::from_parts(c_in, c_out, kernel, bs, vecs, live),
+            weights: GateStack::from_snapshot(weights),
             core: ConvCore::new(c_in, c_out, kernel, kernel, stride, pad),
         }
     }
@@ -146,17 +136,11 @@ impl Layer for BcmConv2d {
         Some(self)
     }
 
-    fn snapshot(&self) -> Option<crate::layers::checkpoint::LayerSnapshot> {
-        let layout = self.weights.layout();
-        Some(crate::layers::checkpoint::LayerSnapshot::BcmConv2d {
-            c_in: layout.c_in,
-            c_out: layout.c_out,
-            kernel: layout.k,
+    fn snapshot(&self) -> Option<LayerSnapshot> {
+        Some(LayerSnapshot::BcmConv2d {
             stride: self.core.stride,
             pad: self.core.pad,
-            bs: layout.bs,
-            live: self.weights.skip_index(),
-            vecs: self.weights.vecs().value.as_slice().to_vec(),
+            weights: self.weights.snapshot(),
         })
     }
 }
@@ -336,16 +320,11 @@ impl Layer for HadaBcmConv2d {
     /// hadaBCM deploys as a plain BCM: the checkpoint stores the folded
     /// vectors `a ⊙ b`, so the loaded layer is a [`BcmConv2d`] with
     /// bit-identical inference (both paths expand the same f32 products).
-    fn snapshot(&self) -> Option<crate::layers::checkpoint::LayerSnapshot> {
-        Some(crate::layers::checkpoint::LayerSnapshot::BcmConv2d {
-            c_in: self.layout.c_in,
-            c_out: self.layout.c_out,
-            kernel: self.layout.k,
+    fn snapshot(&self) -> Option<LayerSnapshot> {
+        Some(LayerSnapshot::BcmConv2d {
             stride: self.core.stride,
             pad: self.core.pad,
-            bs: self.layout.bs,
-            live: self.skip_index(),
-            vecs: self.folded_vecs(),
+            weights: StackSnapshot::new(&self.layout, self.folded_vecs(), &self.pruned),
         })
     }
 }

@@ -10,6 +10,7 @@
 //! dense expansion; inference runs the batched "FFT → eMAC → IFFT" path
 //! against the store's prepared spectra.
 
+use crate::layers::checkpoint::{LayerSnapshot, StackSnapshot};
 use crate::layers::gates::GateStack;
 use crate::layers::{BcmLayer, Layer, Param};
 use crate::optim::SgdUpdate;
@@ -44,21 +45,13 @@ impl BcmLinear {
         }
     }
 
-    /// Rebuilds a BCM linear layer from checkpointed parts: `vecs` is the
-    /// full `[block_count, bs]` defining-vector layout (zeros at pruned
-    /// blocks) and `live` the skip index.
-    pub(crate) fn from_parts(
-        in_features: usize,
-        out_features: usize,
-        bs: usize,
-        vecs: Vec<f32>,
-        bias: Vec<f32>,
-        live: &[bool],
-    ) -> Self {
+    /// Rebuilds a BCM linear layer from its checkpoint record.
+    pub(crate) fn from_parts(weights: StackSnapshot, bias: Vec<f32>) -> Self {
+        let (in_features, out_features, bs) = (weights.c_in, weights.c_out, weights.bs);
         assert_eq!(bias.len(), out_features, "bias length");
         BcmLinear {
             name: format!("bcmlinear{in_features}x{out_features}bs{bs}"),
-            weights: GateStack::from_parts(in_features, out_features, 1, bs, vecs, live),
+            weights: GateStack::from_snapshot(weights),
             bias: Param::new(Tensor::from_vec(bias, &[out_features])),
             input: None,
         }
@@ -142,14 +135,9 @@ impl Layer for BcmLinear {
         Some(self)
     }
 
-    fn snapshot(&self) -> Option<crate::layers::checkpoint::LayerSnapshot> {
-        let (in_features, out_features) = self.features();
-        Some(crate::layers::checkpoint::LayerSnapshot::BcmLinear {
-            in_features,
-            out_features,
-            bs: self.weights.block_size(),
-            live: self.weights.skip_index(),
-            vecs: self.weights.vecs().value.as_slice().to_vec(),
+    fn snapshot(&self) -> Option<LayerSnapshot> {
+        Some(LayerSnapshot::BcmLinear {
+            weights: self.weights.snapshot(),
             bias: self.bias.value.as_slice().to_vec(),
         })
     }

@@ -16,22 +16,44 @@
 //! magic  "RPCK"                          4 bytes
 //! version u16                            currently 1
 //! network name                           u32 length + UTF-8 bytes
-//! q-format fraction bits  u8             hint for the fixed-point path
+//! q-format fraction bits  u8             1..=15, for the fixed-point path
 //! input dims              u8 count, then u32 each (per-sample shape)
 //! layer count             u32
 //! layer records           tagged, see below
 //! ```
 //!
-//! Each layer record is a `u8` tag followed by its payload. BCM layers
-//! store the skip index as a bit-packed bitmap (LSB-first, bit set =
-//! live) and defining vectors **only for live blocks** — a highly-pruned
-//! checkpoint shrinks accordingly. Trailing garbage after the last record
-//! is rejected.
+//! Each layer record is a `u8` tag followed by its payload, fields in the
+//! order listed (`u32` dimensions, `f32` runs with the length shown):
+//!
+//! | tag | layer | payload |
+//! |----:|-------|---------|
+//! | 0 | ReLU | — |
+//! | 1 | Flatten | — |
+//! | 2 | MaxPool2d | `window` |
+//! | 3 | GlobalAvgPool | — |
+//! | 4 | Conv2d | `c_in, c_out, k, stride, pad`; weight `[c_out·c_in·k·k]` |
+//! | 5 | Linear | `in, out`; weight `[out·in]`; bias `[out]` |
+//! | 6 | BatchNorm2d | `C`; γ, β, running mean, running var `[C]` each |
+//! | 7 | BcmConv2d | `c_in, c_out, k, stride, pad, BS`; stack |
+//! | 8 | BcmLinear | `in, out, BS`; stack; bias `[out]` |
+//! | 9 | Residual | name (`u32` length + UTF-8); `u32` count + main-path records; `u8` 0 (identity) or 1 + `u32` count + shortcut records |
+//! | 10 | BcmLstm | `F, H, BS`; stack `[4H, F+H]`; bias `[4H]` |
+//! | 11 | BcmGru | `F, H, BS`; stack `[3H, F]`; stack `[3H, H]`; `b_w [3H]`; `b_u [3H]` |
+//! | 12 | BcmAttention | `D, BS`; stacks `[D, D]` for query, key, value |
+//!
+//! A **stack** is one block-circulant weight ([`StackSnapshot`]): a `u32`
+//! bit count `n = k·k·(c_out/BS)·(c_in/BS)`, then the skip index in
+//! `⌈n/8⌉` bytes packed LSB-first (bit set = live), then `BS` `f32`s per
+//! **live** block only, in block order (tap-major, then output block,
+//! then input block) — a highly-pruned checkpoint shrinks accordingly.
+//! Trailing garbage after the last record is rejected.
 
+use crate::layers::gates::BcmLayout;
 use crate::layers::{
     BatchNorm2d, BcmAttention, BcmConv2d, BcmGru, BcmLinear, BcmLstm, Conv2d, Flatten,
     GlobalAvgPool, Layer, Linear, MaxPool2d, Network, ReLU, ResidualBlock,
 };
+use circulant::{BlockCirculant, ConvBlockCirculant};
 
 /// File magic for `.rpbcm` checkpoints.
 pub const MAGIC: [u8; 4] = *b"RPCK";
@@ -52,6 +74,10 @@ const TAG_LSTM: u8 = 10;
 const TAG_GRU: u8 = 11;
 const TAG_ATTENTION: u8 = 12;
 
+/// The Q-format fraction bits a checkpoint may declare: the range
+/// `hwsim::QFormat` accepts.
+const FRAC_BITS: std::ops::RangeInclusive<u8> = 1..=15;
+
 /// Checkpoint metadata carried alongside the layer stack: everything a
 /// server needs to validate requests and drive the fixed-point datapath
 /// without re-deriving it from the layers.
@@ -61,7 +87,7 @@ pub struct CheckpointMeta {
     /// `[256]` for flat MLPs (no batch dimension).
     pub input_dims: Vec<usize>,
     /// Q-format fraction bits the model was calibrated for on the
-    /// fixed-point (`hwsim`) path.
+    /// fixed-point (`hwsim`) path; [`from_bytes`] accepts `1..=15`.
     pub frac_bits: u8,
 }
 
@@ -72,11 +98,78 @@ impl CheckpointMeta {
     }
 }
 
+/// One checkpointed block-circulant weight: the deployed record of a BCM
+/// layer's weight store (paper §III-A, §IV-B).
+///
+/// Blocks are indexed tap-major, then output-block, then input-block.
+/// `vecs` holds the defining vectors of **all** blocks, flat
+/// `[block_count, bs]`, with zeros at pruned blocks; the codec writes only
+/// the live ones. Every BCM layer's record holds its weights as stacks.
+#[derive(Debug, Clone, PartialEq)]
+pub struct StackSnapshot {
+    /// Input channels (features).
+    pub c_in: usize,
+    /// Output channels (features).
+    pub c_out: usize,
+    /// Square kernel side; `1` for FC layers and gate matrices.
+    pub k: usize,
+    /// Block size BS.
+    pub bs: usize,
+    /// Skip index: `true` per block when live.
+    pub live: Vec<bool>,
+    /// Defining vectors for all blocks, flat `[block_count, bs]`.
+    pub vecs: Vec<f32>,
+}
+
+impl StackSnapshot {
+    /// The record of a stack with `layout`, (folded) defining vectors
+    /// `vecs` and per-block pruning mask `pruned`.
+    pub(crate) fn new(layout: &BcmLayout, vecs: Vec<f32>, pruned: &[bool]) -> Self {
+        StackSnapshot {
+            c_in: layout.c_in,
+            c_out: layout.c_out,
+            k: layout.k,
+            bs: layout.bs,
+            live: pruned.iter().map(|&p| !p).collect(),
+            vecs,
+        }
+    }
+
+    pub(crate) fn layout(&self) -> BcmLayout {
+        BcmLayout::new(self.c_in, self.c_out, self.k, self.bs)
+    }
+
+    pub(crate) fn pruned(&self) -> Vec<bool> {
+        self.live.iter().map(|&l| !l).collect()
+    }
+
+    /// The folded weights, one grid per tap.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the fields are inconsistent (a decoded record never is).
+    pub fn folded(&self) -> ConvBlockCirculant<f32> {
+        self.layout().folded_from(&self.vecs, &self.pruned())
+    }
+
+    /// The folded grid of a 1-tap stack.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `k != 1` or the fields are inconsistent.
+    pub fn folded_grid(&self) -> BlockCirculant<f32> {
+        assert_eq!(self.k, 1, "folded_grid is for 1-tap stacks");
+        self.layout().tap_grid(&self.vecs, &self.pruned(), 0, 0)
+    }
+}
+
 /// The serializable inference state of one layer.
 ///
-/// Produced by [`Layer::snapshot`]; consumed by the codec below. hadaBCM
-/// layers snapshot as [`LayerSnapshot::BcmConv2d`] with their *folded*
-/// defining vectors (`a ⊙ b`), which is exactly the deployed form.
+/// Produced by [`Layer::snapshot`]; consumed by the codec below. Each BCM
+/// variant holds its weights as [`StackSnapshot`]s and no dimension they
+/// already carry. hadaBCM layers snapshot as [`LayerSnapshot::BcmConv2d`]
+/// with their *folded* defining vectors (`a ⊙ b`), which is exactly the
+/// deployed form.
 #[derive(Debug, Clone, PartialEq)]
 pub enum LayerSnapshot {
     /// [`ReLU`].
@@ -128,74 +221,36 @@ pub enum LayerSnapshot {
         var: Vec<f32>,
     },
     /// Block-circulant convolution ([`BcmConv2d`], or a folded
-    /// `HadaBcmConv2d`).
+    /// `HadaBcmConv2d`); channels, kernel and BS live in `weights`.
     BcmConv2d {
-        /// Input channels.
-        c_in: usize,
-        /// Output channels.
-        c_out: usize,
-        /// Square kernel size.
-        kernel: usize,
         /// Stride.
         stride: usize,
         /// Zero padding.
         pad: usize,
-        /// Block size BS.
-        bs: usize,
-        /// Skip index: `true` per block when live.
-        live: Vec<bool>,
-        /// Defining vectors for **all** blocks, flat `[block_count, bs]`
-        /// (pruned blocks are all-zero; the codec drops them on disk).
-        vecs: Vec<f32>,
+        /// The `[c_out, c_in]` grid of every `k×k` tap.
+        weights: StackSnapshot,
     },
-    /// Block-circulant linear ([`BcmLinear`]).
+    /// Block-circulant linear ([`BcmLinear`]): a 1-tap stack.
     BcmLinear {
-        /// Input features.
-        in_features: usize,
-        /// Output features.
-        out_features: usize,
-        /// Block size BS.
-        bs: usize,
-        /// Skip index: `true` per block when live.
-        live: Vec<bool>,
-        /// Defining vectors for all blocks, flat `[block_count, bs]`.
-        vecs: Vec<f32>,
+        /// The `[out, in]` stack.
+        weights: StackSnapshot,
         /// Bias, `[out]`.
         bias: Vec<f32>,
     },
     /// Block-circulant LSTM ([`BcmLstm`]): one fused `[4H, F+H]` gate
-    /// matrix over `[x_t; h_{t−1}]`, gate order `i, f, g, o`.
+    /// stack over `[x_t; h_{t−1}]`, gate order `i, f, g, o`.
     BcmLstm {
-        /// Input features F.
-        in_features: usize,
-        /// Hidden size H.
-        hidden: usize,
-        /// Block size BS.
-        bs: usize,
-        /// Skip index over the fused grid: `true` per block when live.
-        live: Vec<bool>,
-        /// Defining vectors for all blocks, flat `[block_count, bs]`.
-        vecs: Vec<f32>,
+        /// The fused `[4H, F+H]` gate stack.
+        gates: StackSnapshot,
         /// Gate bias, `[4H]`.
         bias: Vec<f32>,
     },
-    /// Block-circulant GRU ([`BcmGru`]): input stack `[3H, F]` and
-    /// recurrent stack `[3H, H]`, gate order `r, z, n`.
+    /// Block-circulant GRU ([`BcmGru`]), gate order `r, z, n`.
     BcmGru {
-        /// Input features F.
-        in_features: usize,
-        /// Hidden size H.
-        hidden: usize,
-        /// Block size BS.
-        bs: usize,
-        /// Input-stack skip index.
-        w_live: Vec<bool>,
-        /// Input-stack defining vectors, flat `[block_count, bs]`.
-        w_vecs: Vec<f32>,
-        /// Recurrent-stack skip index.
-        u_live: Vec<bool>,
-        /// Recurrent-stack defining vectors, flat `[block_count, bs]`.
-        u_vecs: Vec<f32>,
+        /// Input stack `[3H, F]`.
+        w: StackSnapshot,
+        /// Recurrent stack `[3H, H]`.
+        u: StackSnapshot,
         /// Input-side bias, `[3H]`.
         bias_w: Vec<f32>,
         /// Recurrent-side bias, `[3H]`.
@@ -204,22 +259,12 @@ pub enum LayerSnapshot {
     /// BCM-projected self-attention ([`BcmAttention`]): three `[D, D]`
     /// projection stacks.
     BcmAttention {
-        /// Feature dimension D.
-        dim: usize,
-        /// Block size BS.
-        bs: usize,
-        /// Query-stack skip index.
-        q_live: Vec<bool>,
-        /// Query-stack defining vectors.
-        q_vecs: Vec<f32>,
-        /// Key-stack skip index.
-        k_live: Vec<bool>,
-        /// Key-stack defining vectors.
-        k_vecs: Vec<f32>,
-        /// Value-stack skip index.
-        v_live: Vec<bool>,
-        /// Value-stack defining vectors.
-        v_vecs: Vec<f32>,
+        /// Query stack.
+        q: StackSnapshot,
+        /// Key stack.
+        k: StackSnapshot,
+        /// Value stack.
+        v: StackSnapshot,
     },
     /// [`ResidualBlock`] with recursive sublayer snapshots.
     Residual {
@@ -261,80 +306,21 @@ impl LayerSnapshot {
                 var,
             } => Box::new(BatchNorm2d::from_parts(gamma, beta, mean, var)),
             LayerSnapshot::BcmConv2d {
-                c_in,
-                c_out,
-                kernel,
                 stride,
                 pad,
-                bs,
-                live,
-                vecs,
-            } => Box::new(BcmConv2d::from_parts(
-                c_in, c_out, kernel, stride, pad, bs, vecs, &live,
-            )),
-            LayerSnapshot::BcmLinear {
-                in_features,
-                out_features,
-                bs,
-                live,
-                vecs,
-                bias,
-            } => Box::new(BcmLinear::from_parts(
-                in_features,
-                out_features,
-                bs,
-                vecs,
-                bias,
-                &live,
-            )),
-            LayerSnapshot::BcmLstm {
-                in_features,
-                hidden,
-                bs,
-                live,
-                vecs,
-                bias,
-            } => Box::new(BcmLstm::from_parts(
-                in_features,
-                hidden,
-                bs,
-                vecs,
-                bias,
-                &live,
-            )),
+                weights,
+            } => Box::new(BcmConv2d::from_parts(stride, pad, weights)),
+            LayerSnapshot::BcmLinear { weights, bias } => {
+                Box::new(BcmLinear::from_parts(weights, bias))
+            }
+            LayerSnapshot::BcmLstm { gates, bias } => Box::new(BcmLstm::from_parts(gates, bias)),
             LayerSnapshot::BcmGru {
-                in_features,
-                hidden,
-                bs,
-                w_live,
-                w_vecs,
-                u_live,
-                u_vecs,
+                w,
+                u,
                 bias_w,
                 bias_u,
-            } => Box::new(BcmGru::from_parts(
-                in_features,
-                hidden,
-                bs,
-                w_vecs,
-                &w_live,
-                u_vecs,
-                &u_live,
-                bias_w,
-                bias_u,
-            )),
-            LayerSnapshot::BcmAttention {
-                dim,
-                bs,
-                q_live,
-                q_vecs,
-                k_live,
-                k_vecs,
-                v_live,
-                v_vecs,
-            } => Box::new(BcmAttention::from_parts(
-                dim, bs, q_vecs, &q_live, k_vecs, &k_live, v_vecs, &v_live,
-            )),
+            } => Box::new(BcmGru::from_parts(w, u, bias_w, bias_u)),
+            LayerSnapshot::BcmAttention { q, k, v } => Box::new(BcmAttention::from_parts(q, k, v)),
             LayerSnapshot::Residual {
                 name,
                 main,
@@ -406,31 +392,24 @@ fn put_str(out: &mut Vec<u8>, s: &str) {
     out.extend_from_slice(s.as_bytes());
 }
 
-/// Bit-packs the live bitmap LSB-first (bit set = live), matching the
-/// hwsim skip-index packing.
-fn put_bitmap(out: &mut Vec<u8>, live: &[bool]) {
+/// Writes a stack's skip index — `u32` bit count, then the bits packed
+/// LSB-first (bit set = live), matching the hwsim skip-index packing —
+/// followed by the live blocks' defining vectors (pruned ones are
+/// omitted). The stack's dimensions belong to its layer's header.
+fn put_stack(out: &mut Vec<u8>, stack: &StackSnapshot) {
+    let (live, bs) = (&stack.live, stack.bs);
+    assert_eq!(stack.vecs.len(), live.len() * bs, "defining-vector layout");
     put_u32(out, live.len());
-    let mut byte = 0u8;
-    for (i, &l) in live.iter().enumerate() {
-        if l {
-            byte |= 1 << (i % 8);
-        }
-        if i % 8 == 7 {
-            out.push(byte);
-            byte = 0;
-        }
-    }
-    if !live.len().is_multiple_of(8) {
+    for chunk in live.chunks(8) {
+        let byte = chunk
+            .iter()
+            .enumerate()
+            .fold(0u8, |b, (i, &l)| b | (u8::from(l) << i));
         out.push(byte);
     }
-}
-
-/// Appends the live blocks' defining vectors (pruned ones are omitted).
-fn put_live_vecs(out: &mut Vec<u8>, vecs: &[f32], live: &[bool], bs: usize) {
-    assert_eq!(vecs.len(), live.len() * bs, "defining-vector layout");
     for (blk, &l) in live.iter().enumerate() {
         if l {
-            put_f32s(out, &vecs[blk * bs..(blk + 1) * bs]);
+            put_f32s(out, &stack.vecs[blk * bs..(blk + 1) * bs]);
         }
     }
 }
@@ -483,92 +462,54 @@ fn encode_snapshot(out: &mut Vec<u8>, snap: &LayerSnapshot) {
             }
         }
         LayerSnapshot::BcmConv2d {
-            c_in,
-            c_out,
-            kernel,
             stride,
             pad,
-            bs,
-            live,
-            vecs,
+            weights: w,
         } => {
             out.push(TAG_BCM_CONV);
-            for d in [c_in, c_out, kernel, stride, pad, bs] {
-                put_u32(out, *d);
+            for d in [w.c_in, w.c_out, w.k, *stride, *pad, w.bs] {
+                put_u32(out, d);
             }
-            put_bitmap(out, live);
-            put_live_vecs(out, vecs, live, *bs);
+            put_stack(out, w);
         }
-        LayerSnapshot::BcmLinear {
-            in_features,
-            out_features,
-            bs,
-            live,
-            vecs,
-            bias,
-        } => {
+        LayerSnapshot::BcmLinear { weights: w, bias } => {
             out.push(TAG_BCM_LINEAR);
-            for d in [in_features, out_features, bs] {
-                put_u32(out, *d);
+            for d in [w.c_in, w.c_out, w.bs] {
+                put_u32(out, d);
             }
-            put_bitmap(out, live);
-            put_live_vecs(out, vecs, live, *bs);
+            put_stack(out, w);
             put_f32s(out, bias);
         }
-        LayerSnapshot::BcmLstm {
-            in_features,
-            hidden,
-            bs,
-            live,
-            vecs,
-            bias,
-        } => {
+        LayerSnapshot::BcmLstm { gates, bias } => {
             out.push(TAG_LSTM);
-            for d in [in_features, hidden, bs] {
-                put_u32(out, *d);
+            let hidden = gates.c_out / 4;
+            for d in [gates.c_in - hidden, hidden, gates.bs] {
+                put_u32(out, d);
             }
-            put_bitmap(out, live);
-            put_live_vecs(out, vecs, live, *bs);
+            put_stack(out, gates);
             put_f32s(out, bias);
         }
         LayerSnapshot::BcmGru {
-            in_features,
-            hidden,
-            bs,
-            w_live,
-            w_vecs,
-            u_live,
-            u_vecs,
+            w,
+            u,
             bias_w,
             bias_u,
         } => {
             out.push(TAG_GRU);
-            for d in [in_features, hidden, bs] {
-                put_u32(out, *d);
+            for d in [w.c_in, u.c_in, w.bs] {
+                put_u32(out, d);
             }
-            put_bitmap(out, w_live);
-            put_live_vecs(out, w_vecs, w_live, *bs);
-            put_bitmap(out, u_live);
-            put_live_vecs(out, u_vecs, u_live, *bs);
+            put_stack(out, w);
+            put_stack(out, u);
             put_f32s(out, bias_w);
             put_f32s(out, bias_u);
         }
-        LayerSnapshot::BcmAttention {
-            dim,
-            bs,
-            q_live,
-            q_vecs,
-            k_live,
-            k_vecs,
-            v_live,
-            v_vecs,
-        } => {
+        LayerSnapshot::BcmAttention { q, k, v } => {
             out.push(TAG_ATTENTION);
-            put_u32(out, *dim);
-            put_u32(out, *bs);
-            for (live, vecs) in [(q_live, q_vecs), (k_live, k_vecs), (v_live, v_vecs)] {
-                put_bitmap(out, live);
-                put_live_vecs(out, vecs, live, *bs);
+            put_u32(out, q.c_in);
+            put_u32(out, q.bs);
+            for stack in [q, k, v] {
+                put_stack(out, stack);
             }
         }
         LayerSnapshot::Residual {
@@ -647,21 +588,46 @@ impl<'a> Cursor<'a> {
             .map_err(|_| CheckpointError::Unsupported("non-UTF-8 name".into()))
     }
 
-    fn bitmap(&mut self) -> Result<Vec<bool>, CheckpointError> {
+    /// Reads one stack written by `put_stack` for a layer whose header
+    /// declared `c_in`, `c_out`, `k` and `bs`. The only place a BCM
+    /// shape and skip-index length are validated.
+    fn stack(
+        &mut self,
+        c_in: usize,
+        c_out: usize,
+        k: usize,
+        bs: usize,
+    ) -> Result<StackSnapshot, CheckpointError> {
+        check_layer_dims(&[c_in, c_out, k, bs])?;
+        if !bs.is_power_of_two() || bs < 2 || !c_in.is_multiple_of(bs) || !c_out.is_multiple_of(bs)
+        {
+            return Err(CheckpointError::Unsupported(format!(
+                "BCM shape {c_out}x{c_in} incompatible with BS {bs}"
+            )));
+        }
+        let want = dim_product(&[k, k, c_out / bs, c_in / bs])?;
         let n = self.u32()?;
-        let b = self.take(n.div_ceil(8))?;
-        Ok((0..n).map(|i| b[i / 8] >> (i % 8) & 1 == 1).collect())
-    }
-
-    /// Live-only defining vectors back to the full zero-padded layout.
-    fn live_vecs(&mut self, live: &[bool], bs: usize) -> Result<Vec<f32>, CheckpointError> {
-        let mut vecs = vec![0.0f32; live.len() * bs];
+        if n != want {
+            return Err(CheckpointError::Unsupported(format!(
+                "skip index covers {n} blocks, stack has {want}"
+            )));
+        }
+        let bits = self.take(n.div_ceil(8))?;
+        let live: Vec<bool> = (0..n).map(|i| bits[i / 8] >> (i % 8) & 1 == 1).collect();
+        let mut vecs = vec![0.0f32; dim_product(&[n, bs])?];
         for (blk, &l) in live.iter().enumerate() {
             if l {
                 vecs[blk * bs..(blk + 1) * bs].copy_from_slice(&self.f32s(bs)?);
             }
         }
-        Ok(vecs)
+        Ok(StackSnapshot {
+            c_in,
+            c_out,
+            k,
+            bs,
+            live,
+            vecs,
+        })
     }
 }
 
@@ -670,13 +636,17 @@ fn decode_snapshot(cur: &mut Cursor<'_>) -> Result<LayerSnapshot, CheckpointErro
     Ok(match tag {
         TAG_RELU => LayerSnapshot::Relu,
         TAG_FLATTEN => LayerSnapshot::Flatten,
-        TAG_MAXPOOL => LayerSnapshot::MaxPool { window: cur.u32()? },
+        TAG_MAXPOOL => {
+            let window = cur.u32()?;
+            check_layer_dims(&[window])?;
+            LayerSnapshot::MaxPool { window }
+        }
         TAG_GAP => LayerSnapshot::GlobalAvgPool,
         TAG_CONV => {
             let (c_in, c_out, kernel, stride, pad) =
                 (cur.u32()?, cur.u32()?, cur.u32()?, cur.u32()?, cur.u32()?);
             check_layer_dims(&[c_in, c_out, kernel, stride])?;
-            let weight = cur.f32s(c_out * c_in * kernel * kernel)?;
+            let weight = cur.f32s(dim_product(&[c_out, c_in, kernel, kernel])?)?;
             LayerSnapshot::Conv2d {
                 c_in,
                 c_out,
@@ -689,7 +659,7 @@ fn decode_snapshot(cur: &mut Cursor<'_>) -> Result<LayerSnapshot, CheckpointErro
         TAG_LINEAR => {
             let (in_features, out_features) = (cur.u32()?, cur.u32()?);
             check_layer_dims(&[in_features, out_features])?;
-            let weight = cur.f32s(out_features * in_features)?;
+            let weight = cur.f32s(dim_product(&[out_features, in_features])?)?;
             let bias = cur.f32s(out_features)?;
             LayerSnapshot::Linear {
                 in_features,
@@ -721,141 +691,52 @@ fn decode_snapshot(cur: &mut Cursor<'_>) -> Result<LayerSnapshot, CheckpointErro
                 cur.u32()?,
                 cur.u32()?,
             );
-            check_layer_dims(&[c_in, c_out, kernel, stride, bs])?;
-            check_bcm_shape(c_in, c_out, bs)?;
-            let live = cur.bitmap()?;
-            let want = kernel * kernel * (c_out / bs) * (c_in / bs);
-            if live.len() != want {
-                return Err(CheckpointError::Unsupported(format!(
-                    "skip index covers {} blocks, layer has {want}",
-                    live.len()
-                )));
-            }
-            let vecs = cur.live_vecs(&live, bs)?;
+            check_layer_dims(&[stride])?;
             LayerSnapshot::BcmConv2d {
-                c_in,
-                c_out,
-                kernel,
                 stride,
                 pad,
-                bs,
-                live,
-                vecs,
+                weights: cur.stack(c_in, c_out, kernel, bs)?,
             }
         }
         TAG_BCM_LINEAR => {
             let (in_features, out_features, bs) = (cur.u32()?, cur.u32()?, cur.u32()?);
-            check_layer_dims(&[in_features, out_features, bs])?;
-            check_bcm_shape(in_features, out_features, bs)?;
-            let live = cur.bitmap()?;
-            let want = (out_features / bs) * (in_features / bs);
-            if live.len() != want {
-                return Err(CheckpointError::Unsupported(format!(
-                    "skip index covers {} blocks, layer has {want}",
-                    live.len()
-                )));
-            }
-            let vecs = cur.live_vecs(&live, bs)?;
-            let bias = cur.f32s(out_features)?;
             LayerSnapshot::BcmLinear {
-                in_features,
-                out_features,
-                bs,
-                live,
-                vecs,
-                bias,
+                weights: cur.stack(in_features, out_features, 1, bs)?,
+                bias: cur.f32s(out_features)?,
             }
         }
         TAG_LSTM => {
             let (in_features, hidden, bs) = (cur.u32()?, cur.u32()?, cur.u32()?);
-            check_layer_dims(&[in_features, hidden, bs])?;
-            check_bcm_shape(in_features + hidden, 4 * hidden, bs)?;
-            check_bcm_shape(in_features, hidden, bs)?;
-            let live = cur.bitmap()?;
-            let want = (4 * hidden / bs) * ((in_features + hidden) / bs);
-            if live.len() != want {
+            // F and H are each whole blocks, not just their sum.
+            check_layer_dims(&[in_features])?;
+            if !hidden.is_multiple_of(bs) {
                 return Err(CheckpointError::Unsupported(format!(
-                    "skip index covers {} blocks, layer has {want}",
-                    live.len()
+                    "LSTM hidden size {hidden} not a multiple of BS {bs}"
                 )));
             }
-            let vecs = cur.live_vecs(&live, bs)?;
-            let bias = cur.f32s(4 * hidden)?;
+            let gates_in = in_features.checked_add(hidden).ok_or_else(overflow)?;
+            let gates = cur.stack(gates_in, dim_product(&[4, hidden])?, 1, bs)?;
             LayerSnapshot::BcmLstm {
-                in_features,
-                hidden,
-                bs,
-                live,
-                vecs,
-                bias,
+                bias: cur.f32s(gates.c_out)?,
+                gates,
             }
         }
         TAG_GRU => {
             let (in_features, hidden, bs) = (cur.u32()?, cur.u32()?, cur.u32()?);
-            check_layer_dims(&[in_features, hidden, bs])?;
-            check_bcm_shape(in_features, 3 * hidden, bs)?;
-            check_bcm_shape(hidden, 3 * hidden, bs)?;
-            let w_want = (3 * hidden / bs) * (in_features / bs);
-            let u_want = (3 * hidden / bs) * (hidden / bs);
-            let w_live = cur.bitmap()?;
-            if w_live.len() != w_want {
-                return Err(CheckpointError::Unsupported(format!(
-                    "input skip index covers {} blocks, stack has {w_want}",
-                    w_live.len()
-                )));
-            }
-            let w_vecs = cur.live_vecs(&w_live, bs)?;
-            let u_live = cur.bitmap()?;
-            if u_live.len() != u_want {
-                return Err(CheckpointError::Unsupported(format!(
-                    "recurrent skip index covers {} blocks, stack has {u_want}",
-                    u_live.len()
-                )));
-            }
-            let u_vecs = cur.live_vecs(&u_live, bs)?;
-            let bias_w = cur.f32s(3 * hidden)?;
-            let bias_u = cur.f32s(3 * hidden)?;
+            let gates = dim_product(&[3, hidden])?;
             LayerSnapshot::BcmGru {
-                in_features,
-                hidden,
-                bs,
-                w_live,
-                w_vecs,
-                u_live,
-                u_vecs,
-                bias_w,
-                bias_u,
+                w: cur.stack(in_features, gates, 1, bs)?,
+                u: cur.stack(hidden, gates, 1, bs)?,
+                bias_w: cur.f32s(gates)?,
+                bias_u: cur.f32s(gates)?,
             }
         }
         TAG_ATTENTION => {
             let (dim, bs) = (cur.u32()?, cur.u32()?);
-            check_layer_dims(&[dim, bs])?;
-            check_bcm_shape(dim, dim, bs)?;
-            let want = (dim / bs) * (dim / bs);
-            let mut stacks = Vec::with_capacity(3);
-            for which in ["query", "key", "value"] {
-                let live = cur.bitmap()?;
-                if live.len() != want {
-                    return Err(CheckpointError::Unsupported(format!(
-                        "{which} skip index covers {} blocks, stack has {want}",
-                        live.len()
-                    )));
-                }
-                let vecs = cur.live_vecs(&live, bs)?;
-                stacks.push((live, vecs));
-            }
-            let (v_live, v_vecs) = stacks.pop().expect("three stacks");
-            let (k_live, k_vecs) = stacks.pop().expect("three stacks");
-            let (q_live, q_vecs) = stacks.pop().expect("three stacks");
             LayerSnapshot::BcmAttention {
-                dim,
-                bs,
-                q_live,
-                q_vecs,
-                k_live,
-                k_vecs,
-                v_live,
-                v_vecs,
+                q: cur.stack(dim, dim, 1, bs)?,
+                k: cur.stack(dim, dim, 1, bs)?,
+                v: cur.stack(dim, dim, 1, bs)?,
             }
         }
         TAG_RESIDUAL => {
@@ -905,21 +786,15 @@ fn check_layer_dims(dims: &[usize]) -> Result<(), CheckpointError> {
     Ok(())
 }
 
-fn check_bcm_shape(
-    features_in: usize,
-    features_out: usize,
-    bs: usize,
-) -> Result<(), CheckpointError> {
-    if !bs.is_power_of_two()
-        || bs < 2
-        || !features_in.is_multiple_of(bs)
-        || !features_out.is_multiple_of(bs)
-    {
-        return Err(CheckpointError::Unsupported(format!(
-            "BCM shape {features_out}x{features_in} incompatible with BS {bs}"
-        )));
-    }
-    Ok(())
+/// Product of header dimensions, or `Unsupported` when it overflows.
+fn dim_product(dims: &[usize]) -> Result<usize, CheckpointError> {
+    dims.iter()
+        .try_fold(1usize, |acc, &d| acc.checked_mul(d))
+        .ok_or_else(overflow)
+}
+
+fn overflow() -> CheckpointError {
+    CheckpointError::Unsupported("layer dimensions overflow".into())
 }
 
 fn check_stack_len(n: usize) -> Result<(), CheckpointError> {
@@ -986,6 +861,11 @@ pub fn from_bytes(bytes: &[u8]) -> Result<(Network, CheckpointMeta), CheckpointE
     }
     let name = cur.string()?;
     let frac_bits = cur.u8()?;
+    if !FRAC_BITS.contains(&frac_bits) {
+        return Err(CheckpointError::Unsupported(format!(
+            "frac_bits {frac_bits} outside {FRAC_BITS:?}"
+        )));
+    }
     let rank = cur.u8()? as usize;
     let mut input_dims = Vec::with_capacity(rank);
     for _ in 0..rank {
@@ -1239,16 +1119,19 @@ mod tests {
         net
     }
 
+    fn seq_meta() -> CheckpointMeta {
+        CheckpointMeta {
+            input_dims: vec![8, 6, 1],
+            frac_bits: 8,
+        }
+    }
+
     #[test]
     fn sequence_nets_round_trip_bit_identically() {
         let mut net = seq_net(7);
-        let seq_meta = CheckpointMeta {
-            input_dims: vec![8, 6, 1],
-            frac_bits: 8,
-        };
-        let bytes = to_bytes(&net, &seq_meta).unwrap();
+        let bytes = to_bytes(&net, &seq_meta()).unwrap();
         let (mut loaded, got_meta) = from_bytes(&bytes).unwrap();
-        assert_eq!(got_meta, seq_meta);
+        assert_eq!(got_meta, seq_meta());
         assert_eq!(loaded.layers().len(), 4);
         let mut rng = StdRng::seed_from_u64(43);
         let x: Tensor<f32> = init::gaussian(&mut rng, &[2, 8, 6, 1], 0.0, 1.0);
@@ -1257,24 +1140,33 @@ mod tests {
         assert_eq!(loaded.folded_param_count(), net.folded_param_count());
     }
 
-    #[test]
-    fn attention_round_trips_bit_identically() {
-        let mut rng = StdRng::seed_from_u64(8);
+    /// LSTM -> attention -> pool -> head, some blocks pruned.
+    fn attention_net(rng: &mut StdRng) -> Network {
         let mut net = Network::new(
             "attn",
             vec![
-                Box::new(BcmLstm::new(&mut rng, 4, 8, 4)) as Box<dyn Layer>,
-                Box::new(BcmAttention::new(&mut rng, 8, 4)),
+                Box::new(BcmLstm::new(rng, 4, 8, 4)) as Box<dyn Layer>,
+                Box::new(BcmAttention::new(rng, 8, 4)),
                 Box::new(GlobalAvgPool::new()),
-                Box::new(Linear::new(&mut rng, 8, 2)),
+                Box::new(Linear::new(rng, 8, 2)),
             ],
         );
         net.bcm_eliminate(&[2, 8, 14]);
-        let seq_meta = CheckpointMeta {
+        net
+    }
+
+    fn attention_meta() -> CheckpointMeta {
+        CheckpointMeta {
             input_dims: vec![4, 5, 1],
             frac_bits: 8,
-        };
-        let bytes = to_bytes(&net, &seq_meta).unwrap();
+        }
+    }
+
+    #[test]
+    fn attention_round_trips_bit_identically() {
+        let mut rng = StdRng::seed_from_u64(8);
+        let mut net = attention_net(&mut rng);
+        let bytes = to_bytes(&net, &attention_meta()).unwrap();
         let (mut loaded, _) = from_bytes(&bytes).unwrap();
         let x: Tensor<f32> = init::gaussian(&mut rng, &[2, 4, 5, 1], 0.0, 1.0);
         assert_bit_identical(&net.forward(&x, false), &loaded.forward(&x, false));
@@ -1322,5 +1214,114 @@ mod tests {
             }
         }
         assert!(rejected > 0, "no corruption was ever detected");
+    }
+
+    /// A lone hadaBCM conv with pruned blocks: its record is the folded
+    /// `a ⊙ b` stack.
+    fn hada_net() -> Network {
+        let mut rng = StdRng::seed_from_u64(11);
+        let mut net = Network::new(
+            "hada",
+            vec![Box::new(HadaBcmConv2d::new(&mut rng, 8, 8, 3, 1, 1, 4))],
+        );
+        net.bcm_eliminate(&[1, 6, 11, 30]);
+        net
+    }
+
+    /// Format referee: the encoder's bytes for one net of each record
+    /// family, pinned by FNV-1a. The round-trip tests compare the codec
+    /// only with itself; these values catch any change to the layout.
+    #[test]
+    fn on_disk_bytes_are_pinned() {
+        let mut rng = StdRng::seed_from_u64(8);
+        let cases = [
+            (
+                "mixed",
+                to_bytes(&mixed_net(0), &meta()),
+                0xa227_42df_f753_66a2,
+            ),
+            (
+                "seq",
+                to_bytes(&seq_net(7), &seq_meta()),
+                0x6836_990b_360f_c7ef,
+            ),
+            (
+                "attention",
+                to_bytes(&attention_net(&mut rng), &attention_meta()),
+                0x5add_efe3_8fe3_cc58,
+            ),
+            (
+                "hada",
+                to_bytes(&hada_net(), &meta()),
+                0x389c_5425_9194_2916,
+            ),
+        ];
+        for (name, bytes, want) in cases {
+            let got = telemetry::fnv::fnv1a(&bytes.unwrap());
+            assert_eq!(got, want, "{name}: on-disk bytes changed ({got:#018x})");
+        }
+    }
+
+    /// The bytes of a checkpoint header declaring one layer record.
+    fn one_layer_header(frac_bits: u8) -> Vec<u8> {
+        let mut out = MAGIC.to_vec();
+        out.extend_from_slice(&VERSION.to_le_bytes());
+        put_str(&mut out, "crafted");
+        out.push(frac_bits);
+        out.push(1);
+        put_u32(&mut out, 16);
+        put_u32(&mut out, 1);
+        out
+    }
+
+    #[test]
+    fn crafted_records_are_rejected_not_panicked() {
+        let record = |tag: u8, dims: &[u32]| {
+            let mut out = one_layer_header(8);
+            out.push(tag);
+            for d in dims {
+                out.extend_from_slice(&d.to_le_bytes());
+            }
+            out
+        };
+        let max = u32::MAX;
+        let crafted = [
+            ("maxpool window 0", record(TAG_MAXPOOL, &[0])),
+            (
+                "conv u32::MAX dims",
+                record(TAG_CONV, &[max, max, max, 1, 0]),
+            ),
+            (
+                "bcm conv block count overflow",
+                record(TAG_BCM_CONV, &[1 << 31, 1 << 31, max, 1, 0, 2]),
+            ),
+        ];
+        for (what, bytes) in crafted {
+            assert!(
+                matches!(from_bytes(&bytes), Err(CheckpointError::Unsupported(_))),
+                "{what}"
+            );
+        }
+    }
+
+    #[test]
+    fn frac_bits_outside_the_q_format_range_are_rejected() {
+        for frac_bits in [0u8, 16, 255] {
+            let bytes = to_bytes(
+                &seq_net(7),
+                &CheckpointMeta {
+                    frac_bits,
+                    ..seq_meta()
+                },
+            )
+            .unwrap();
+            assert!(
+                matches!(from_bytes(&bytes), Err(CheckpointError::Unsupported(_))),
+                "frac_bits {frac_bits}"
+            );
+        }
+        let mut ok = one_layer_header(15);
+        ok.push(TAG_RELU);
+        assert!(from_bytes(&ok).is_ok());
     }
 }

@@ -18,6 +18,7 @@
 //! `params_mut` (and so `Network::sync_params_from`) goes through — drops
 //! both. A stale expansion is therefore unrepresentable.
 
+use crate::layers::checkpoint::StackSnapshot;
 use crate::layers::Param;
 use crate::optim::SgdUpdate;
 use circulant::{BlockCirculant, CirculantMatrix, ConvBlockCirculant};
@@ -131,7 +132,13 @@ impl BcmLayout {
     }
 
     /// The folded grid of tap `(p, q)`: zero circulants at pruned blocks.
-    fn tap_grid(&self, vecs: &[f32], pruned: &[bool], p: usize, q: usize) -> BlockCirculant<f32> {
+    pub(crate) fn tap_grid(
+        &self,
+        vecs: &[f32],
+        pruned: &[bool],
+        p: usize,
+        q: usize,
+    ) -> BlockCirculant<f32> {
         let blocks = (0..self.out_blocks * self.in_blocks)
             .map(|g| {
                 let (bo, bi) = (g / self.in_blocks, g % self.in_blocks);
@@ -196,22 +203,27 @@ impl GateStack {
         Self::with_vecs(layout, vecs, vec![false; layout.block_count()])
     }
 
-    /// Rebuilds a stack from checkpointed parts: `vecs` is the full
-    /// `[block_count, bs]` defining-vector layout (zeros at pruned blocks)
-    /// and `live` the skip index.
-    pub(crate) fn from_parts(
-        c_in: usize,
-        c_out: usize,
-        k: usize,
-        bs: usize,
-        vecs: Vec<f32>,
-        live: &[bool],
-    ) -> Self {
-        let layout = BcmLayout::new(c_in, c_out, k, bs);
-        assert_eq!(live.len(), layout.block_count(), "skip index length");
-        assert_eq!(vecs.len(), layout.block_count() * bs, "defining vectors");
-        let vecs = Tensor::from_vec(vecs, &[layout.block_count(), bs]);
-        Self::with_vecs(layout, vecs, live.iter().map(|&l| !l).collect())
+    /// Rebuilds a stack from its checkpoint record.
+    ///
+    /// # Panics
+    ///
+    /// As [`BcmLayout::new`], or if the skip index or vectors do not
+    /// cover the layout's blocks.
+    pub(crate) fn from_snapshot(snap: StackSnapshot) -> Self {
+        let layout = snap.layout();
+        assert_eq!(snap.live.len(), layout.block_count(), "skip index length");
+        let pruned = snap.pruned();
+        let vecs = Tensor::from_vec(snap.vecs, &[layout.block_count(), layout.bs]);
+        Self::with_vecs(layout, vecs, pruned)
+    }
+
+    /// The stack's checkpoint record.
+    pub(crate) fn snapshot(&self) -> StackSnapshot {
+        StackSnapshot::new(
+            &self.layout,
+            self.vecs.value.as_slice().to_vec(),
+            &self.pruned,
+        )
     }
 
     fn with_vecs(layout: BcmLayout, vecs: Tensor<f32>, pruned: Vec<bool>) -> Self {

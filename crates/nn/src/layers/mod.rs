@@ -19,7 +19,6 @@ pub use attention::BcmAttention;
 pub use bcm::{BcmConv2d, BcmLayer, HadaBcmConv2d};
 pub use bcmlinear::BcmLinear;
 pub use conv::Conv2d;
-pub(crate) use gates::GateStack;
 pub use linear::Linear;
 pub use network::{Network, ResidualBlock};
 pub use norm::BatchNorm2d;

@@ -21,6 +21,7 @@
 //! [`crate::seq`], which makes a batched eval forward bit-identical to
 //! the step-at-a-time [`crate::seq::SeqRunner`] the serving tier uses.
 
+use crate::layers::checkpoint::{LayerSnapshot, StackSnapshot};
 use crate::layers::gates::GateStack;
 use crate::layers::{BcmLayer, Layer, Param};
 use crate::optim::SgdUpdate;
@@ -149,22 +150,17 @@ impl BcmLstm {
         }
     }
 
-    /// Rebuilds from checkpointed parts (`vecs` in the full zero-padded
-    /// layout, `live` the skip index over the fused `[4H, F+H]` grid).
-    pub(crate) fn from_parts(
-        in_features: usize,
-        hidden: usize,
-        bs: usize,
-        vecs: Vec<f32>,
-        bias: Vec<f32>,
-        live: &[bool],
-    ) -> Self {
+    /// Rebuilds from its checkpoint record: the fused `[4H, F+H]` gate
+    /// stack and the `[4H]` bias.
+    pub(crate) fn from_parts(gates: StackSnapshot, bias: Vec<f32>) -> Self {
+        let hidden = gates.c_out / 4;
+        let (in_features, bs) = (gates.c_in - hidden, gates.bs);
         assert_eq!(bias.len(), 4 * hidden, "bias length");
         BcmLstm {
             name: format!("bcmlstm{in_features}x{hidden}bs{bs}"),
             in_features,
             hidden,
-            gates: GateStack::from_parts(in_features + hidden, 4 * hidden, 1, bs, vecs, live),
+            gates: GateStack::from_snapshot(gates),
             bias: Param::new(Tensor::from_vec(bias, &[4 * hidden])),
             cache: None,
         }
@@ -330,13 +326,9 @@ impl Layer for BcmLstm {
         Some(self)
     }
 
-    fn snapshot(&self) -> Option<crate::layers::checkpoint::LayerSnapshot> {
-        Some(crate::layers::checkpoint::LayerSnapshot::BcmLstm {
-            in_features: self.in_features,
-            hidden: self.hidden,
-            bs: self.gates.block_size(),
-            live: self.gates.skip_index(),
-            vecs: self.gates.vecs().value.as_slice().to_vec(),
+    fn snapshot(&self) -> Option<LayerSnapshot> {
+        Some(LayerSnapshot::BcmLstm {
+            gates: self.gates.snapshot(),
             bias: self.bias.value.as_slice().to_vec(),
         })
     }
@@ -442,27 +434,23 @@ impl BcmGru {
         }
     }
 
-    /// Rebuilds from checkpointed parts.
-    #[allow(clippy::too_many_arguments)]
+    /// Rebuilds from its checkpoint record: input stack `[3H, F]`,
+    /// recurrent stack `[3H, H]` and their `[3H]` biases.
     pub(crate) fn from_parts(
-        in_features: usize,
-        hidden: usize,
-        bs: usize,
-        w_vecs: Vec<f32>,
-        w_live: &[bool],
-        u_vecs: Vec<f32>,
-        u_live: &[bool],
+        w: StackSnapshot,
+        u: StackSnapshot,
         bias_w: Vec<f32>,
         bias_u: Vec<f32>,
     ) -> Self {
+        let (in_features, hidden, bs) = (w.c_in, u.c_in, w.bs);
         assert_eq!(bias_w.len(), 3 * hidden, "input bias length");
         assert_eq!(bias_u.len(), 3 * hidden, "recurrent bias length");
         BcmGru {
             name: format!("bcmgru{in_features}x{hidden}bs{bs}"),
             in_features,
             hidden,
-            w: GateStack::from_parts(in_features, 3 * hidden, 1, bs, w_vecs, w_live),
-            u: GateStack::from_parts(hidden, 3 * hidden, 1, bs, u_vecs, u_live),
+            w: GateStack::from_snapshot(w),
+            u: GateStack::from_snapshot(u),
             bias_w: Param::new(Tensor::from_vec(bias_w, &[3 * hidden])),
             bias_u: Param::new(Tensor::from_vec(bias_u, &[3 * hidden])),
             cache: None,
@@ -661,15 +649,10 @@ impl Layer for BcmGru {
         Some(self)
     }
 
-    fn snapshot(&self) -> Option<crate::layers::checkpoint::LayerSnapshot> {
-        Some(crate::layers::checkpoint::LayerSnapshot::BcmGru {
-            in_features: self.in_features,
-            hidden: self.hidden,
-            bs: self.w.block_size(),
-            w_live: self.w.skip_index(),
-            w_vecs: self.w.vecs().value.as_slice().to_vec(),
-            u_live: self.u.skip_index(),
-            u_vecs: self.u.vecs().value.as_slice().to_vec(),
+    fn snapshot(&self) -> Option<LayerSnapshot> {
+        Some(LayerSnapshot::BcmGru {
+            w: self.w.snapshot(),
+            u: self.u.snapshot(),
             bias_w: self.bias_w.value.as_slice().to_vec(),
             bias_u: self.bias_u.value.as_slice().to_vec(),
         })

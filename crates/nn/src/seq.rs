@@ -22,7 +22,7 @@
 //! state server-side, and advances one timestep per `session_step`.
 
 use crate::layers::checkpoint::LayerSnapshot;
-use crate::layers::{GateStack, Network};
+use crate::layers::Network;
 use circulant::BlockCirculant;
 
 /// Logistic sigmoid — the gate nonlinearity of both cells.
@@ -195,6 +195,46 @@ impl Head {
     }
 }
 
+/// Read-only view of one [`SeqRunner`] cell's weights (no state), for
+/// mirroring the runner on another datapath: the serving tier quantizes
+/// its fixed-point stepper from these.
+#[derive(Debug, Clone, Copy)]
+pub enum CellWeights<'a> {
+    /// LSTM over `[x; h]`.
+    Lstm {
+        /// Folded `[4H, F+H]` gate grid.
+        grid: &'a BlockCirculant<f32>,
+        /// Gate bias, `[4H]`.
+        bias: &'a [f32],
+        /// Input features F.
+        in_features: usize,
+    },
+    /// GRU with separate input and recurrent grids.
+    Gru {
+        /// Folded `[3H, F]` input grid.
+        w: &'a BlockCirculant<f32>,
+        /// Folded `[3H, H]` recurrent grid.
+        u: &'a BlockCirculant<f32>,
+        /// Input-side bias, `[3H]`.
+        bias_w: &'a [f32],
+        /// Recurrent-side bias, `[3H]`.
+        bias_u: &'a [f32],
+    },
+}
+
+/// Read-only view of a [`SeqRunner`]'s dense per-step head.
+#[derive(Debug, Clone, Copy)]
+pub struct HeadWeights<'a> {
+    /// Weight, flat `[out, in]`.
+    pub weight: &'a [f32],
+    /// Bias, `[out]`.
+    pub bias: &'a [f32],
+    /// Input features (the last cell's hidden size).
+    pub in_features: usize,
+    /// Output features.
+    pub out_features: usize,
+}
+
 /// A step-at-a-time evaluator of a recurrent checkpoint: the streaming
 /// form the serving tier pins per session.
 ///
@@ -235,42 +275,27 @@ impl SeqRunner {
                 ));
             }
             match snap {
-                LayerSnapshot::BcmLstm {
-                    in_features,
-                    hidden,
-                    bs,
-                    live,
-                    vecs,
-                    bias,
-                } => {
-                    let grid =
-                        GateStack::from_parts(in_features + hidden, 4 * hidden, 1, bs, vecs, &live)
-                            .folded_grid();
+                LayerSnapshot::BcmLstm { gates, bias } => {
+                    let hidden = gates.c_out / 4;
+                    let grid = gates.folded_grid();
                     grid.prepare_spectra();
                     cells.push(Cell::Lstm {
                         grid,
                         bias,
-                        in_features,
+                        in_features: gates.c_in - hidden,
                         hidden,
                         h: vec![0.0; hidden],
                         c: vec![0.0; hidden],
                     });
                 }
                 LayerSnapshot::BcmGru {
-                    in_features,
-                    hidden,
-                    bs,
-                    w_live,
-                    w_vecs,
-                    u_live,
-                    u_vecs,
+                    w,
+                    u,
                     bias_w,
                     bias_u,
                 } => {
-                    let w = GateStack::from_parts(in_features, 3 * hidden, 1, bs, w_vecs, &w_live)
-                        .folded_grid();
-                    let u = GateStack::from_parts(hidden, 3 * hidden, 1, bs, u_vecs, &u_live)
-                        .folded_grid();
+                    let (in_features, hidden) = (w.c_in, u.c_in);
+                    let (w, u) = (w.folded_grid(), u.folded_grid());
                     w.prepare_spectra();
                     u.prepare_spectra();
                     cells.push(Cell::Gru {
@@ -333,6 +358,44 @@ impl SeqRunner {
             cells,
             head,
             steps: 0,
+        })
+    }
+
+    /// The cells' weights, input side first.
+    pub fn cell_weights(&self) -> impl Iterator<Item = CellWeights<'_>> {
+        self.cells.iter().map(|cell| match cell {
+            Cell::Lstm {
+                grid,
+                bias,
+                in_features,
+                ..
+            } => CellWeights::Lstm {
+                grid,
+                bias,
+                in_features: *in_features,
+            },
+            Cell::Gru {
+                w,
+                u,
+                bias_w,
+                bias_u,
+                ..
+            } => CellWeights::Gru {
+                w,
+                u,
+                bias_w,
+                bias_u,
+            },
+        })
+    }
+
+    /// The head's weights, when the stack ends in a dense `Linear`.
+    pub fn head_weights(&self) -> Option<HeadWeights<'_>> {
+        self.head.as_ref().map(|h| HeadWeights {
+            weight: &h.w,
+            bias: &h.bias,
+            in_features: h.in_features,
+            out_features: h.out_features,
         })
     }
 

@@ -88,19 +88,15 @@ impl FxModel {
             match layer.snapshot()? {
                 LayerSnapshot::Relu => stages.push(FxStage::Relu),
                 LayerSnapshot::BcmConv2d {
-                    c_in,
-                    c_out,
-                    kernel,
                     stride,
                     pad,
-                    ..
+                    weights,
                 } => {
-                    if c_in != channels || stride != 1 || pad != (kernel - 1) / 2 {
+                    if weights.c_in != channels || stride != 1 || pad != (weights.k - 1) / 2 {
                         return None;
                     }
-                    let folded = layer.bcm()?.folded();
-                    stages.push(FxStage::Conv(FxWeights::from_folded(q, &folded)));
-                    channels = c_out;
+                    stages.push(FxStage::Conv(FxWeights::from_folded(q, &weights.folded())));
+                    channels = weights.c_out;
                 }
                 _ => return None,
             }

@@ -9,7 +9,8 @@
 //!   shared-cell-math contract proven in `nn::seq`);
 //! - **fixed-point** — [`FxSeqRunner`] below, a stack of
 //!   [`hwsim::FxLstmCell`] / [`hwsim::FxGruCell`] cells plus an optional
-//!   [`hwsim::FxLinear`] head, rebuilt from the same layer snapshots.
+//!   [`hwsim::FxLinear`] head, quantized from the float stepper's
+//!   folded weights.
 //!   The fx cells are pure functions of quantized state and input, so a
 //!   streamed replay is trivially bit-identical to an offline fold of
 //!   the same step sequence.
@@ -25,11 +26,10 @@
 //! the entry that the session pinned, giving hot-swap isolation for
 //! free.
 
-use circulant::{BlockCirculant, CirculantMatrix, ConvBlockCirculant};
+use circulant::{BlockCirculant, ConvBlockCirculant};
 use hwsim::inference::FxWeights;
 use hwsim::{FxGruCell, FxLinear, FxLstmCell, QFormat};
-use nn::layers::checkpoint::LayerSnapshot;
-use nn::seq::SeqRunner;
+use nn::seq::{CellWeights, SeqRunner};
 use nn::{CheckpointMeta, Network};
 
 /// One fixed-point recurrent cell of an [`FxSeqRunner`].
@@ -69,30 +69,10 @@ impl FxCell {
     }
 }
 
-/// Quantizes one checkpointed BCM grid (defining vectors + skip index)
-/// into the eMAC spectra form the fx cells consume.
-fn fx_weights(
-    q: QFormat,
-    bs: usize,
-    out_blocks: usize,
-    in_blocks: usize,
-    vecs: &[f32],
-    live: &[bool],
-) -> FxWeights {
-    let blocks = live
-        .iter()
-        .enumerate()
-        .map(|(blk, &l)| {
-            if l {
-                CirculantMatrix::new(vecs[blk * bs..(blk + 1) * bs].to_vec())
-            } else {
-                CirculantMatrix::zeros(bs)
-            }
-        })
-        .collect();
-    let grid = BlockCirculant::from_blocks(bs, out_blocks, in_blocks, blocks);
-    grid.prepare_spectra();
-    FxWeights::from_folded(q, &ConvBlockCirculant::from_grids(1, 1, vec![grid]))
+/// Quantizes one folded float gate grid into the eMAC spectra form the
+/// fx cells consume.
+fn quantize_grid(q: QFormat, grid: &BlockCirculant<f32>) -> FxWeights {
+    FxWeights::from_folded(q, &ConvBlockCirculant::from_grids(1, 1, vec![grid.clone()]))
 }
 
 /// The fixed-point streaming stepper: the "FPGA mode" twin of
@@ -107,100 +87,40 @@ pub struct FxSeqRunner {
 }
 
 impl FxSeqRunner {
-    /// Builds the fx stepper from a network's layer snapshots, quantized
-    /// to the checkpoint's Q-format. Returns `None` when the stack has no
-    /// streaming form (same acceptance rule as [`SeqRunner`]: one or more
-    /// `BcmLstm` / `BcmGru` cells, optional `GlobalAvgPool`, optional
-    /// dense `Linear` head, nothing else).
-    pub(crate) fn build(net: &Network, meta: &CheckpointMeta) -> Option<FxSeqRunner> {
-        let q = QFormat::new(meta.frac_bits as u32);
-        let mut cells: Vec<FxCell> = Vec::new();
-        let mut head: Option<FxLinear> = None;
-        for layer in net.layers() {
-            let snap = layer.snapshot()?;
-            if head.is_some() {
-                return None;
-            }
-            match snap {
-                LayerSnapshot::BcmLstm {
-                    in_features,
-                    hidden,
-                    bs,
-                    live,
-                    vecs,
+    /// Quantizes the float stepper `runner` (its weights, not its state)
+    /// to `q`: the same cells, grids and head on the fixed-point datapath.
+    pub(crate) fn quantize(runner: &SeqRunner, q: QFormat) -> FxSeqRunner {
+        let cells = runner
+            .cell_weights()
+            .map(|cell| match cell {
+                CellWeights::Lstm {
+                    grid,
                     bias,
-                } => {
-                    let wts = fx_weights(
-                        q,
-                        bs,
-                        4 * hidden / bs,
-                        (in_features + hidden) / bs,
-                        &vecs,
-                        &live,
-                    );
-                    cells.push(FxCell::Lstm(FxLstmCell::new(
-                        q,
-                        wts,
-                        q.quantize_slice(&bias),
-                        in_features,
-                    )));
-                }
-                LayerSnapshot::BcmGru {
                     in_features,
-                    hidden,
-                    bs,
-                    w_live,
-                    w_vecs,
-                    u_live,
-                    u_vecs,
+                } => FxCell::Lstm(FxLstmCell::new(
+                    q,
+                    quantize_grid(q, grid),
+                    q.quantize_slice(bias),
+                    in_features,
+                )),
+                CellWeights::Gru {
+                    w,
+                    u,
                     bias_w,
                     bias_u,
-                } => {
-                    let w = fx_weights(q, bs, 3 * hidden / bs, in_features / bs, &w_vecs, &w_live);
-                    let u = fx_weights(q, bs, 3 * hidden / bs, hidden / bs, &u_vecs, &u_live);
-                    cells.push(FxCell::Gru(FxGruCell::new(
-                        q,
-                        w,
-                        u,
-                        q.quantize_slice(&bias_w),
-                        q.quantize_slice(&bias_u),
-                    )));
-                }
-                LayerSnapshot::GlobalAvgPool => {}
-                LayerSnapshot::Linear {
-                    in_features,
-                    out_features,
-                    weight,
-                    bias,
-                } => {
-                    if cells.is_empty() {
-                        return None;
-                    }
-                    head = Some(FxLinear::quantize(
-                        q,
-                        &weight,
-                        &bias,
-                        out_features,
-                        in_features,
-                    ));
-                }
-                _ => return None,
-            }
-        }
-        if cells.is_empty() {
-            return None;
-        }
-        for pair in cells.windows(2) {
-            if pair[1].in_features() != pair[0].hidden() {
-                return None;
-            }
-        }
-        if let Some(h) = &head {
-            if h.in_features() != cells.last().expect("non-empty").hidden() {
-                return None;
-            }
-        }
-        Some(FxSeqRunner { q, cells, head })
+                } => FxCell::Gru(FxGruCell::new(
+                    q,
+                    quantize_grid(q, w),
+                    quantize_grid(q, u),
+                    q.quantize_slice(bias_w),
+                    q.quantize_slice(bias_u),
+                )),
+            })
+            .collect();
+        let head = runner
+            .head_weights()
+            .map(|h| FxLinear::quantize(q, h.weight, h.bias, h.out_features, h.in_features));
+        FxSeqRunner { q, cells, head }
     }
 
     /// The Q-format the stepper was quantized for.
@@ -343,15 +263,16 @@ impl FxSeqRunnerBatch {
 /// session at `session_open`.
 pub struct SeqModel {
     runner: SeqRunner,
-    fx: Option<FxSeqRunner>,
+    fx: FxSeqRunner,
 }
 
 impl SeqModel {
     /// Builds the templates, or `None` when the stack has no streaming
-    /// form (e.g. a conv stack, or a non-causal attention layer).
+    /// form (e.g. a conv stack, or a non-causal attention layer). The fx
+    /// template is the float one quantized to the checkpoint's Q-format.
     pub(crate) fn build(net: &Network, meta: &CheckpointMeta) -> Option<SeqModel> {
         let runner = SeqRunner::from_network(net).ok()?;
-        let fx = FxSeqRunner::build(net, meta);
+        let fx = FxSeqRunner::quantize(&runner, QFormat::new(u32::from(meta.frac_bits)));
         Some(SeqModel { runner, fx })
     }
 
@@ -365,11 +286,6 @@ impl SeqModel {
         self.runner.output_len()
     }
 
-    /// Whether fixed-point sessions are available on this model.
-    pub fn has_fx(&self) -> bool {
-        self.fx.is_some()
-    }
-
     /// A fresh zero-state float session stepper.
     pub fn new_f32(&self) -> SeqRunner {
         let mut r = self.runner.clone();
@@ -377,13 +293,13 @@ impl SeqModel {
         r
     }
 
-    /// A fresh zero-state fixed-point session stepper, when available.
+    /// A fresh zero-state fixed-point session stepper. Every streamable
+    /// stack has one today; the `Option` leaves room for a float-only
+    /// streaming form.
     pub fn new_fx(&self) -> Option<FxSeqRunner> {
-        self.fx.as_ref().map(|t| {
-            let mut r = t.clone();
-            r.reset();
-            r
-        })
+        let mut r = self.fx.clone();
+        r.reset();
+        Some(r)
     }
 }
 
@@ -391,6 +307,7 @@ impl SeqModel {
 mod tests {
     use super::*;
     use nn::models::{gru_classifier, lstm_classifier, vgg_tiny, ConvMode};
+    use telemetry::fnv::Fnv1a;
 
     fn meta() -> CheckpointMeta {
         CheckpointMeta {
@@ -405,7 +322,6 @@ mod tests {
         let seq = SeqModel::build(&net, &meta()).expect("streamable");
         assert_eq!(seq.input_len(), 8);
         assert_eq!(seq.output_len(), 4);
-        assert!(seq.has_fx());
         let fx = seq.new_fx().unwrap();
         assert_eq!(fx.input_len(), 8);
         assert_eq!(fx.output_len(), 4);
@@ -521,5 +437,56 @@ mod tests {
             decoy.step(&steps[(t + 1) % steps.len()]);
             assert_eq!(streamed.step(x), offline_outs[t], "step {t}");
         }
+    }
+
+    /// A seeded, pruned LSTM -> GRU -> pool -> head stack.
+    fn referee_net() -> Network {
+        use nn::layers::{BcmGru, BcmLstm, GlobalAvgPool, Linear};
+        use rand::SeedableRng;
+        let mut rng = rand::rngs::StdRng::seed_from_u64(19);
+        let mut net = Network::new(
+            "referee",
+            vec![
+                Box::new(BcmLstm::new(&mut rng, 8, 8, 4)),
+                Box::new(BcmGru::new(&mut rng, 8, 8, 4)),
+                Box::new(GlobalAvgPool::new()),
+                Box::new(Linear::new(&mut rng, 8, 3)),
+            ],
+        );
+        net.bcm_eliminate(&[1, 5, 12, 20, 33, 40, 50]);
+        net
+    }
+
+    /// Streaming-weights referee: fingerprints of 8 steps of the float
+    /// and fixed-point steppers, pinned. The gang-vs-scalar tests share
+    /// one set of quantized weights, so only these values catch a change
+    /// in how the templates are built or quantized.
+    #[test]
+    fn streaming_step_fingerprints_are_pinned() {
+        let seq = SeqModel::build(&referee_net(), &meta()).unwrap();
+        let (mut f, mut fx) = (seq.new_f32(), seq.new_fx().unwrap());
+        let q = fx.qformat();
+        let (mut hf, mut hq) = (Fnv1a::new(), Fnv1a::new());
+        for t in 0..8 {
+            let x: Vec<f32> = (0..8).map(|j| ((t * 8 + j) as f32 * 0.37).sin()).collect();
+            for v in f.step(&x) {
+                hf.write_u32(v.to_bits());
+            }
+            for w in fx.step(&q.quantize_slice(&x)) {
+                hq.write_u16(w as u16);
+            }
+        }
+        assert_eq!(
+            hf.finish(),
+            0x0284_e8b4_8046_9835,
+            "float steps {:#018x}",
+            hf.finish()
+        );
+        assert_eq!(
+            hq.finish(),
+            0xf394_8d73_b7ed_1473,
+            "fx steps {:#018x}",
+            hq.finish()
+        );
     }
 }
