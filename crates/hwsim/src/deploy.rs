@@ -3,15 +3,15 @@
 //! After RP-BCM compression, what the accelerator needs per layer is
 //! exactly (paper §IV-A): the pre-computed complex weight spectra
 //! (Fig. 4b), the skip-index bitmap (1 bit/BCM, §IV-B), and the layer
-//! geometry. [`DeployedNetwork`] bundles those, with a versioned
-//! little-endian binary encoding — no external dependencies, stable
-//! across platforms, and a faithful stand-in for the weight files a
-//! Vivado host application would ship.
+//! geometry. That is [`FxWeights`], the one quantized form of a layer
+//! the fixed-point kernels run; a package is a byte encoding of named
+//! [`FxWeights`], so decoding yields executable weights directly. The
+//! encoding is versioned little-endian binary — no external
+//! dependencies, stable across platforms, and a faithful stand-in for
+//! the weight files a Vivado host application would ship.
 
-use crate::fixed::{ComplexFx, QFormat};
+use crate::fixed::ComplexFx;
 use crate::inference::FxWeights;
-use circulant::ConvBlockCirculant;
-use rpbcm::SkipIndexBuffer;
 use std::fmt;
 
 /// Magic bytes prefixing every package ("RPBM").
@@ -19,33 +19,13 @@ pub const MAGIC: [u8; 4] = *b"RPBM";
 /// Encoding version.
 pub const VERSION: u16 = 1;
 
-/// One deployed layer: geometry + quantized spectra + skip bitmap.
-#[derive(Debug, Clone, PartialEq)]
-pub struct DeployedLayer {
-    /// Layer name.
-    pub name: String,
-    /// Block size `BS`.
-    pub bs: u16,
-    /// Square kernel size.
-    pub k: u16,
-    /// Output channel blocks.
-    pub out_blocks: u32,
-    /// Input channel blocks.
-    pub in_blocks: u32,
-    /// Skip bitmap, one bit per BCM (tap-major, out, in).
-    pub skip: Vec<bool>,
-    /// Interleaved `(re, im)` words of every *live* block's `BS/2+1`
-    /// bins, in skip order.
-    pub spectra: Vec<i16>,
-}
-
 /// A whole network ready for the accelerator.
 #[derive(Debug, Clone, PartialEq)]
 pub struct DeployedNetwork {
     /// Activation fixed-point format's fractional bits.
     pub frac_bits: u8,
-    /// Layers in execution order.
-    pub layers: Vec<DeployedLayer>,
+    /// Named layers in execution order.
+    pub layers: Vec<(String, FxWeights)>,
 }
 
 /// Errors decoding a package.
@@ -71,77 +51,37 @@ impl fmt::Display for DecodeError {
 
 impl std::error::Error for DecodeError {}
 
-impl DeployedLayer {
-    /// Builds a deployed layer from folded weights: computes the skip
-    /// bitmap and the quantized frequency-domain weights offline.
-    pub fn from_folded(name: &str, q: QFormat, conv: &ConvBlockCirculant<f32>) -> Self {
-        let skip_buf = SkipIndexBuffer::from_conv(conv);
-        let skip: Vec<bool> = (0..skip_buf.len()).map(|i| skip_buf.get(i)).collect();
-        // Re-derive the per-block spectra in skip order via FxWeights'
-        // public geometry plus a fresh quantization pass (FxWeights keeps
-        // its spectra private; recompute deterministically).
-        let bs = conv.block_size();
-        let (kh, kw) = conv.kernel_dims();
-        let (ob, ib) = conv.grid_dims();
-        let mut spectra = Vec::new();
-        for p in 0..kh {
-            for qq in 0..kw {
-                let grid = conv.grid(p, qq);
-                for bo in 0..ob {
-                    for bi in 0..ib {
-                        let block = grid.block(bo, bi);
-                        if block.is_zero() {
-                            continue;
-                        }
-                        let w64: Vec<f64> = block
-                            .defining_vector()
-                            .iter()
-                            .map(|&v| f64::from(v))
-                            .collect();
-                        let half = fft::real::HalfSpectrum::forward(&w64);
-                        for c in half.bins() {
-                            let fx = ComplexFx::from_f64(q, c.re, c.im);
-                            spectra.push(fx.re);
-                            spectra.push(fx.im);
-                        }
-                    }
-                }
-            }
-        }
-        debug_assert_eq!(skip_buf.live_count() * (bs / 2 + 1) * 2, spectra.len());
-        DeployedLayer {
-            name: name.to_string(),
-            bs: bs as u16,
-            k: kh as u16,
-            out_blocks: ob as u32,
-            in_blocks: ib as u32,
-            skip,
-            spectra,
-        }
+/// Appends one layer record: name, geometry, the bit-packed skip index
+/// (LSB first) and the interleaved `(re, im)` words of the weight stream.
+#[allow(clippy::too_many_arguments)]
+fn put_layer(
+    out: &mut Vec<u8>,
+    name: &str,
+    bs: u16,
+    k: u16,
+    out_blocks: u32,
+    in_blocks: u32,
+    skip: &[bool],
+    bins: &[ComplexFx],
+) {
+    out.extend_from_slice(&(name.len() as u32).to_le_bytes());
+    out.extend_from_slice(name.as_bytes());
+    out.extend_from_slice(&bs.to_le_bytes());
+    out.extend_from_slice(&k.to_le_bytes());
+    out.extend_from_slice(&out_blocks.to_le_bytes());
+    out.extend_from_slice(&in_blocks.to_le_bytes());
+    out.extend_from_slice(&(skip.len() as u32).to_le_bytes());
+    for byte in skip.chunks(8) {
+        out.push(
+            byte.iter()
+                .rev()
+                .fold(0u8, |acc, &b| acc << 1 | u8::from(b)),
+        );
     }
-
-    /// Number of live blocks.
-    pub fn live_count(&self) -> usize {
-        self.skip.iter().filter(|&&b| b).count()
-    }
-
-    /// Reconstructs executable weights from the package — the board-side
-    /// load step. Bit-identical to [`FxWeights::from_folded`] on the same
-    /// source layer and format.
-    pub fn to_fx_weights(&self) -> FxWeights {
-        FxWeights::from_parts(
-            self.bs as usize,
-            self.k as usize,
-            self.out_blocks as usize,
-            self.in_blocks as usize,
-            &self.skip,
-            &self.spectra,
-        )
-    }
-
-    /// On-chip weight footprint in bytes (complex 16-bit pairs).
-    pub fn weight_bytes(&self) -> usize {
-        self.spectra.len() * 2
+    out.extend_from_slice(&((bins.len() * 2) as u32).to_le_bytes());
+    for c in bins {
+        out.extend_from_slice(&c.re.to_le_bytes());
+        out.extend_from_slice(&c.im.to_le_bytes());
     }
 }
 
@@ -153,33 +93,17 @@ impl DeployedNetwork {
         out.extend_from_slice(&VERSION.to_le_bytes());
         out.push(self.frac_bits);
         out.extend_from_slice(&(self.layers.len() as u32).to_le_bytes());
-        for l in &self.layers {
-            let name = l.name.as_bytes();
-            out.extend_from_slice(&(name.len() as u32).to_le_bytes());
-            out.extend_from_slice(name);
-            out.extend_from_slice(&l.bs.to_le_bytes());
-            out.extend_from_slice(&l.k.to_le_bytes());
-            out.extend_from_slice(&l.out_blocks.to_le_bytes());
-            out.extend_from_slice(&l.in_blocks.to_le_bytes());
-            out.extend_from_slice(&(l.skip.len() as u32).to_le_bytes());
-            // Bit-packed skip index, LSB first.
-            let mut byte = 0u8;
-            for (i, &b) in l.skip.iter().enumerate() {
-                if b {
-                    byte |= 1 << (i % 8);
-                }
-                if i % 8 == 7 {
-                    out.push(byte);
-                    byte = 0;
-                }
-            }
-            if l.skip.len() % 8 != 0 {
-                out.push(byte);
-            }
-            out.extend_from_slice(&(l.spectra.len() as u32).to_le_bytes());
-            for &w in &l.spectra {
-                out.extend_from_slice(&w.to_le_bytes());
-            }
+        for (name, l) in &self.layers {
+            put_layer(
+                &mut out,
+                name,
+                l.block_size() as u16,
+                l.kernel() as u16,
+                l.out_blocks() as u32,
+                l.in_blocks() as u32,
+                l.skip(),
+                l.bins(),
+            );
         }
         out
     }
@@ -234,29 +158,37 @@ impl DeployedNetwork {
                 .chunks_exact(2)
                 .map(|c| i16::from_le_bytes(c.try_into().expect("2 bytes")))
                 .collect();
-            // Consistency: the skip bitmap covers k²·out·in blocks, the
-            // block size is one the FFT PE runs (a power of two ≥ 2), and
-            // live blocks × (BS/2+1) × 2 words must match.
+            // Consistency: the kernel is one the fx conv runs (odd, so
+            // "same" padding keeps the map size), the grid is non-empty,
+            // the skip bitmap covers k²·out·in blocks, the block size is
+            // one the FFT PE runs (a power of two ≥ 2), and live blocks ×
+            // (BS/2+1) × 2 words must match.
             let blocks = usize::from(k)
                 .checked_mul(usize::from(k))
                 .and_then(|b| b.checked_mul(out_blocks as usize))
                 .and_then(|b| b.checked_mul(in_blocks as usize));
-            if blocks != Some(skip_len) || bs < 2 || !bs.is_power_of_two() {
+            if k % 2 == 0
+                || out_blocks == 0
+                || in_blocks == 0
+                || blocks != Some(skip_len)
+                || bs < 2
+                || !bs.is_power_of_two()
+            {
                 return Err(DecodeError::Truncated);
             }
             let live = skip.iter().filter(|&&b| b).count();
             if spectra.len() != live * (bs as usize / 2 + 1) * 2 {
                 return Err(DecodeError::Truncated);
             }
-            layers.push(DeployedLayer {
-                name,
-                bs,
-                k,
-                out_blocks,
-                in_blocks,
-                skip,
-                spectra,
-            });
+            let weights = FxWeights::from_parts(
+                usize::from(bs),
+                usize::from(k),
+                out_blocks as usize,
+                in_blocks as usize,
+                &skip,
+                &spectra,
+            );
+            layers.push((name, weights));
         }
         if pos != buf.len() {
             return Err(DecodeError::Truncated);
@@ -266,14 +198,15 @@ impl DeployedNetwork {
 
     /// Total weight payload in bytes.
     pub fn weight_bytes(&self) -> usize {
-        self.layers.iter().map(DeployedLayer::weight_bytes).sum()
+        self.layers.iter().map(|(_, l)| l.weight_bytes()).sum()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use circulant::{BlockCirculant, CirculantMatrix};
+    use crate::fixed::QFormat;
+    use circulant::{BlockCirculant, CirculantMatrix, ConvBlockCirculant};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use tensor::init;
@@ -305,10 +238,68 @@ mod tests {
         DeployedNetwork {
             frac_bits: 8,
             layers: vec![
-                DeployedLayer::from_folded("conv1", q, &conv1),
-                DeployedLayer::from_folded("conv2", q, &conv2),
+                ("conv1".into(), FxWeights::from_folded(q, &conv1)),
+                ("conv2".into(), FxWeights::from_folded(q, &conv2)),
             ],
         }
+    }
+
+    /// One 3×3 layer with every other block (in skip order) pruned.
+    fn half_pruned_3x3() -> DeployedNetwork {
+        let mut conv = folded(3, 8, 2, 2, 3);
+        for p in 0..3 {
+            for qq in 0..3 {
+                for bo in 0..2 {
+                    for bi in 0..2 {
+                        if (p * 3 + qq + bo + bi) % 2 == 1 {
+                            *conv.grid_mut(p, qq).block_mut(bo, bi) = CirculantMatrix::zeros(8);
+                        }
+                    }
+                }
+            }
+        }
+        DeployedNetwork {
+            frac_bits: 10,
+            layers: vec![(
+                "half".into(),
+                FxWeights::from_folded(QFormat::new(10), &conv),
+            )],
+        }
+    }
+
+    /// A package of one layer record with the given raw fields, which
+    /// need not be consistent.
+    #[allow(clippy::too_many_arguments)]
+    fn raw_package(
+        bs: u16,
+        k: u16,
+        out_blocks: u32,
+        in_blocks: u32,
+        skip: &[bool],
+        bins: &[ComplexFx],
+    ) -> Vec<u8> {
+        let mut out = MAGIC.to_vec();
+        out.extend_from_slice(&VERSION.to_le_bytes());
+        out.push(8);
+        out.extend_from_slice(&1u32.to_le_bytes());
+        put_layer(&mut out, "l", bs, k, out_blocks, in_blocks, skip, bins);
+        out
+    }
+
+    #[test]
+    fn encoded_bytes_are_pinned() {
+        // FNV-1a of the encoding, recorded before packages were encoded
+        // from `FxWeights`: the byte format is unchanged.
+        let cases = [
+            ("sample", sample_network(), 0x4113_f7e9_b665_15f5),
+            ("half-pruned 3x3", half_pruned_3x3(), 0xbf8e_9a0a_63f2_2432),
+        ];
+        for (what, net, want) in cases {
+            let got = telemetry::fnv::fnv1a(&net.encode());
+            assert_eq!(got, want, "{what}: package bytes changed ({got:#018x})");
+        }
+        let l = &half_pruned_3x3().layers[0].1;
+        assert_eq!((l.live_count(), l.skip().len()), (18, 36));
     }
 
     #[test]
@@ -317,36 +308,39 @@ mod tests {
         let bytes = net.encode();
         let back = DeployedNetwork::decode(&bytes).expect("valid package");
         assert_eq!(back, net);
+        assert_eq!(back.encode(), bytes);
     }
 
     #[test]
     fn payload_counts_live_blocks_only() {
         let net = sample_network();
-        let l = &net.layers[0];
-        assert_eq!(l.skip.len(), 9 * 2 * 2);
+        let l = &net.layers[0].1;
+        assert_eq!(l.skip().len(), 9 * 2 * 2);
         assert_eq!(l.live_count(), 36 - 2);
         assert_eq!(l.weight_bytes(), l.live_count() * 5 * 4);
+        assert_eq!(
+            net.weight_bytes(),
+            l.weight_bytes() + net.layers[1].1.weight_bytes()
+        );
     }
 
     #[test]
     fn deployed_weights_execute_bit_identically() {
-        use crate::inference::{conv_forward_fx, FxWeights};
+        use crate::inference::conv_forward_fx;
         let q = QFormat::q8();
         let conv = folded(5, 8, 1, 2, 3);
         let direct = FxWeights::from_folded(q, &conv);
-        let deployed = DeployedLayer::from_folded("l", q, &conv);
         let bytes = DeployedNetwork {
             frac_bits: 8,
-            layers: vec![deployed],
+            layers: vec![("l".into(), direct.clone())],
         }
         .encode();
         let loaded = DeployedNetwork::decode(&bytes).expect("valid");
-        let reconstructed = loaded.layers[0].to_fx_weights();
         let x: Vec<i16> = (0..16 * 4 * 4)
             .map(|i| ((i * 37) % 200) as i16 - 100)
             .collect();
         let y1 = conv_forward_fx(q, &direct, &x, 4, 4);
-        let y2 = conv_forward_fx(q, &reconstructed, &x, 4, 4);
+        let y2 = conv_forward_fx(q, &loaded.layers[0].1, &x, 4, 4);
         assert_eq!(y1, y2);
     }
 
@@ -382,23 +376,35 @@ mod tests {
 
     #[test]
     fn skip_length_must_match_geometry() {
-        // Every field is self-consistent except the grid: the skip bitmap
-        // no longer covers k²·out·in blocks, so loading it would panic.
-        let mut net = sample_network();
-        net.layers[1].in_blocks = 3;
-        assert_eq!(
-            DeployedNetwork::decode(&net.encode()),
-            Err(DecodeError::Truncated)
-        );
-        // A block size the FFT PE cannot run is rejected the same way.
-        let mut net = sample_network();
-        net.layers[1].bs = 6;
-        net.layers[1].spectra.clear();
-        net.layers[1].skip.fill(false);
-        assert_eq!(
-            DeployedNetwork::decode(&net.encode()),
-            Err(DecodeError::Truncated)
-        );
+        let live = |n: usize| vec![true; n];
+        let bins = |blocks: usize, bs: usize| vec![ComplexFx::new(1, -1); blocks * (bs / 2 + 1)];
+        // The geometry itself is sound.
+        assert!(DeployedNetwork::decode(&raw_package(4, 1, 1, 2, &live(2), &bins(2, 4))).is_ok());
+        let rejected = [
+            // The skip bitmap does not cover k²·out·in blocks, so loading
+            // it would panic.
+            (
+                "grid mismatch",
+                raw_package(4, 1, 1, 3, &live(2), &bins(2, 4)),
+            ),
+            // A block size the FFT PE cannot run.
+            ("bs 6", raw_package(6, 1, 1, 2, &[false; 2], &[])),
+            // Kernels the "same"-padded fx conv cannot run: k = 0 would
+            // underflow the padding, an even k changes the map size.
+            ("k 0", raw_package(4, 0, 1, 2, &[], &[])),
+            ("k 2", raw_package(4, 2, 1, 1, &live(4), &bins(4, 4))),
+            ("k 4", raw_package(4, 4, 1, 1, &[false; 16], &[])),
+            // An empty grid.
+            ("0 out blocks", raw_package(4, 1, 0, 2, &[], &[])),
+            ("0 in blocks", raw_package(4, 3, 2, 0, &[], &[])),
+        ];
+        for (what, bytes) in rejected {
+            assert_eq!(
+                DeployedNetwork::decode(&bytes),
+                Err(DecodeError::Truncated),
+                "{what}"
+            );
+        }
     }
 
     #[test]

@@ -8,6 +8,11 @@
 //! 32-bit wide. This is what lets the repo measure the accuracy cost of
 //! the paper's "just 16-bit fixed-point computation" (§V-C2) end to end.
 //!
+//! [`FxWeights`] is the one form of a quantized layer: the skip index,
+//! the live blocks' bins in weight-stream order, and each output block's
+//! eMAC entry list, all built once. The deployment package
+//! ([`crate::deploy`]) is its byte encoding.
+//!
 //! Each schedule of the datapath is one function:
 //!
 //! - [`conv_forward_fx_batch_scalar`] is the scalar oracle, element at a
@@ -26,30 +31,30 @@ use crate::fixed::{ComplexAcc, ComplexFx, FxBatch, QFormat};
 use crate::fxfft::FxFftPe;
 use circulant::ConvBlockCirculant;
 use fft::real::HalfSpectrum;
+use fft::Complex;
 use tensor::parallel;
 
 /// Fixed-point input FFTs run (one per input block per pixel).
 static FX_INPUT_FFTS: telemetry::Counter = telemetry::Counter::new("hwsim.fx.input_ffts");
 /// Fixed-point output IFFTs run (one per output block per pixel).
 static FX_OUTPUT_IFFTS: telemetry::Counter = telemetry::Counter::new("hwsim.fx.output_iffts");
-/// Block eMACs scheduled by the plans (live entries × pixels; border
-/// pixels skip out-of-bounds taps, so this is a slight over-count).
+/// Block eMACs scheduled by the entry lists (live entries × pixels;
+/// border pixels skip out-of-bounds taps, so this is a slight over-count).
 static FX_EMAC_BLOCKS: telemetry::Counter = telemetry::Counter::new("hwsim.fx.emac_blocks");
-/// Per out-block eMAC-plan execution latency distribution (nanoseconds):
-/// one observation covers every pixel of one output channel block.
+/// Per out-block eMAC execution latency distribution (nanoseconds): one
+/// observation covers every pixel of one output channel block.
 static FX_PLAN_EXEC_NS: telemetry::Histogram = telemetry::Histogram::new("hwsim.fx.plan_exec_ns");
 
-/// Coarse arithmetic counts for one fixed-point conv call, computed from
-/// the layer geometry outside the hot loops.
-fn record_fx_layer(plans: &[EmacPlan], in_blocks: usize, out_blocks: usize, h: usize, w: usize) {
+/// Coarse arithmetic counts for one fixed-point conv call of one sample,
+/// computed from the layer geometry outside the hot loops.
+fn record_fx_layer(weights: &FxWeights, h: usize, w: usize) {
     if !telemetry::enabled() {
         return;
     }
     let pixels = (h * w) as u64;
-    FX_INPUT_FFTS.add(in_blocks as u64 * pixels);
-    FX_OUTPUT_IFFTS.add(out_blocks as u64 * pixels);
-    let entries: usize = plans.iter().map(|p| p.entries.len()).sum();
-    FX_EMAC_BLOCKS.add(entries as u64 * pixels);
+    FX_INPUT_FFTS.add(weights.in_blocks as u64 * pixels);
+    FX_OUTPUT_IFFTS.add(weights.out_blocks as u64 * pixels);
+    FX_EMAC_BLOCKS.add(weights.live_count() as u64 * pixels);
 }
 
 /// Computes every pixel's channel-block input spectrum once, in parallel
@@ -75,161 +80,109 @@ fn input_spectra(pe: &FxFftPe, x: &[i16], in_blocks: usize, h: usize, w: usize) 
     spectra
 }
 
-/// One live eMAC operand of an out-block's plan: which shifted input
-/// spectrum to read and where its weight bins sit in the plan's flat
-/// weight array.
+/// One live eMAC operand of an output block: the kernel tap, the input
+/// block whose spectrum it reads, and where its weight bins start in
+/// [`FxWeights`]' flat bins. It does not depend on the feature-map size;
+/// kernels derive spectrum offsets from `(h, w)` inline.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct EmacEntry {
     /// Kernel tap offsets relative to the output pixel (`dy = p − pad`).
     dy: isize,
     dx: isize,
-    /// Pixel-relative spectrum offset `dy·w + dx` — valid only when the
-    /// tap stays in bounds, i.e. on the interior fast path.
-    rel: isize,
-    /// Flat-spectra base of the entry's in-block, in pixel units
-    /// (`bi · h · w`).
-    in_base: usize,
-    /// Start of the entry's `bins` weight words in [`EmacPlan::weights`].
+    /// Input channel block.
+    bi: usize,
+    /// Start of the entry's `BS/2+1` bins in the layer's flat bins.
     w_off: usize,
 }
 
-/// Per-out-block eMAC schedule: the skip bitmap resolved once into a flat
-/// entry list (seed accumulation order: tap-major, then in-block), with
-/// every live block's weight bins packed contiguously. The per-pixel loop
-/// then walks two dense arrays instead of chasing nested `Vec`s and
-/// re-deriving block indices and liveness 𝐡·𝐰 times.
-struct EmacPlan {
-    entries: Vec<EmacEntry>,
-    weights: Vec<ComplexFx>,
-    /// Per-entry extra word (the block's scale shift for the per-block
-    /// scaled path; unused by the uniform path).
-    shifts: Vec<i64>,
-}
-
-/// Geometry an [`EmacPlan`] is built against.
-#[derive(Debug, Clone, Copy)]
-struct PlanDims {
-    kh: usize,
-    kw: usize,
-    in_blocks: usize,
-    h: usize,
-    w: usize,
-}
-
-/// Builds one out-block's plan. `block_bins(blk)` returns the block's
-/// quantized bins (with its scale shift) or `None` when pruned; bins are
-/// copied into the plan's contiguous weight array.
-fn emac_plan<'a>(
-    d: PlanDims,
-    bo: usize,
-    index: impl Fn(usize, usize, usize, usize) -> usize,
-    mut block_bins: impl FnMut(usize) -> Option<(&'a [ComplexFx], i64)>,
-) -> EmacPlan {
-    let PlanDims {
-        kh,
-        kw,
-        in_blocks,
-        h,
-        w,
-    } = d;
-    let pad = (kh - 1) / 2;
-    let mut plan = EmacPlan {
-        entries: Vec::new(),
-        weights: Vec::new(),
-        shifts: Vec::new(),
-    };
-    for p in 0..kh {
-        for qq in 0..kw {
-            let dy = p as isize - pad as isize;
-            let dx = qq as isize - pad as isize;
-            for bi in 0..in_blocks {
-                let blk = index(p, qq, bo, bi);
-                let Some((bins, shift)) = block_bins(blk) else {
-                    continue; // skip-index hit, resolved once per layer
-                };
-                plan.entries.push(EmacEntry {
-                    dy,
-                    dx,
-                    rel: dy * w as isize + dx,
-                    in_base: bi * h * w,
-                    w_off: plan.weights.len(),
-                });
-                plan.weights.extend_from_slice(bins);
-                plan.shifts.push(shift);
-            }
-        }
+impl EmacEntry {
+    /// Flat input-pixel index `(bi · h + iy) · w + ix` this entry reads
+    /// for output pixel `(y, x)` of an `h × w` map, or `None` when the
+    /// tap lands in the zero padding.
+    fn input_pixel(&self, y: usize, x: usize, h: usize, w: usize) -> Option<usize> {
+        let iy = y.checked_add_signed(self.dy).filter(|&iy| iy < h)?;
+        let ix = x.checked_add_signed(self.dx).filter(|&ix| ix < w)?;
+        Some((self.bi * h + iy) * w + ix)
     }
-    plan
 }
 
-/// Pre-quantized complex weights of one folded BCM conv layer: one
-/// half-spectrum (`BS/2+1` bins) per live block, plus the skip bitmap.
-#[derive(Debug, Clone)]
+/// The quantized weights of one folded BCM conv layer, in the one form
+/// both the kernels and the deployment package use.
+///
+/// - The skip index: one liveness bit per block, tap-major, then
+///   out-block, then in-block (§IV-B).
+/// - The weight stream: every live block's `BS/2+1` quantized bins, flat,
+///   in skip order.
+/// - Per output block, the eMAC entry list in accumulation order
+///   (tap-major, then in-block), resolved from the skip index once at
+///   construction.
+///
+/// The kernel is square with odd `k`: the datapath pads by `(k−1)/2`,
+/// which keeps an `h × w` map `h × w` only for odd `k`.
+#[derive(Debug, Clone, PartialEq)]
 pub struct FxWeights {
     bs: usize,
-    kh: usize,
-    kw: usize,
+    k: usize,
     out_blocks: usize,
     in_blocks: usize,
-    /// `[tap][out_block][in_block]` → bins (empty when pruned).
-    spectra: Vec<Vec<ComplexFx>>,
-    live: Vec<bool>,
+    skip: Vec<bool>,
+    bins: Vec<ComplexFx>,
+    entries: Vec<Vec<EmacEntry>>,
 }
 
 impl FxWeights {
     /// Quantizes a folded layer's weight spectra into format `q`.
-    pub fn from_folded(q: QFormat, conv: &ConvBlockCirculant<f32>) -> Self {
-        let bs = conv.block_size();
-        let (kh, kw) = conv.kernel_dims();
-        let (ob, ib) = conv.grid_dims();
-        let mut spectra = Vec::with_capacity(kh * kw * ob * ib);
-        let mut live = Vec::with_capacity(kh * kw * ob * ib);
-        for p in 0..kh {
-            for qq in 0..kw {
-                let grid = conv.grid(p, qq);
-                for bo in 0..ob {
-                    for bi in 0..ib {
-                        let block = grid.block(bo, bi);
-                        if block.is_zero() {
-                            spectra.push(Vec::new());
-                            live.push(false);
-                        } else {
-                            let w64: Vec<f64> = block
-                                .defining_vector()
-                                .iter()
-                                .map(|&v| f64::from(v))
-                                .collect();
-                            let half = HalfSpectrum::forward(&w64);
-                            spectra.push(
-                                half.bins()
-                                    .iter()
-                                    .map(|c| ComplexFx::from_f64(q, c.re, c.im))
-                                    .collect(),
-                            );
-                            live.push(true);
-                        }
-                    }
-                }
-            }
-        }
-        FxWeights {
-            bs,
-            kh,
-            kw,
-            out_blocks: ob,
-            in_blocks: ib,
-            spectra,
-            live,
-        }
-    }
-
-    /// Rebuilds weights from raw parts (a decoded deployment package):
-    /// `skip` is the per-block liveness bitmap (tap-major, out, in) and
-    /// `spectra_words` the interleaved `(re, im)` words of every live
-    /// block's `BS/2+1` bins, in skip order.
     ///
     /// # Panics
     ///
-    /// Panics if the counts are inconsistent.
+    /// Panics unless the kernel is square with odd size.
+    pub fn from_folded(q: QFormat, conv: &ConvBlockCirculant<f32>) -> Self {
+        Self::quantize(conv, |half, bins| {
+            bins.extend(half.iter().map(|c| ComplexFx::from_f64(q, c.re, c.im)));
+        })
+    }
+
+    /// The one folded → half-spectrum → quantize walk: visits blocks in
+    /// skip order and lets `quantize_block` append each live block's
+    /// `BS/2+1` words to the weight stream.
+    fn quantize(
+        conv: &ConvBlockCirculant<f32>,
+        mut quantize_block: impl FnMut(&[Complex<f64>], &mut Vec<ComplexFx>),
+    ) -> Self {
+        let (k, kw) = conv.kernel_dims();
+        assert_eq!(k, kw, "fx layers have square kernels");
+        let (ob, ib) = conv.grid_dims();
+        let mut skip = Vec::with_capacity(k * k * ob * ib);
+        let mut bins = Vec::new();
+        for tap in 0..k * k {
+            let grid = conv.grid(tap / k, tap % k);
+            for bo in 0..ob {
+                for bi in 0..ib {
+                    let block = grid.block(bo, bi);
+                    skip.push(!block.is_zero());
+                    if block.is_zero() {
+                        continue;
+                    }
+                    let w64: Vec<f64> = block
+                        .defining_vector()
+                        .iter()
+                        .map(|&v| f64::from(v))
+                        .collect();
+                    quantize_block(HalfSpectrum::forward(&w64).bins(), &mut bins);
+                }
+            }
+        }
+        Self::new(conv.block_size(), k, ob, ib, skip, bins)
+    }
+
+    /// Builds weights from raw parts (a decoded deployment package or
+    /// synthesized test words): `skip` is the per-block liveness bitmap
+    /// (tap-major, out, in) and `spectra_words` the interleaved `(re, im)`
+    /// words of every live block's `BS/2+1` bins, in skip order.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `k` is even or the counts are inconsistent.
     pub fn from_parts(
         bs: usize,
         k: usize,
@@ -238,44 +191,60 @@ impl FxWeights {
         skip: &[bool],
         spectra_words: &[i16],
     ) -> Self {
+        assert!(spectra_words.len().is_multiple_of(2), "spectra length");
+        let bins = spectra_words
+            .chunks_exact(2)
+            .map(|c| ComplexFx::new(c[0], c[1]))
+            .collect();
+        Self::new(bs, k, out_blocks, in_blocks, skip.to_vec(), bins)
+    }
+
+    /// Checks the geometry and resolves the skip index into per-output
+    /// block eMAC entry lists.
+    fn new(
+        bs: usize,
+        k: usize,
+        out_blocks: usize,
+        in_blocks: usize,
+        skip: Vec<bool>,
+        bins: Vec<ComplexFx>,
+    ) -> Self {
+        assert!(k % 2 == 1, "fx conv needs an odd kernel size, got {k}");
         assert_eq!(skip.len(), k * k * out_blocks * in_blocks, "skip length");
-        let bins = bs / 2 + 1;
+        let per_block = bs / 2 + 1;
         let live = skip.iter().filter(|&&b| b).count();
-        assert_eq!(spectra_words.len(), live * bins * 2, "spectra length");
-        let mut spectra = Vec::with_capacity(skip.len());
-        let mut cursor = 0usize;
-        for &alive in skip {
-            if alive {
-                let words = &spectra_words[cursor..cursor + bins * 2];
-                spectra.push(
-                    words
-                        .chunks_exact(2)
-                        .map(|c| ComplexFx::new(c[0], c[1]))
-                        .collect(),
-                );
-                cursor += bins * 2;
-            } else {
-                spectra.push(Vec::new());
-            }
+        assert_eq!(bins.len(), live * per_block, "spectra length");
+        let pad = (k / 2) as isize;
+        let mut entries = vec![Vec::new(); out_blocks];
+        let live_blocks = skip.iter().enumerate().filter(|&(_, &b)| b);
+        for (ordinal, (blk, _)) in live_blocks.enumerate() {
+            let tap = blk / (out_blocks * in_blocks);
+            entries[blk / in_blocks % out_blocks].push(EmacEntry {
+                dy: (tap / k) as isize - pad,
+                dx: (tap % k) as isize - pad,
+                bi: blk % in_blocks,
+                w_off: ordinal * per_block,
+            });
         }
         FxWeights {
             bs,
-            kh: k,
-            kw: k,
+            k,
             out_blocks,
             in_blocks,
-            spectra,
-            live: skip.to_vec(),
+            skip,
+            bins,
+            entries,
         }
-    }
-
-    fn index(&self, p: usize, q: usize, bo: usize, bi: usize) -> usize {
-        ((p * self.kw + q) * self.out_blocks + bo) * self.in_blocks + bi
     }
 
     /// Number of live blocks.
     pub fn live_count(&self) -> usize {
-        self.live.iter().filter(|&&l| l).count()
+        self.bins.len() / (self.bs / 2 + 1)
+    }
+
+    /// On-chip weight footprint in bytes (complex 16-bit pairs).
+    pub fn weight_bytes(&self) -> usize {
+        self.bins.len() * 4
     }
 
     /// Block size `BS`.
@@ -295,7 +264,22 @@ impl FxWeights {
 
     /// Square kernel size.
     pub fn kernel(&self) -> usize {
-        self.kh
+        self.k
+    }
+
+    /// The skip index, one liveness bit per block in weight-stream order.
+    pub(crate) fn skip(&self) -> &[bool] {
+        &self.skip
+    }
+
+    /// The weight stream: every live block's bins, in skip order.
+    pub(crate) fn bins(&self) -> &[ComplexFx] {
+        &self.bins
+    }
+
+    /// One live block's `BS/2+1` bins.
+    fn entry_bins(&self, e: &EmacEntry) -> &[ComplexFx] {
+        &self.bins[e.w_off..e.w_off + self.bs / 2 + 1]
     }
 }
 
@@ -342,16 +326,16 @@ fn finish_pixel(
 /// The **scalar oracle** of the fixed-point conv datapath: runs `n`
 /// samples (`xs` is `[n, c_in, h, w]` row-major, the result
 /// `[n, c_out, h, w]`) element at a time over
-/// [`ComplexFx`]/[`ComplexAcc`] words, with the eMAC plans, twiddle ROM,
-/// and weight streams prepared once per invocation.
+/// [`ComplexFx`]/[`ComplexAcc`] words, reading the layer's prebuilt eMAC
+/// entry lists and weight stream.
 ///
 /// This is the only scalar conv body. [`conv_forward_fx`] is this
 /// function at `n = 1`, and `1×1` fully-connected layers run through the
 /// same general path. It is kept unoptimized on purpose: it is the
 /// specification the lane kernel [`conv_forward_fx_batch_packed`] must
 /// match word for word. It stays in the build (not test-gated) so the
-/// `exp_speedup`/`exp_serve` benchmarks can time scalar-vs-lane at equal
-/// plan amortization and the proptest suite can assert bit-identity;
+/// `exp_speedup`/`exp_serve` benchmarks can time scalar-vs-lane on the
+/// same prebuilt weights and the proptest suite can assert bit-identity;
 /// production callers use the lane kernel.
 ///
 /// Per (sample, pixel, bin) the accumulation order over live entries and
@@ -377,37 +361,21 @@ pub fn conv_forward_fx_batch_scalar(
     if n == 0 {
         return Vec::new();
     }
-    let pad = (weights.kh - 1) / 2;
+    let pad = weights.k / 2;
     let pe = FxFftPe::new(bs, q);
     let bins = bs / 2 + 1;
 
     // Per-sample input spectra, concatenated: sample `s` starts at
     // `s · in_blocks · h · w · bins` and uses the same `[bi][pix][bins]`
-    // layout the plans index into.
+    // layout the entries index into.
     let stride = weights.in_blocks * h * w * bins;
     let spectra: Vec<ComplexFx> = xs
         .chunks_exact(c_in * h * w)
         .flat_map(|x| input_spectra(&pe, x, weights.in_blocks, h, w))
         .collect();
 
-    let plans: Vec<EmacPlan> = (0..weights.out_blocks)
-        .map(|bo| {
-            emac_plan(
-                PlanDims {
-                    kh: weights.kh,
-                    kw: weights.kw,
-                    in_blocks: weights.in_blocks,
-                    h,
-                    w,
-                },
-                bo,
-                |p, qq, b, bi| weights.index(p, qq, b, bi),
-                |blk| weights.live[blk].then(|| (&weights.spectra[blk][..], 0)),
-            )
-        })
-        .collect();
     for _ in 0..n {
-        record_fx_layer(&plans, weights.in_blocks, weights.out_blocks, h, w);
+        record_fx_layer(weights, h, w);
     }
 
     // Block-major staging `[bo][s][bs·h·w]` keeps each out-block's batch
@@ -418,24 +386,24 @@ pub fn conv_forward_fx_batch_scalar(
     parallel::par_chunk_map(&mut staged[..], n * slab, |bo, bo_slab| {
         let _lat = FX_PLAN_EXEC_NS.span();
         let _trace = telemetry::trace_span("emac_plan_batch", "hwsim.fx");
-        let plan = &plans[bo];
+        let entries = &weights.entries[bo];
         let mut acc = vec![ComplexAcc::zero(); bins];
         let mut full = vec![ComplexFx::zero(); bs];
         // Interior column range [x0, x1): every horizontal tap in bounds.
         let x0 = pad.min(w);
-        let x1 = w.saturating_sub(weights.kw - 1 - pad).max(x0);
+        let x1 = w.saturating_sub(pad).max(x0);
         let row = (x1 - x0) * bins;
         let mut row_acc = vec![ComplexAcc::zero(); n * row];
         for y in 0..h {
-            let y_interior = y >= pad && y + (weights.kh - 1 - pad) < h;
+            let y_interior = y >= pad && y + pad < h;
             if y_interior && x0 < x1 {
                 row_acc.fill(ComplexAcc::zero());
                 // Entry-major over the whole batch: one weight load per
                 // entry row serves all samples. Per sample the entry
-                // order is the tap-major, then in-block plan order.
-                for e in &plan.entries {
-                    let ws = &plan.weights[e.w_off..e.w_off + bins];
-                    let rel = ((e.in_base + y * w + x0) as isize + e.rel) as usize * bins;
+                // order is the tap-major, then in-block list order.
+                for e in entries {
+                    let ws = weights.entry_bins(e);
+                    let rel = e.input_pixel(y, x0, h, w).expect("interior tap") * bins;
                     for (s, racc) in row_acc.chunks_exact_mut(row).enumerate() {
                         let xs_row = &spectra[s * stride + rel..s * stride + rel + row];
                         for (acc_pix, xs_pix) in
@@ -474,19 +442,13 @@ pub fn conv_forward_fx_batch_scalar(
                 let out_block = &mut bo_slab[s * slab..][..slab];
                 for &xx in &border {
                     acc.fill(ComplexAcc::zero());
-                    for e in &plan.entries {
-                        let iy = y as isize + e.dy;
-                        if iy < 0 || iy >= h as isize {
+                    for e in entries {
+                        let Some(pix) = e.input_pixel(y, xx, h, w) else {
                             continue;
-                        }
-                        let ix = xx as isize + e.dx;
-                        if ix < 0 || ix >= w as isize {
-                            continue;
-                        }
-                        let idx = (e.in_base + iy as usize * w + ix as usize) * bins;
-                        let xv = &sp[idx..idx + bins];
-                        let ws = &plan.weights[e.w_off..e.w_off + bins];
-                        for (a, (x, wv)) in acc.iter_mut().zip(xv.iter().zip(ws)) {
+                        };
+                        let xv = &sp[pix * bins..][..bins];
+                        for (a, (x, wv)) in acc.iter_mut().zip(xv.iter().zip(weights.entry_bins(e)))
+                        {
                             a.mac(q, *x, *wv);
                         }
                     }
@@ -600,13 +562,13 @@ fn finish_pixels_lanes(
 /// split re/im planes whose inner loops the autovectorizer widens
 /// (`n = 8` fills a 128-bit vector of i16 lanes end to end).
 ///
-/// The eMAC plans, twiddle ROM, and weight streams are prepared once per
-/// invocation, and the interior fast path runs entry-major across the
-/// whole batch, so each live block's weight bins are loaded once per row
+/// The eMAC entry lists and the weight stream are built once with the
+/// weights, and the interior fast path runs entry-major across the whole
+/// batch, so each live block's weight bins are loaded once per row
 /// for all `n` samples — the software analogue of the accelerator's
 /// parallel PE lanes sharing one weight stream (§IV-C). Fully-connected
 /// layers (`k = 1` on a `1×1` map) take the lane FC fast path, which
-/// skips the plan and the spatial bookkeeping.
+/// skips the spatial bookkeeping.
 ///
 /// Every sample's output is **bit-identical** to the scalar oracle
 /// [`conv_forward_fx_batch_scalar`] (and so to [`conv_forward_fx`] on
@@ -631,34 +593,18 @@ pub fn conv_forward_fx_batch_packed(
     if n == 0 {
         return FxBatch::from_flat(q, 0, c_out * h * w, Vec::new());
     }
-    if h == 1 && w == 1 && weights.kh == 1 && weights.kw == 1 {
+    if h == 1 && w == 1 && weights.k == 1 {
         return FxBatch::from_flat(q, n, c_out, fc_forward_fx_batch(q, weights, xs, n));
     }
-    let pad = (weights.kh - 1) / 2;
+    let pad = weights.k / 2;
     let pe = FxFftPe::new(bs, q);
     let bins = bs / 2 + 1;
     let hw = h * w;
 
     let (sre, sim) = input_spectra_lanes(&pe, xs, n, weights.in_blocks, h, w);
 
-    let plans: Vec<EmacPlan> = (0..weights.out_blocks)
-        .map(|bo| {
-            emac_plan(
-                PlanDims {
-                    kh: weights.kh,
-                    kw: weights.kw,
-                    in_blocks: weights.in_blocks,
-                    h,
-                    w,
-                },
-                bo,
-                |p, qq, b, bi| weights.index(p, qq, b, bi),
-                |blk| weights.live[blk].then(|| (&weights.spectra[blk][..], 0)),
-            )
-        })
-        .collect();
     for _ in 0..n {
-        record_fx_layer(&plans, weights.in_blocks, weights.out_blocks, h, w);
+        record_fx_layer(weights, h, w);
     }
 
     // Block-major staging `[bo][s][bs·h·w]`, scattered back to
@@ -668,9 +614,9 @@ pub fn conv_forward_fx_batch_packed(
     parallel::par_chunk_map(&mut staged[..], n * slab, |bo, bo_slab| {
         let _lat = FX_PLAN_EXEC_NS.span();
         let _trace = telemetry::trace_span("emac_plan_batch_lanes", "hwsim.fx");
-        let plan = &plans[bo];
+        let entries = &weights.entries[bo];
         let x0 = pad.min(w);
-        let x1 = w.saturating_sub(weights.kw - 1 - pad).max(x0);
+        let x1 = w.saturating_sub(pad).max(x0);
         let row = (x1 - x0) * bins;
         let mut racc_re = vec![0i32; row * n];
         let mut racc_im = vec![0i32; row * n];
@@ -679,15 +625,15 @@ pub fn conv_forward_fx_batch_packed(
         let mut fre = vec![0i16; bs * n];
         let mut fim = vec![0i16; bs * n];
         for y in 0..h {
-            let y_interior = y >= pad && y + (weights.kh - 1 - pad) < h;
+            let y_interior = y >= pad && y + pad < h;
             if y_interior && x0 < x1 {
                 racc_re.fill(0);
                 racc_im.fill(0);
                 // Entry-major over the whole batch: one weight load per
                 // entry bin serves all samples and all interior pixels.
-                for e in &plan.entries {
-                    let ws = &plan.weights[e.w_off..e.w_off + bins];
-                    let base = ((e.in_base + y * w + x0) as isize + e.rel) as usize;
+                for e in entries {
+                    let ws = weights.entry_bins(e);
+                    let base = e.input_pixel(y, x0, h, w).expect("interior tap");
                     for px in 0..x1 - x0 {
                         let xoff = (base + px) * bins * n;
                         let aoff = px * bins * n;
@@ -735,21 +681,15 @@ pub fn conv_forward_fx_batch_packed(
             for &xx in &border {
                 acc_re.fill(0);
                 acc_im.fill(0);
-                for e in &plan.entries {
-                    let iy = y as isize + e.dy;
-                    if iy < 0 || iy >= h as isize {
+                for e in entries {
+                    let Some(pix) = e.input_pixel(y, xx, h, w) else {
                         continue;
-                    }
-                    let ix = xx as isize + e.dx;
-                    if ix < 0 || ix >= w as isize {
-                        continue;
-                    }
-                    let idx = (e.in_base + iy as usize * w + ix as usize) * bins * n;
-                    let ws = &plan.weights[e.w_off..e.w_off + bins];
+                    };
+                    let idx = pix * bins * n;
                     crate::pe::emac_block_lanes(
                         q,
                         bs,
-                        ws,
+                        weights.entry_bins(e),
                         &sre[idx..idx + bins * n],
                         &sim[idx..idx + bins * n],
                         &mut acc_re,
@@ -794,8 +734,11 @@ pub fn conv_forward_fx_batch_packed(
 /// It is kept because it is faster, not because it computes anything
 /// else. Sending `1×1` layers through the general lane path instead is
 /// bit-identical but slower on the 512-wide, 1-in-8-live layer of the
-/// perfbench `fx_infer` demo model: 1.10–1.14× the time at batch 1 and
-/// 1.05–1.21× at batch 8 (2-vCPU x86-64 host, two passes per size).
+/// perfbench `fx_infer` demo model, even with both paths reading the
+/// prebuilt entry lists: at one worker, 1.13–1.15× the time at batch 1
+/// and 1.04–1.11× at batch 8; at two workers, 1.14× and 1.08× (medians
+/// of 1000 calls in the quiet passes of seven interleaved ones on a
+/// 2-vCPU x86-64 host; the noisy passes swung both ways).
 fn fc_forward_fx_batch(q: QFormat, weights: &FxWeights, xs: &[i16], n: usize) -> Vec<i16> {
     let bs = weights.bs;
     let bins = bs / 2 + 1;
@@ -837,26 +780,21 @@ fn fc_forward_fx_batch(q: QFormat, weights: &FxWeights, xs: &[i16], n: usize) ->
         let mut acc_im = vec![0i32; bins * n];
         let mut fre = vec![0i16; bs * n];
         let mut fim = vec![0i16; bs * n];
-        let mut emacs = 0u64;
-        for bi in 0..ib {
-            let blk = weights.index(0, 0, bo, bi);
-            if !weights.live[blk] {
-                continue;
-            }
-            emacs += 1;
+        let entries = &weights.entries[bo];
+        for e in entries {
             crate::pe::emac_block_lanes(
                 q,
                 bs,
-                &weights.spectra[blk],
-                &xre[bi * bins * n..][..bins * n],
-                &xim[bi * bins * n..][..bins * n],
+                weights.entry_bins(e),
+                &xre[e.bi * bins * n..][..bins * n],
+                &xim[e.bi * bins * n..][..bins * n],
                 &mut acc_re,
                 &mut acc_im,
                 n,
             );
         }
         if telemetry::enabled() {
-            FX_EMAC_BLOCKS.add(emacs * n as u64);
+            FX_EMAC_BLOCKS.add((entries.len() * n) as u64);
         }
         finish_pixels_lanes(
             &pe, q, &acc_re, &acc_im, &mut fre, &mut fim, n, bo_slab, bs, 1, 0,
@@ -880,14 +818,12 @@ fn fc_forward_fx_batch(q: QFormat, weights: &FxWeights, xs: &[i16], n: usize) ->
 /// contributions to a common accumulator format.
 #[derive(Debug, Clone)]
 pub struct ScaledFxWeights {
-    bs: usize,
-    kh: usize,
-    kw: usize,
-    out_blocks: usize,
-    in_blocks: usize,
+    /// The `bits`-bit words in the uniform layout: skip index, weight
+    /// stream and entry lists.
+    fx: FxWeights,
     bits: u32,
-    /// `(bins, frac)` per live block.
-    blocks: Vec<Option<(Vec<ComplexFx>, u32)>>,
+    /// Fractional exponent of each live block, by live ordinal.
+    fracs: Vec<u32>,
 }
 
 impl ScaledFxWeights {
@@ -896,75 +832,31 @@ impl ScaledFxWeights {
     ///
     /// # Panics
     ///
-    /// Panics unless `4 <= bits <= 16`.
+    /// Panics unless `4 <= bits <= 16` and the kernel is square with odd
+    /// size.
     pub fn from_folded(bits: u32, conv: &ConvBlockCirculant<f32>) -> Self {
         assert!((4..=16).contains(&bits), "bits must be in 4..=16");
-        let bs = conv.block_size();
-        let (kh, kw) = conv.kernel_dims();
-        let (ob, ib) = conv.grid_dims();
         let max_word = (1i32 << (bits - 1)) - 1;
-        let mut blocks = Vec::with_capacity(kh * kw * ob * ib);
-        for p in 0..kh {
-            for qq in 0..kw {
-                let grid = conv.grid(p, qq);
-                for bo in 0..ob {
-                    for bi in 0..ib {
-                        let block = grid.block(bo, bi);
-                        if block.is_zero() {
-                            blocks.push(None);
-                            continue;
-                        }
-                        let w64: Vec<f64> = block
-                            .defining_vector()
-                            .iter()
-                            .map(|&v| f64::from(v))
-                            .collect();
-                        let half = HalfSpectrum::forward(&w64);
-                        let max_mag = half
-                            .bins()
-                            .iter()
-                            .map(|c| c.re.abs().max(c.im.abs()))
-                            .fold(0.0f64, f64::max)
-                            .max(1e-12);
-                        // Largest frac such that max_mag·2^frac ≤ max_word.
-                        let frac =
-                            ((max_word as f64 / max_mag).log2().floor() as i64).clamp(0, 30) as u32;
-                        let scale = f64::from(1u32 << frac.min(31));
-                        let bins = half
-                            .bins()
-                            .iter()
-                            .map(|c| {
-                                ComplexFx::new(
-                                    ((c.re * scale).round() as i32).clamp(-max_word, max_word)
-                                        as i16,
-                                    ((c.im * scale).round() as i32).clamp(-max_word, max_word)
-                                        as i16,
-                                )
-                            })
-                            .collect();
-                        blocks.push(Some((bins, frac)));
-                    }
-                }
-            }
-        }
-        ScaledFxWeights {
-            bs,
-            kh,
-            kw,
-            out_blocks: ob,
-            in_blocks: ib,
-            bits,
-            blocks,
-        }
+        let mut fracs = Vec::new();
+        let fx = FxWeights::quantize(conv, |half, bins| {
+            let max_mag = half
+                .iter()
+                .map(|c| c.re.abs().max(c.im.abs()))
+                .fold(0.0f64, f64::max)
+                .max(1e-12);
+            // Largest frac such that max_mag·2^frac ≤ max_word.
+            let frac = ((max_word as f64 / max_mag).log2().floor() as i64).clamp(0, 30) as u32;
+            let scale = f64::from(1u32 << frac.min(31));
+            let word = |v: f64| ((v * scale).round() as i32).clamp(-max_word, max_word) as i16;
+            bins.extend(half.iter().map(|c| ComplexFx::new(word(c.re), word(c.im))));
+            fracs.push(frac);
+        });
+        ScaledFxWeights { fx, bits, fracs }
     }
 
     /// Weight word width in bits.
     pub fn bits(&self) -> u32 {
         self.bits
-    }
-
-    fn index(&self, p: usize, q: usize, bo: usize, bi: usize) -> usize {
-        ((p * self.kw + q) * self.out_blocks + bo) * self.in_blocks + bi
     }
 }
 
@@ -982,89 +874,50 @@ pub fn conv_forward_fx_scaled(
     h: usize,
     w: usize,
 ) -> Vec<i16> {
-    let bs = weights.bs;
-    let c_in = weights.in_blocks * bs;
-    let c_out = weights.out_blocks * bs;
+    let fx = &weights.fx;
+    let bs = fx.bs;
+    let c_in = fx.in_blocks * bs;
+    let c_out = fx.out_blocks * bs;
     assert_eq!(x.len(), c_in * h * w, "input length mismatch");
-    let pad = (weights.kh - 1) / 2;
     let pe = FxFftPe::new(bs, q);
     let bins = bs / 2 + 1;
     let act_frac = q.frac_bits();
     let mut out = vec![0i16; c_out * h * w];
 
-    let in_spectra = input_spectra(&pe, x, weights.in_blocks, h, w);
-    let plans: Vec<EmacPlan> = (0..weights.out_blocks)
-        .map(|bo| {
-            emac_plan(
-                PlanDims {
-                    kh: weights.kh,
-                    kw: weights.kw,
-                    in_blocks: weights.in_blocks,
-                    h,
-                    w,
-                },
-                bo,
-                |p, qq, b, bi| weights.index(p, qq, b, bi),
-                |blk| {
-                    weights.blocks[blk].as_ref().map(|(ws, wfrac)| {
-                        // Product frac = act_frac + wfrac; rescale to
-                        // 2·act_frac by shifting by (wfrac − act_frac).
-                        (&ws[..], i64::from(*wfrac) - i64::from(act_frac))
-                    })
-                },
-            )
-        })
-        .collect();
-    record_fx_layer(&plans, weights.in_blocks, weights.out_blocks, h, w);
+    let in_spectra = input_spectra(&pe, x, fx.in_blocks, h, w);
+    record_fx_layer(fx, h, w);
 
     parallel::par_chunk_map(&mut out[..], bs * h * w, |bo, out_block| {
         let _lat = FX_PLAN_EXEC_NS.span();
         let _trace = telemetry::trace_span("emac_plan_scaled", "hwsim.fx");
-        let plan = &plans[bo];
         // i64 accumulators at 2·act_frac fractional bits.
         let mut acc_re = vec![0i64; bins];
         let mut acc_im = vec![0i64; bins];
         let mut full = vec![ComplexFx::zero(); bs];
-        let mac =
-            |acc_re: &mut [i64], acc_im: &mut [i64], idx: usize, e: &EmacEntry, shift: i64| {
-                let xs = &in_spectra[idx..idx + bins];
-                let ws = &plan.weights[e.w_off..e.w_off + bins];
-                for (k, (xv, wv)) in xs.iter().zip(ws).enumerate() {
-                    let (a, b) = (*xv, *wv);
-                    let re = i64::from(a.re) * i64::from(b.re) - i64::from(a.im) * i64::from(b.im);
-                    let im = i64::from(a.re) * i64::from(b.im) + i64::from(a.im) * i64::from(b.re);
-                    let (re, im) = if shift >= 0 {
-                        (re >> shift, im >> shift)
-                    } else {
-                        (re << -shift, im << -shift)
-                    };
-                    acc_re[k] += re;
-                    acc_im[k] += im;
-                }
-            };
         for y in 0..h {
-            let y_interior = y >= pad && y + (weights.kh - 1 - pad) < h;
             for xx in 0..w {
                 acc_re.fill(0);
                 acc_im.fill(0);
-                let pix = (y * w + xx) as isize;
-                if y_interior && xx >= pad && xx + (weights.kw - 1 - pad) < w {
-                    for (e, &shift) in plan.entries.iter().zip(&plan.shifts) {
-                        let idx = ((e.in_base as isize + pix + e.rel) as usize) * bins;
-                        mac(&mut acc_re, &mut acc_im, idx, e, shift);
-                    }
-                } else {
-                    for (e, &shift) in plan.entries.iter().zip(&plan.shifts) {
-                        let iy = y as isize + e.dy;
-                        if iy < 0 || iy >= h as isize {
-                            continue;
-                        }
-                        let ix = xx as isize + e.dx;
-                        if ix < 0 || ix >= w as isize {
-                            continue;
-                        }
-                        let idx = (e.in_base + iy as usize * w + ix as usize) * bins;
-                        mac(&mut acc_re, &mut acc_im, idx, e, shift);
+                for e in &fx.entries[bo] {
+                    let Some(pix) = e.input_pixel(y, xx, h, w) else {
+                        continue;
+                    };
+                    // Product frac = act_frac + wfrac; rescale to
+                    // 2·act_frac by shifting by (wfrac − act_frac).
+                    let shift = i64::from(weights.fracs[e.w_off / bins]) - i64::from(act_frac);
+                    let xs = &in_spectra[pix * bins..][..bins];
+                    for (k, (a, b)) in xs.iter().zip(fx.entry_bins(e)).enumerate() {
+                        let re =
+                            i64::from(a.re) * i64::from(b.re) - i64::from(a.im) * i64::from(b.im);
+                        let im =
+                            i64::from(a.re) * i64::from(b.im) + i64::from(a.im) * i64::from(b.re);
+                        let (re, im) = if shift >= 0 {
+                            (re >> shift, im >> shift)
+                        } else {
+                            (re << -shift, im << -shift)
+                        };
+                        acc_re[k] += re;
+                        acc_im[k] += im;
                     }
                 }
                 for k in 0..bins {

@@ -605,6 +605,17 @@ impl<'a> Cursor<'a> {
                 "BCM shape {c_out}x{c_in} incompatible with BS {bs}"
             )));
         }
+        // A fully pruned stack takes a few bytes on disk whatever its
+        // shape, but its float layer expands to k²·c_in·c_out dense
+        // weights; bound that from the header before anything is sized.
+        // 2^28 is above any real layer (VGG-16's FC6 is 25088×4096).
+        const MAX_STACK_ELEMS: usize = 1 << 28;
+        let dense = dim_product(&[k, k, c_in, c_out])?;
+        if dense > MAX_STACK_ELEMS {
+            return Err(CheckpointError::Unsupported(format!(
+                "implausible BCM stack of {dense} dense weights"
+            )));
+        }
         let want = dim_product(&[k, k, c_out / bs, c_in / bs])?;
         let n = self.u32()?;
         if n != want {
@@ -1295,6 +1306,14 @@ mod tests {
                 "bcm conv block count overflow",
                 record(TAG_BCM_CONV, &[1 << 31, 1 << 31, max, 1, 0, 2]),
             ),
+            // 57 bytes declaring one fully pruned 2^22 × 2^22 block. Left
+            // to load, its first float forward would expand a
+            // 2^44-element dense matrix.
+            ("bcm conv 2^44 dense weights", {
+                let mut out = record(TAG_BCM_CONV, &[1 << 22, 1 << 22, 1, 1, 0, 1 << 22, 1]);
+                out.push(0);
+                out
+            }),
         ];
         for (what, bytes) in crafted {
             assert!(

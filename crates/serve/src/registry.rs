@@ -74,9 +74,10 @@ pub struct FxModel {
 impl FxModel {
     /// Builds the fixed-point mirror from the network's layer snapshots.
     /// Returns `None` when the network is not an fx-compatible conv stack:
-    /// fx mode supports exactly stride-1 BCM convolutions with symmetric
-    /// "same" padding interleaved with ReLUs, over a rank-3 `[c, h, w]`
-    /// input.
+    /// fx mode supports exactly stride-1, odd-kernel BCM convolutions with
+    /// symmetric "same" padding interleaved with ReLUs, over a rank-3
+    /// `[c, h, w]` input. (An even kernel with pad `(k−1)/2` shrinks the
+    /// map, while the fx conv always returns `h × w`.)
     fn build(net: &Network, meta: &CheckpointMeta) -> Option<FxModel> {
         let [c, h, w] = *meta.input_dims.as_slice() else {
             return None;
@@ -92,7 +93,11 @@ impl FxModel {
                     pad,
                     weights,
                 } => {
-                    if weights.c_in != channels || stride != 1 || pad != (weights.k - 1) / 2 {
+                    if weights.c_in != channels
+                        || stride != 1
+                        || weights.k % 2 == 0
+                        || pad != weights.k / 2
+                    {
                         return None;
                     }
                     stages.push(FxStage::Conv(FxWeights::from_folded(q, &weights.folded())));
@@ -561,6 +566,21 @@ mod tests {
         let model = Model::from_network("mixed", net, meta);
         assert!(model.fx().is_none());
         assert_eq!(model.output_len(), 3);
+        // An even kernel with pad (k−1)/2 shrinks the map: the float
+        // output is 8×3×3, which the "same"-padded fx conv cannot match.
+        for (k, pad) in [(2, 0), (4, 1)] {
+            let net = Network::new(
+                "even",
+                vec![Box::new(BcmConv2d::new(&mut rng, 8, 8, k, 1, pad, 4))],
+            );
+            let meta = CheckpointMeta {
+                input_dims: vec![8, 4, 4],
+                frac_bits: 8,
+            };
+            let model = Model::from_network("even", net, meta);
+            assert!(model.fx().is_none(), "k = {k}");
+            assert_eq!(model.output_len(), 72, "k = {k}");
+        }
     }
 
     #[test]

@@ -25,10 +25,11 @@ RPBCM_THREADS=1 cargo test -q -p serve --lib session::
 RPBCM_THREADS=1 cargo test -q -p circulant
 RPBCM_THREADS=1 cargo test -q --test properties
 
-echo "== checkpoint codec under release arithmetic =="
+echo "== checkpoint and deployment-package codecs under release arithmetic =="
 # The test profile traps integer overflow; release wraps silently. The
-# decoder's no-panic tests on crafted records must hold in both.
+# decoders' rejection tests on crafted records must hold in both.
 cargo test --release -q -p nn --lib layers::checkpoint::
+cargo test --release -q -p hwsim --lib deploy::
 
 echo "== serve tests with telemetry enabled (flight tracing live) =="
 # Re-runs the serve suite with the metrics registry and per-request

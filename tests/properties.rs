@@ -2,7 +2,7 @@
 
 use proptest::prelude::*;
 use rpbcm_repro::circulant::{BlockCirculant, CirculantMatrix, ConvBlockCirculant};
-use rpbcm_repro::hwsim::deploy::{DeployedLayer, DeployedNetwork};
+use rpbcm_repro::hwsim::deploy::DeployedNetwork;
 use rpbcm_repro::hwsim::fixed::QFormat;
 use rpbcm_repro::hwsim::inference::{conv_forward_fx, FxWeights};
 use rpbcm_repro::hwsim::pe::PeBankConfig;
@@ -228,13 +228,13 @@ proptest! {
         let direct = FxWeights::from_folded(q, &conv);
         let pkg = DeployedNetwork {
             frac_bits: 8,
-            layers: vec![DeployedLayer::from_folded("l", q, &conv)],
+            layers: vec![("l".to_string(), direct.clone())],
         };
         let decoded = DeployedNetwork::decode(&pkg.encode()).expect("round trip");
         prop_assert_eq!(&decoded, &pkg);
-        let rebuilt = decoded.layers[0].to_fx_weights();
+        let rebuilt = &decoded.layers[0].1;
         let y1 = conv_forward_fx(q, &direct, &x_raw, 3, 3);
-        let y2 = conv_forward_fx(q, &rebuilt, &x_raw, 3, 3);
+        let y2 = conv_forward_fx(q, rebuilt, &x_raw, 3, 3);
         prop_assert_eq!(y1, y2);
     }
 
