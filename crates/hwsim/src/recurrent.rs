@@ -4,31 +4,41 @@
 //! cell step *is* a 1×1 convolution: the same FFT→eMAC→IFFT lanes
 //! ([`conv_forward_fx_batch_packed`]) that serve conv and FC layers also
 //! serve the gate stacks — the paper's point that one PE array covers
-//! every layer type. A step always runs as a lane gang
-//! ([`FxLstmCell::step_gang`], [`FxGruCell::step_gang`]); one cell stepped
-//! alone is a gang of one. The packed kernel is per-sample bit-identical
-//! to the scalar oracle [`conv_forward_fx`] at every width, so a member's
-//! words never depend on its gang-mates. [`FxLstmCell::step_scalar`] and
-//! [`FxGruCell::step_scalar`] are the cell-level oracles on that kernel:
-//! no serving path calls them; tests check the gangs against them.
+//! every layer type.
+//!
+//! A cell ([`FxLstmCell`], [`FxGruCell`]) is immutable weights: its
+//! grids, bias, shape and Q-format. The state of each sequence (`[h; c]`
+//! for LSTM, `h` for GRU) is a word slice the caller owns, so one cell
+//! steps any number of independent sequences, as the accelerator streams
+//! every input through weight buffers loaded once. A step always runs as
+//! a lane gang (`step_gang` over the members' state slices); one
+//! sequence stepped alone is a gang of one. The packed kernel is
+//! per-sample bit-identical to the scalar oracle [`conv_forward_fx`] at
+//! every width, so a member's words never depend on its gang-mates.
+//! [`FxLstmCell::step_scalar`] and [`FxGruCell::step_scalar`] are the
+//! cell-level oracles on that kernel: no serving path calls them; tests
+//! check the gangs against them.
 //!
 //! Gate nonlinearities use the hardware-style piecewise-linear forms
 //! ([`QFormat::hard_sigmoid`], [`QFormat::hard_tanh`]) — shift, add,
-//! clamp; no LUT, no exponential. State (`h`, and `c` for LSTM) is held
-//! in format words, so a step is a pure function of quantized state and
-//! quantized input: replaying the same inputs one step at a time is
-//! **bit-identical** to an offline pass over the whole
-//! sequence, which is what lets the serving tier stream sessions without
-//! an accuracy story separate from batch inference.
+//! clamp; no LUT, no exponential. State is held in format words, so a
+//! step is a pure function of quantized state and quantized input:
+//! replaying the same inputs one step at a time is **bit-identical** to
+//! an offline pass over the whole sequence, which is what lets the
+//! serving tier stream sessions without an accuracy story separate from
+//! batch inference.
 
 use crate::fixed::{FxBatch, QFormat};
 use crate::inference::{conv_forward_fx, conv_forward_fx_batch_packed, FxWeights};
 
-/// Per-step state words carried by a streaming session.
+/// Member steps taken by the fx recurrent cells (a gang of width `n`
+/// adds `n`).
 static FX_CELL_STEPS: telemetry::Counter = telemetry::Counter::new("hwsim.fx.cell.steps");
 
 /// A fixed-point LSTM cell: one fused `[4H, F+H]` gate grid over the
-/// concatenated `[x; h]` input, gate order `i, f, g, o`.
+/// concatenated `[x; h]` input, gate order `i, f, g, o`. The cell holds
+/// weights only; a sequence's state is a caller-owned `[h; c]` slice of
+/// [`FxLstmCell::state_len`] words.
 #[derive(Debug, Clone)]
 pub struct FxLstmCell {
     q: QFormat,
@@ -36,8 +46,6 @@ pub struct FxLstmCell {
     hidden: usize,
     weights: FxWeights,
     bias: Vec<i16>,
-    h: Vec<i16>,
-    c: Vec<i16>,
 }
 
 impl FxLstmCell {
@@ -65,8 +73,6 @@ impl FxLstmCell {
             hidden,
             weights,
             bias,
-            h: vec![0; hidden],
-            c: vec![0; hidden],
         }
     }
 
@@ -80,26 +86,28 @@ impl FxLstmCell {
         self.hidden
     }
 
-    /// Clears `h` and `c` to zero words.
-    pub fn reset(&mut self) {
-        self.h.fill(0);
-        self.c.fill(0);
+    /// State words per sequence: `[h; c]`, `2H`. Zero words start a
+    /// fresh sequence.
+    pub fn state_len(&self) -> usize {
+        2 * self.hidden
     }
 
-    /// Scalar oracle for [`FxLstmCell::step_gang`]: one step of this cell
-    /// alone on [`conv_forward_fx`], with the gate word arithmetic written
-    /// out independently of the lane path. Consumes `x_t` (length `F`),
-    /// returns the new hidden state (length `H`). Not a serving path.
+    /// Scalar oracle for [`FxLstmCell::step_gang`]: one step of one
+    /// sequence on [`conv_forward_fx`], with the gate word arithmetic
+    /// written out independently of the lane path. Consumes `x_t`
+    /// (length `F`), updates `state` in place and returns the new hidden
+    /// state (its first `H` words). Not a serving path.
     ///
     /// # Panics
     ///
-    /// Panics if `x.len() != F`.
-    pub fn step_scalar(&mut self, x: &[i16]) -> &[i16] {
+    /// Panics if `x.len() != F` or `state.len() != 2H`.
+    pub fn step_scalar<'s>(&self, state: &'s mut [i16], x: &[i16]) -> &'s [i16] {
         assert_eq!(x.len(), self.in_features, "step input length");
+        assert_eq!(state.len(), self.state_len(), "state length");
         let q = self.q;
         let hd = self.hidden;
-        let mut z = x.to_vec();
-        z.extend_from_slice(&self.h);
+        let (h, c) = state.split_at_mut(hd);
+        let z = [x, &*h].concat();
         let mut pre = conv_forward_fx(q, &self.weights, &z, 1, 1);
         for (p, &b) in pre.iter_mut().zip(&self.bias) {
             *p = q.add(*p, b);
@@ -109,60 +117,51 @@ impl FxLstmCell {
             let f_g = q.hard_sigmoid(pre[hd + j]);
             let g_g = q.hard_tanh(pre[2 * hd + j]);
             let o_g = q.hard_sigmoid(pre[3 * hd + j]);
-            let c = q.add(q.mul(f_g, self.c[j]), q.mul(i_g, g_g));
-            self.c[j] = c;
-            self.h[j] = q.mul(o_g, q.hard_tanh(c));
+            c[j] = q.add(q.mul(f_g, c[j]), q.mul(i_g, g_g));
+            h[j] = q.mul(o_g, q.hard_tanh(c[j]));
         }
-        &self.h
+        h
     }
 
-    /// Advances a lane gang of same-shape cells one step with a single
-    /// packed pass over the fixed-point lane kernels
+    /// Advances a lane gang of sequences one step through this cell with
+    /// a single packed pass over the fixed-point lane kernels
     /// ([`conv_forward_fx_batch_packed`] on the concatenated `[x; h]`
     /// rows), then finishes bias and gates per lane with scalar word
-    /// arithmetic. Returns one new hidden state per member, in member
-    /// order.
+    /// arithmetic. `states[s]` is member `s`'s `[h; c]`, updated in
+    /// place. Returns one new hidden state per member, in member order.
     ///
-    /// The gate matvec routes through member 0's weight words; members
-    /// must be clones of the same quantized cell (same grid, `Q`-format
-    /// and shape — the serving tier groups sessions by registry entry
-    /// before ganging). Because the packed batch path is per-sample
-    /// bit-identical to [`conv_forward_fx`] and the gate math is per lane,
-    /// **every member's `h`/`c` after a gang step is bit-identical to
+    /// Because the packed batch path is per-sample bit-identical to
+    /// [`conv_forward_fx`] and the gate math is per lane, **every
+    /// member's state after a gang step is bit-identical to
     /// [`FxLstmCell::step_scalar`]** at every gang width, one included,
     /// regardless of gang-mates.
     ///
     /// # Panics
     ///
-    /// Panics if `xs.len() != cells.len()`, if members disagree on
-    /// `Q`-format or shape, or any input length is not `F`.
-    pub fn step_gang(cells: &mut [&mut FxLstmCell], xs: &[&[i16]]) -> Vec<Vec<i16>> {
-        let n = cells.len();
+    /// Panics if `xs.len() != states.len()`, or any input is not `F`
+    /// words or any state not `2H`.
+    pub fn step_gang(&self, states: &mut [&mut [i16]], xs: &[&[i16]]) -> Vec<Vec<i16>> {
+        let n = states.len();
         assert_eq!(xs.len(), n, "one input per gang member");
         if n == 0 {
             return Vec::new();
         }
-        let q = cells[0].q;
-        let f = cells[0].in_features;
-        let hd = cells[0].hidden;
-        for (cell, x) in cells.iter().zip(xs) {
-            assert_eq!(cell.q, q, "gang members must share a Q-format");
-            assert_eq!(cell.in_features, f, "gang members must share a shape");
-            assert_eq!(cell.hidden, hd, "gang members must share a shape");
-            assert_eq!(x.len(), f, "step input length");
-        }
+        let (q, f, hd) = (self.q, self.in_features, self.hidden);
         FX_CELL_STEPS.add(n as u64);
         let mut flat = Vec::with_capacity(n * (f + hd));
-        for (cell, x) in cells.iter().zip(xs) {
+        for (state, x) in states.iter().zip(xs) {
+            assert_eq!(x.len(), f, "step input length");
+            assert_eq!(state.len(), 2 * hd, "state length");
             flat.extend_from_slice(x);
-            flat.extend_from_slice(&cell.h);
+            flat.extend_from_slice(&state[..hd]);
         }
         let batch = FxBatch::from_flat(q, n, f + hd, flat);
-        let pre = conv_forward_fx_batch_packed(&cells[0].weights, &batch, 1, 1);
+        let pre = conv_forward_fx_batch_packed(&self.weights, &batch, 1, 1);
         let mut outs = Vec::with_capacity(n);
-        for (s, cell) in cells.iter_mut().enumerate() {
+        for (s, state) in states.iter_mut().enumerate() {
+            let (h, c) = state.split_at_mut(hd);
             let mut row = pre.row(s).to_vec();
-            for (p, &b) in row.iter_mut().zip(&cell.bias) {
+            for (p, &b) in row.iter_mut().zip(&self.bias) {
                 *p = q.add(*p, b);
             }
             for j in 0..hd {
@@ -170,18 +169,19 @@ impl FxLstmCell {
                 let f_g = q.hard_sigmoid(row[hd + j]);
                 let g_g = q.hard_tanh(row[2 * hd + j]);
                 let o_g = q.hard_sigmoid(row[3 * hd + j]);
-                let c = q.add(q.mul(f_g, cell.c[j]), q.mul(i_g, g_g));
-                cell.c[j] = c;
-                cell.h[j] = q.mul(o_g, q.hard_tanh(c));
+                c[j] = q.add(q.mul(f_g, c[j]), q.mul(i_g, g_g));
+                h[j] = q.mul(o_g, q.hard_tanh(c[j]));
             }
-            outs.push(cell.h.clone());
+            outs.push(h.to_vec());
         }
         outs
     }
 }
 
 /// A fixed-point GRU cell: input stack `w: [3H, F]`, recurrent stack
-/// `u: [3H, H]`, gate order `r, z, n` (reset, update, candidate).
+/// `u: [3H, H]`, gate order `r, z, n` (reset, update, candidate). Like
+/// [`FxLstmCell`] it holds weights only; a sequence's state is a
+/// caller-owned `h` slice of `H` words.
 #[derive(Debug, Clone)]
 pub struct FxGruCell {
     q: QFormat,
@@ -191,7 +191,6 @@ pub struct FxGruCell {
     u: FxWeights,
     bias_w: Vec<i16>,
     bias_u: Vec<i16>,
-    h: Vec<i16>,
 }
 
 impl FxGruCell {
@@ -226,7 +225,6 @@ impl FxGruCell {
             u,
             bias_w,
             bias_u,
-            h: vec![0; hidden],
         }
     }
 
@@ -240,9 +238,10 @@ impl FxGruCell {
         self.hidden
     }
 
-    /// Clears `h` to zero words.
-    pub fn reset(&mut self) {
-        self.h.fill(0);
+    /// State words per sequence: `h`, `H`. Zero words start a fresh
+    /// sequence.
+    pub fn state_len(&self) -> usize {
+        self.hidden
     }
 
     /// Scalar oracle for [`FxGruCell::step_gang`], built like
@@ -250,13 +249,14 @@ impl FxGruCell {
     ///
     /// # Panics
     ///
-    /// Panics if `x.len() != F`.
-    pub fn step_scalar(&mut self, x: &[i16]) -> &[i16] {
+    /// Panics if `x.len() != F` or `h.len() != H`.
+    pub fn step_scalar<'s>(&self, h: &'s mut [i16], x: &[i16]) -> &'s [i16] {
         assert_eq!(x.len(), self.in_features, "step input length");
+        assert_eq!(h.len(), self.hidden, "state length");
         let q = self.q;
         let hd = self.hidden;
         let mut pre_w = conv_forward_fx(q, &self.w, x, 1, 1);
-        let mut pre_u = conv_forward_fx(q, &self.u, &self.h, 1, 1);
+        let mut pre_u = conv_forward_fx(q, &self.u, h, 1, 1);
         for (p, &b) in pre_w.iter_mut().zip(&self.bias_w) {
             *p = q.add(*p, b);
         }
@@ -269,51 +269,47 @@ impl FxGruCell {
             let n = q.hard_tanh(q.add(pre_w[2 * hd + j], q.mul(r, pre_u[2 * hd + j])));
             // h = (1 - z)·n + z·h_prev
             let one_minus_z = q.sub(q.one(), z);
-            self.h[j] = q.add(q.mul(one_minus_z, n), q.mul(z, self.h[j]));
+            h[j] = q.add(q.mul(one_minus_z, n), q.mul(z, h[j]));
         }
-        &self.h
+        h
     }
 
     /// GRU sibling of [`FxLstmCell::step_gang`]: two packed lane passes
     /// (input stack over the lane inputs, recurrent stack over the lane
     /// hidden states), then per-lane bias and gates in scalar word
-    /// arithmetic. Same contract: member 0's weight words, same-shape
-    /// clones only, and every member's post-step `h` is bit-identical to
+    /// arithmetic. `states[s]` is member `s`'s `h`, updated in place.
+    /// Same contract: every member's post-step `h` is bit-identical to
     /// [`FxGruCell::step_scalar`] at every gang width.
     ///
     /// # Panics
     ///
-    /// Panics if `xs.len() != cells.len()`, if members disagree on
-    /// `Q`-format or shape, or any input length is not `F`.
-    pub fn step_gang(cells: &mut [&mut FxGruCell], xs: &[&[i16]]) -> Vec<Vec<i16>> {
-        let n = cells.len();
+    /// Panics if `xs.len() != states.len()`, or any input is not `F`
+    /// words or any state not `H`.
+    pub fn step_gang(&self, states: &mut [&mut [i16]], xs: &[&[i16]]) -> Vec<Vec<i16>> {
+        let n = states.len();
         assert_eq!(xs.len(), n, "one input per gang member");
         if n == 0 {
             return Vec::new();
         }
-        let q = cells[0].q;
-        let f = cells[0].in_features;
-        let hd = cells[0].hidden;
-        for (cell, x) in cells.iter().zip(xs) {
-            assert_eq!(cell.q, q, "gang members must share a Q-format");
-            assert_eq!(cell.in_features, f, "gang members must share a shape");
-            assert_eq!(cell.hidden, hd, "gang members must share a shape");
+        let (q, f, hd) = (self.q, self.in_features, self.hidden);
+        for (state, x) in states.iter().zip(xs) {
             assert_eq!(x.len(), f, "step input length");
+            assert_eq!(state.len(), hd, "state length");
         }
         FX_CELL_STEPS.add(n as u64);
         let xb = FxBatch::from_borrowed_rows(q, xs);
-        let h_refs: Vec<&[i16]> = cells.iter().map(|c| c.h.as_slice()).collect();
+        let h_refs: Vec<&[i16]> = states.iter().map(|h| &**h).collect();
         let hb = FxBatch::from_borrowed_rows(q, &h_refs);
-        let pre_w = conv_forward_fx_batch_packed(&cells[0].w, &xb, 1, 1);
-        let pre_u = conv_forward_fx_batch_packed(&cells[0].u, &hb, 1, 1);
+        let pre_w = conv_forward_fx_batch_packed(&self.w, &xb, 1, 1);
+        let pre_u = conv_forward_fx_batch_packed(&self.u, &hb, 1, 1);
         let mut outs = Vec::with_capacity(n);
-        for (s, cell) in cells.iter_mut().enumerate() {
+        for (s, h) in states.iter_mut().enumerate() {
             let mut pw = pre_w.row(s).to_vec();
             let mut pu = pre_u.row(s).to_vec();
-            for (p, &b) in pw.iter_mut().zip(&cell.bias_w) {
+            for (p, &b) in pw.iter_mut().zip(&self.bias_w) {
                 *p = q.add(*p, b);
             }
-            for (p, &b) in pu.iter_mut().zip(&cell.bias_u) {
+            for (p, &b) in pu.iter_mut().zip(&self.bias_u) {
                 *p = q.add(*p, b);
             }
             for j in 0..hd {
@@ -321,9 +317,9 @@ impl FxGruCell {
                 let z = q.hard_sigmoid(q.add(pw[hd + j], pu[hd + j]));
                 let nv = q.hard_tanh(q.add(pw[2 * hd + j], q.mul(r, pu[2 * hd + j])));
                 let one_minus_z = q.sub(q.one(), z);
-                cell.h[j] = q.add(q.mul(one_minus_z, nv), q.mul(z, cell.h[j]));
+                h[j] = q.add(q.mul(one_minus_z, nv), q.mul(z, h[j]));
             }
-            outs.push(cell.h.clone());
+            outs.push(h.to_vec());
         }
         outs
     }
@@ -395,12 +391,12 @@ mod tests {
     use super::*;
     use circulant::{BlockCirculant, CirculantMatrix, ConvBlockCirculant};
 
-    fn lstm_step(cell: &mut FxLstmCell, x: &[i16]) -> Vec<i16> {
-        FxLstmCell::step_gang(&mut [cell], &[x]).remove(0)
+    fn lstm_step(cell: &FxLstmCell, state: &mut [i16], x: &[i16]) -> Vec<i16> {
+        cell.step_gang(&mut [state], &[x]).remove(0)
     }
 
-    fn gru_step(cell: &mut FxGruCell, x: &[i16]) -> Vec<i16> {
-        FxGruCell::step_gang(&mut [cell], &[x]).remove(0)
+    fn gru_step(cell: &FxGruCell, h: &mut [i16], x: &[i16]) -> Vec<i16> {
+        cell.step_gang(&mut [h], &[x]).remove(0)
     }
 
     fn grid_1x1(bs: usize, rows: usize, cols: usize, seed: u64) -> ConvBlockCirculant<f32> {
@@ -446,8 +442,7 @@ mod tests {
         let conv = grid_1x1(bs, 4 * h, f + h, 1);
         let weights = FxWeights::from_folded(q, &conv);
         let bias: Vec<i16> = (0..4 * h).map(|i| q.from_f64(0.01 * i as f64)).collect();
-        let mut a = FxLstmCell::new(q, weights.clone(), bias.clone(), f);
-        let mut b = FxLstmCell::new(q, weights, bias, f);
+        let cell = FxLstmCell::new(q, weights, bias, f);
         let steps: Vec<Vec<i16>> = (0..6)
             .map(|t| {
                 (0..f)
@@ -455,13 +450,15 @@ mod tests {
                     .collect()
             })
             .collect();
-        // One continuous run vs a run replayed after reset: identical words.
-        let run_a: Vec<Vec<i16>> = steps.iter().map(|s| lstm_step(&mut a, s)).collect();
-        let warmup: Vec<i16> = vec![q.from_f64(0.5); f];
-        lstm_step(&mut b, &warmup);
-        b.reset();
+        // One continuous run vs a run replayed from zero state after
+        // another sequence warmed up the same cell: identical words.
+        let mut a = vec![0i16; cell.state_len()];
+        let run_a: Vec<Vec<i16>> = steps.iter().map(|s| lstm_step(&cell, &mut a, s)).collect();
+        let mut warm = vec![0i16; cell.state_len()];
+        lstm_step(&cell, &mut warm, &vec![q.from_f64(0.5); f]);
+        let mut b = vec![0i16; cell.state_len()];
         for (t, s) in steps.iter().enumerate() {
-            assert_eq!(lstm_step(&mut b, s), run_a[t], "step {t} diverged");
+            assert_eq!(lstm_step(&cell, &mut b, s), run_a[t], "step {t} diverged");
         }
     }
 
@@ -471,14 +468,15 @@ mod tests {
         let (f, h, bs) = (4, 4, 4);
         let w = FxWeights::from_folded(q, &grid_1x1(bs, 3 * h, f, 2));
         let u = FxWeights::from_folded(q, &grid_1x1(bs, 3 * h, h, 3));
-        let mut cell = FxGruCell::new(q, w, u, vec![0; 3 * h], vec![0; 3 * h]);
+        let cell = FxGruCell::new(q, w, u, vec![0; 3 * h], vec![0; 3 * h]);
+        let mut state = vec![0i16; cell.state_len()];
         // h is a convex combination of hard_tanh outputs, so it can never
         // leave [-1, 1] no matter how hot the inputs run.
         for t in 0..50 {
             let x: Vec<i16> = (0..f)
                 .map(|j| q.from_f64(((t + j) % 7) as f64 - 3.0))
                 .collect();
-            let hs = gru_step(&mut cell, &x);
+            let hs = gru_step(&cell, &mut state, &x);
             for &v in &hs {
                 assert!(v.abs() <= q.one(), "state escaped the rails: {v}");
             }
@@ -508,13 +506,12 @@ mod tests {
             1,
             vec![BlockCirculant::from_blocks(bs, ob, ib, blocks)],
         );
-        let weights = FxWeights::from_folded(q, &pruned);
-        let mut a = FxLstmCell::new(q, weights.clone(), vec![0; 4 * h], f);
-        let mut b = FxLstmCell::new(q, weights, vec![0; 4 * h], f);
+        let cell = FxLstmCell::new(q, FxWeights::from_folded(q, &pruned), vec![0; 4 * h], f);
+        let (mut a, mut b) = (vec![0i16; cell.state_len()], vec![0i16; cell.state_len()]);
         let x1: Vec<i16> = (0..f).map(|j| q.from_f64(j as f64)).collect();
         let x2 = vec![0i16; f];
         for _ in 0..3 {
-            assert_eq!(lstm_step(&mut a, &x1), lstm_step(&mut b, &x2));
+            assert_eq!(lstm_step(&cell, &mut a, &x1), lstm_step(&cell, &mut b, &x2));
         }
     }
 
@@ -522,30 +519,26 @@ mod tests {
     fn gang_step_bit_identical_to_solo_scalar() {
         let q = QFormat::q8();
         let (f, h, bs) = (4, 8, 4);
-        let lstm_w = FxWeights::from_folded(q, &grid_1x1(bs, 4 * h, f + h, 7));
-        let lstm_bias: Vec<i16> = (0..4 * h)
-            .map(|i| q.from_f64(0.02 * i as f64 - 0.3))
-            .collect();
-        let gru_w = FxWeights::from_folded(q, &grid_1x1(bs, 3 * h, f, 8));
-        let gru_u = FxWeights::from_folded(q, &grid_1x1(bs, 3 * h, h, 9));
-        let gru_bw: Vec<i16> = (0..3 * h).map(|i| q.from_f64(0.01 * i as f64)).collect();
-        let gru_bu: Vec<i16> = (0..3 * h).map(|i| q.from_f64(-0.01 * i as f64)).collect();
+        let lstm = FxLstmCell::new(
+            q,
+            FxWeights::from_folded(q, &grid_1x1(bs, 4 * h, f + h, 7)),
+            (0..4 * h)
+                .map(|i| q.from_f64(0.02 * i as f64 - 0.3))
+                .collect(),
+            f,
+        );
+        let gru = FxGruCell::new(
+            q,
+            FxWeights::from_folded(q, &grid_1x1(bs, 3 * h, f, 8)),
+            FxWeights::from_folded(q, &grid_1x1(bs, 3 * h, h, 9)),
+            (0..3 * h).map(|i| q.from_f64(0.01 * i as f64)).collect(),
+            (0..3 * h).map(|i| q.from_f64(-0.01 * i as f64)).collect(),
+        );
         for width in [1usize, 2, 5, 8] {
-            let mut lstm_gang: Vec<FxLstmCell> = (0..width)
-                .map(|_| FxLstmCell::new(q, lstm_w.clone(), lstm_bias.clone(), f))
-                .collect();
+            // One cell each, N sequences: gang states vs solo states.
+            let mut lstm_gang = vec![vec![0i16; lstm.state_len()]; width];
             let mut lstm_solo = lstm_gang.clone();
-            let mut gru_gang: Vec<FxGruCell> = (0..width)
-                .map(|_| {
-                    FxGruCell::new(
-                        q,
-                        gru_w.clone(),
-                        gru_u.clone(),
-                        gru_bw.clone(),
-                        gru_bu.clone(),
-                    )
-                })
-                .collect();
+            let mut gru_gang = vec![vec![0i16; gru.state_len()]; width];
             let mut gru_solo = gru_gang.clone();
             for t in 0..5 {
                 let xs: Vec<Vec<i16>> = (0..width)
@@ -556,31 +549,37 @@ mod tests {
                     })
                     .collect();
                 let x_refs: Vec<&[i16]> = xs.iter().map(|x| x.as_slice()).collect();
-                let mut lrefs: Vec<&mut FxLstmCell> = lstm_gang.iter_mut().collect();
-                let louts = FxLstmCell::step_gang(&mut lrefs, &x_refs);
-                let mut grefs: Vec<&mut FxGruCell> = gru_gang.iter_mut().collect();
-                let gouts = FxGruCell::step_gang(&mut grefs, &x_refs);
+                let mut lrefs: Vec<&mut [i16]> =
+                    lstm_gang.iter_mut().map(|s| s.as_mut_slice()).collect();
+                let louts = lstm.step_gang(&mut lrefs, &x_refs);
+                let mut grefs: Vec<&mut [i16]> =
+                    gru_gang.iter_mut().map(|s| s.as_mut_slice()).collect();
+                let gouts = gru.step_gang(&mut grefs, &x_refs);
                 for s in 0..width {
                     assert_eq!(
                         louts[s],
-                        lstm_solo[s].step_scalar(&xs[s]),
+                        lstm.step_scalar(&mut lstm_solo[s], &xs[s]),
                         "lstm width {width} lane {s} step {t}"
                     );
                     assert_eq!(
                         gouts[s],
-                        gru_solo[s].step_scalar(&xs[s]),
+                        gru.step_scalar(&mut gru_solo[s], &xs[s]),
                         "gru width {width} lane {s} step {t}"
                     );
                 }
+                assert_eq!(lstm_gang, lstm_solo, "lstm [h; c] width {width} step {t}");
             }
             // Leaving the gang: one more step alone must agree.
             let x = vec![q.from_f64(0.5); f];
             for s in 0..width {
                 assert_eq!(
-                    lstm_step(&mut lstm_gang[s], &x),
-                    lstm_solo[s].step_scalar(&x)
+                    lstm_step(&lstm, &mut lstm_gang[s], &x),
+                    lstm.step_scalar(&mut lstm_solo[s], &x)
                 );
-                assert_eq!(gru_step(&mut gru_gang[s], &x), gru_solo[s].step_scalar(&x));
+                assert_eq!(
+                    gru_step(&gru, &mut gru_gang[s], &x),
+                    gru.step_scalar(&mut gru_solo[s], &x)
+                );
             }
         }
     }

@@ -17,13 +17,17 @@
 //!    ([`add_bias`], [`lstm_cell`], [`gru_cell`]), in the same order on
 //!    both paths.
 //!
-//! [`SeqRunner`] is the float stepper the serving tier pins per session:
-//! it is built once from a network (or checkpoint), holds the hidden
-//! state server-side, and advances one timestep per `session_step`.
+//! The streaming form splits weights from state. A [`SeqStack`] holds a
+//! checkpoint's folded cell grids and head; it is built once per model
+//! version and shared, behind an `Arc`, by every session. A
+//! [`SeqRunner`] is that `Arc` plus one sequence's hidden state, so
+//! opening a session allocates only state vectors, and a gang can only
+//! step runners of one stack.
 
 use crate::layers::checkpoint::LayerSnapshot;
 use crate::layers::Network;
 use circulant::BlockCirculant;
+use std::sync::Arc;
 
 /// Logistic sigmoid — the gate nonlinearity of both cells.
 #[inline]
@@ -114,30 +118,35 @@ impl std::fmt::Display for SeqError {
 
 impl std::error::Error for SeqError {}
 
-/// One recurrent cell of a [`SeqRunner`], with its server-side state.
-#[derive(Debug, Clone)]
-enum Cell {
+/// One recurrent cell of a [`SeqStack`]: weights only, read-only once
+/// built. The per-session state lives in the [`SeqRunner`].
+#[derive(Debug)]
+pub enum Cell {
     /// LSTM over the concatenated `[x; h]` input.
     Lstm {
-        /// `[4H, F+H]` gate grid.
+        /// Folded `[4H, F+H]` gate grid, spectra prepared.
         grid: BlockCirculant<f32>,
+        /// Gate bias, `[4H]`.
         bias: Vec<f32>,
+        /// Input features F.
         in_features: usize,
+        /// Hidden width H.
         hidden: usize,
-        h: Vec<f32>,
-        c: Vec<f32>,
     },
     /// GRU with separate input/recurrent grids.
     Gru {
-        /// `[3H, F]` input grid.
+        /// Folded `[3H, F]` input grid, spectra prepared.
         w: BlockCirculant<f32>,
-        /// `[3H, H]` recurrent grid.
+        /// Folded `[3H, H]` recurrent grid, spectra prepared.
         u: BlockCirculant<f32>,
+        /// Input-side bias, `[3H]`.
         bias_w: Vec<f32>,
+        /// Recurrent-side bias, `[3H]`.
         bias_u: Vec<f32>,
+        /// Input features F.
         in_features: usize,
+        /// Hidden width H.
         hidden: usize,
-        h: Vec<f32>,
     },
 }
 
@@ -154,26 +163,27 @@ impl Cell {
         }
     }
 
-    fn reset(&mut self) {
+    /// Per-session state values: `[h; c]` (2H) for LSTM, `h` (H) for GRU.
+    fn state_len(&self) -> usize {
         match self {
-            Cell::Lstm { h, c, .. } => {
-                h.iter_mut().for_each(|v| *v = 0.0);
-                c.iter_mut().for_each(|v| *v = 0.0);
-            }
-            Cell::Gru { h, .. } => h.iter_mut().for_each(|v| *v = 0.0),
+            Cell::Lstm { hidden, .. } => 2 * hidden,
+            Cell::Gru { hidden, .. } => *hidden,
         }
     }
 }
 
 /// The per-step classifier head (a dense `Linear` applied to the last
 /// cell's hidden state each step).
-#[derive(Debug, Clone)]
-struct Head {
-    /// Flat `[out, in]`.
-    w: Vec<f32>,
-    bias: Vec<f32>,
-    in_features: usize,
-    out_features: usize,
+#[derive(Debug)]
+pub struct Head {
+    /// Weight, flat `[out, in]`.
+    pub weight: Vec<f32>,
+    /// Bias, `[out]`.
+    pub bias: Vec<f32>,
+    /// Input features (the last cell's hidden size).
+    pub in_features: usize,
+    /// Output features.
+    pub out_features: usize,
 }
 
 impl Head {
@@ -184,7 +194,7 @@ impl Head {
         debug_assert_eq!(h.len(), self.in_features);
         let mut y = vec![0.0f32; self.out_features];
         for (o, out) in y.iter_mut().enumerate() {
-            let row = &self.w[o * self.in_features..(o + 1) * self.in_features];
+            let row = &self.weight[o * self.in_features..(o + 1) * self.in_features];
             let mut acc = 0.0f32;
             for (&wv, &hv) in row.iter().zip(h) {
                 acc += wv * hv;
@@ -195,48 +205,9 @@ impl Head {
     }
 }
 
-/// Read-only view of one [`SeqRunner`] cell's weights (no state), for
-/// mirroring the runner on another datapath: the serving tier quantizes
-/// its fixed-point stepper from these.
-#[derive(Debug, Clone, Copy)]
-pub enum CellWeights<'a> {
-    /// LSTM over `[x; h]`.
-    Lstm {
-        /// Folded `[4H, F+H]` gate grid.
-        grid: &'a BlockCirculant<f32>,
-        /// Gate bias, `[4H]`.
-        bias: &'a [f32],
-        /// Input features F.
-        in_features: usize,
-    },
-    /// GRU with separate input and recurrent grids.
-    Gru {
-        /// Folded `[3H, F]` input grid.
-        w: &'a BlockCirculant<f32>,
-        /// Folded `[3H, H]` recurrent grid.
-        u: &'a BlockCirculant<f32>,
-        /// Input-side bias, `[3H]`.
-        bias_w: &'a [f32],
-        /// Recurrent-side bias, `[3H]`.
-        bias_u: &'a [f32],
-    },
-}
-
-/// Read-only view of a [`SeqRunner`]'s dense per-step head.
-#[derive(Debug, Clone, Copy)]
-pub struct HeadWeights<'a> {
-    /// Weight, flat `[out, in]`.
-    pub weight: &'a [f32],
-    /// Bias, `[out]`.
-    pub bias: &'a [f32],
-    /// Input features (the last cell's hidden size).
-    pub in_features: usize,
-    /// Output features.
-    pub out_features: usize,
-}
-
-/// A step-at-a-time evaluator of a recurrent checkpoint: the streaming
-/// form the serving tier pins per session.
+/// The weights of a streamable recurrent checkpoint: its cells and
+/// optional head, built once per model version and shared, behind an
+/// `Arc`, by every [`SeqRunner`] stepping it.
 ///
 /// Supported stacks: one or more [`crate::layers::BcmLstm`] /
 /// [`crate::layers::BcmGru`] cells, optionally followed by
@@ -247,15 +218,14 @@ pub struct HeadWeights<'a> {
 /// full-sequence forward, bit for bit (the `BcmAttention` layer is
 /// non-causal and therefore has no streaming form; stacks containing it
 /// are rejected).
-#[derive(Debug, Clone)]
-pub struct SeqRunner {
+#[derive(Debug)]
+pub struct SeqStack {
     cells: Vec<Cell>,
     head: Option<Head>,
-    steps: u64,
 }
 
-impl SeqRunner {
-    /// Builds a runner from a network's layer snapshots.
+impl SeqStack {
+    /// Builds the stack from a network's layer snapshots.
     ///
     /// # Errors
     ///
@@ -284,8 +254,6 @@ impl SeqRunner {
                         bias,
                         in_features: gates.c_in - hidden,
                         hidden,
-                        h: vec![0.0; hidden],
-                        c: vec![0.0; hidden],
                     });
                 }
                 LayerSnapshot::BcmGru {
@@ -305,7 +273,6 @@ impl SeqRunner {
                         bias_u,
                         in_features,
                         hidden,
-                        h: vec![0.0; hidden],
                     });
                 }
                 // Identity per step: pooling one timestep averages one value.
@@ -320,7 +287,7 @@ impl SeqRunner {
                         return Err(SeqError::NoRecurrentLayer);
                     }
                     head = Some(Head {
-                        w: weight,
+                        weight,
                         bias,
                         in_features,
                         out_features,
@@ -354,49 +321,17 @@ impl SeqRunner {
                 )));
             }
         }
-        Ok(SeqRunner {
-            cells,
-            head,
-            steps: 0,
-        })
+        Ok(SeqStack { cells, head })
     }
 
-    /// The cells' weights, input side first.
-    pub fn cell_weights(&self) -> impl Iterator<Item = CellWeights<'_>> {
-        self.cells.iter().map(|cell| match cell {
-            Cell::Lstm {
-                grid,
-                bias,
-                in_features,
-                ..
-            } => CellWeights::Lstm {
-                grid,
-                bias,
-                in_features: *in_features,
-            },
-            Cell::Gru {
-                w,
-                u,
-                bias_w,
-                bias_u,
-                ..
-            } => CellWeights::Gru {
-                w,
-                u,
-                bias_w,
-                bias_u,
-            },
-        })
+    /// The cells, input side first.
+    pub fn cells(&self) -> &[Cell] {
+        &self.cells
     }
 
-    /// The head's weights, when the stack ends in a dense `Linear`.
-    pub fn head_weights(&self) -> Option<HeadWeights<'_>> {
-        self.head.as_ref().map(|h| HeadWeights {
-            weight: &h.w,
-            bias: &h.bias,
-            in_features: h.in_features,
-            out_features: h.out_features,
-        })
+    /// The dense head, when the stack ends in a `Linear`.
+    pub fn head(&self) -> Option<&Head> {
+        self.head.as_ref()
     }
 
     /// Per-step input width.
@@ -411,18 +346,46 @@ impl SeqRunner {
             None => self.cells.last().expect("non-empty").hidden(),
         }
     }
+}
 
-    /// Steps taken since construction or the last [`SeqRunner::reset`].
-    pub fn steps(&self) -> u64 {
-        self.steps
+/// A step-at-a-time evaluator of a recurrent checkpoint: the streaming
+/// form the serving tier pins per session. It is the shared
+/// [`SeqStack`] plus this sequence's hidden state, one vector per cell
+/// (`[h; c]` for LSTM, `h` for GRU); cloning it copies the `Arc` and the
+/// state, never the weights.
+#[derive(Debug, Clone)]
+pub struct SeqRunner {
+    stack: Arc<SeqStack>,
+    state: Vec<Vec<f32>>,
+}
+
+impl SeqRunner {
+    /// A zero-state runner over `stack`, starting a fresh sequence.
+    pub fn new(stack: &Arc<SeqStack>) -> Self {
+        let state = stack
+            .cells
+            .iter()
+            .map(|c| vec![0.0; c.state_len()])
+            .collect();
+        SeqRunner {
+            stack: Arc::clone(stack),
+            state,
+        }
     }
 
-    /// Zeroes all hidden state, starting a fresh sequence.
-    pub fn reset(&mut self) {
-        for c in &mut self.cells {
-            c.reset();
-        }
-        self.steps = 0;
+    /// The shared weights this runner steps through.
+    pub fn stack(&self) -> &Arc<SeqStack> {
+        &self.stack
+    }
+
+    /// Per-step input width.
+    pub fn input_len(&self) -> usize {
+        self.stack.input_len()
+    }
+
+    /// Per-step output width (head outputs, or the last hidden size).
+    pub fn output_len(&self) -> usize {
+        self.stack.output_len()
     }
 
     /// Advances one timestep and returns the per-step output: a
@@ -457,10 +420,6 @@ impl SeqRunner {
 /// depends on this: a session can step alone or be re-ganged with
 /// different mates at any step boundary with no observable difference on
 /// the wire.
-///
-/// Members must all be runners of the same checkpoint (the shard groups
-/// sessions by registry entry before forming a gang); the gang steps
-/// through member 0's grids, which are clones of the same template.
 pub struct SeqRunnerBatch;
 
 impl SeqRunnerBatch {
@@ -469,101 +428,74 @@ impl SeqRunnerBatch {
     ///
     /// # Panics
     ///
-    /// Panics if `xs.len() != members.len()`, if any input length differs
-    /// from its member's [`SeqRunner::input_len`], or if members disagree
-    /// on stack shape (cell count, kinds, widths).
+    /// Panics if `xs.len() != members.len()`, if the members do not all
+    /// share one [`SeqStack`] allocation, or if any input length differs
+    /// from [`SeqRunner::input_len`].
     pub fn step(members: &mut [&mut SeqRunner], xs: &[&[f32]]) -> Vec<Vec<f32>> {
-        let n = members.len();
-        assert_eq!(xs.len(), n, "one input per gang member");
-        if n == 0 {
+        assert_eq!(xs.len(), members.len(), "one input per gang member");
+        let Some(first) = members.first() else {
             return Vec::new();
-        }
-        let n_cells = members[0].cells.len();
+        };
+        let stack = Arc::clone(&first.stack);
         for (m, x) in members.iter().zip(xs) {
-            assert_eq!(
-                m.cells.len(),
-                n_cells,
-                "gang members must share a stack shape"
+            assert!(
+                Arc::ptr_eq(&m.stack, &stack),
+                "gang members must share one model stack"
             );
-            assert_eq!(x.len(), m.input_len(), "step input length");
+            assert_eq!(x.len(), stack.input_len(), "step input length");
         }
         let mut curs: Vec<Vec<f32>> = xs.iter().map(|x| x.to_vec()).collect();
-        for ci in 0..n_cells {
-            match &members[0].cells[ci] {
-                Cell::Lstm { .. } => {
-                    // Concatenate each lane's [x; h] under a shared borrow,
-                    // run the lane matvec off member 0's grid, then finish
-                    // the gates per lane with the scalar cell code.
+        for (ci, cell) in stack.cells.iter().enumerate() {
+            match cell {
+                Cell::Lstm {
+                    grid, bias, hidden, ..
+                } => {
+                    // Concatenate each lane's [x; h], run one lane matvec
+                    // over the shared grid, then finish the gates per lane
+                    // with the scalar cell code.
                     let zs: Vec<Vec<f32>> = members
                         .iter()
                         .zip(&curs)
-                        .map(|(m, cur)| {
-                            let Cell::Lstm { h, .. } = &m.cells[ci] else {
-                                panic!("gang members must agree on cell kinds");
-                            };
-                            let mut z = Vec::with_capacity(cur.len() + h.len());
-                            z.extend_from_slice(cur);
-                            z.extend_from_slice(h);
-                            z
-                        })
+                        .map(|(m, cur)| [cur.as_slice(), &m.state[ci][..*hidden]].concat())
                         .collect();
                     let z_refs: Vec<&[f32]> = zs.iter().map(|z| z.as_slice()).collect();
-                    let pres = {
-                        let Cell::Lstm { grid, .. } = &members[0].cells[ci] else {
-                            unreachable!()
-                        };
-                        grid.matvec_lanes(&z_refs)
-                    };
-                    for (s, mut pre) in pres.into_iter().enumerate() {
-                        let Cell::Lstm { bias, h, c, .. } = &mut members[s].cells[ci] else {
-                            unreachable!()
-                        };
+                    let pres = grid.matvec_lanes(&z_refs);
+                    for ((m, cur), mut pre) in members.iter_mut().zip(&mut curs).zip(pres) {
+                        let (h, c) = m.state[ci].split_at_mut(*hidden);
                         add_bias(&mut pre, bias);
                         lstm_cell(&mut pre, h, c);
-                        curs[s] = h.clone();
+                        *cur = h.to_vec();
                     }
                 }
-                Cell::Gru { .. } => {
+                Cell::Gru {
+                    w,
+                    u,
+                    bias_w,
+                    bias_u,
+                    ..
+                } => {
                     let x_refs: Vec<&[f32]> = curs.iter().map(|c| c.as_slice()).collect();
-                    let h_refs: Vec<&[f32]> = members
-                        .iter()
-                        .map(|m| {
-                            let Cell::Gru { h, .. } = &m.cells[ci] else {
-                                panic!("gang members must agree on cell kinds");
-                            };
-                            h.as_slice()
-                        })
-                        .collect();
-                    let (pre_ws, pre_us) = {
-                        let Cell::Gru { w, u, .. } = &members[0].cells[ci] else {
-                            unreachable!()
-                        };
-                        (w.matvec_lanes(&x_refs), u.matvec_lanes(&h_refs))
-                    };
-                    for (s, (mut pre_w, mut pre_u)) in pre_ws.into_iter().zip(pre_us).enumerate() {
-                        let Cell::Gru {
-                            bias_w, bias_u, h, ..
-                        } = &mut members[s].cells[ci]
-                        else {
-                            unreachable!()
-                        };
+                    let h_refs: Vec<&[f32]> =
+                        members.iter().map(|m| m.state[ci].as_slice()).collect();
+                    let (pre_ws, pre_us) = (w.matvec_lanes(&x_refs), u.matvec_lanes(&h_refs));
+                    for ((m, cur), (mut pre_w, mut pre_u)) in members
+                        .iter_mut()
+                        .zip(&mut curs)
+                        .zip(pre_ws.into_iter().zip(pre_us))
+                    {
+                        let h = &mut m.state[ci];
                         add_bias(&mut pre_w, bias_w);
                         add_bias(&mut pre_u, bias_u);
                         gru_cell(&mut pre_w, &mut pre_u, h);
-                        curs[s] = h.clone();
+                        *cur = h.clone();
                     }
                 }
             }
         }
-        members
-            .iter_mut()
-            .zip(curs)
-            .map(|(m, cur)| {
-                m.steps += 1;
-                match &m.head {
-                    Some(head) => head.apply(&cur),
-                    None => cur,
-                }
+        curs.into_iter()
+            .map(|cur| match &stack.head {
+                Some(head) => head.apply(&cur),
+                None => cur,
             })
             .collect()
     }
@@ -615,8 +547,12 @@ mod tests {
             .collect()
     }
 
+    fn runner(net: &Network) -> SeqRunner {
+        SeqRunner::new(&Arc::new(SeqStack::from_network(net).expect("streamable")))
+    }
+
     fn assert_streaming_matches(net: &Network, seed: u64) {
-        let mut runner = SeqRunner::from_network(net).expect("streamable");
+        let mut runner = runner(net);
         let mut rng = StdRng::seed_from_u64(seed);
         let (f, t_len) = (runner.input_len(), 7);
         let x: Tensor<f32> = init::gaussian(&mut rng, &[1, f, t_len, 1], 0.0, 1.0);
@@ -634,7 +570,6 @@ mod tests {
                 );
             }
         }
-        assert_eq!(runner.steps(), t_len as u64);
     }
 
     #[test]
@@ -680,7 +615,7 @@ mod tests {
             ],
         );
         net.bcm_eliminate(&[1, 5, 28]);
-        let template = SeqRunner::from_network(&net).expect("streamable");
+        let template = runner(&net);
         // Six gang steps, then one more step alone: the referee is each
         // member's own offline full-sequence layer forward over all seven.
         let (f, gang_steps, t_len) = (4, 6, 7);
@@ -734,15 +669,15 @@ mod tests {
     }
 
     #[test]
-    fn reset_restarts_the_sequence_exactly() {
+    fn fresh_runner_replays_the_sequence_exactly() {
         let net = lstm_classifier(4, 4, 2, 2, 14);
-        let mut runner = SeqRunner::from_network(&net).expect("streamable");
+        let mut used = runner(&net);
         let step_in = vec![0.5f32, -0.25, 1.0, 0.0];
-        let first: Vec<Vec<f32>> = (0..3).map(|_| runner.step(&step_in)).collect();
-        runner.reset();
-        assert_eq!(runner.steps(), 0);
+        let first: Vec<Vec<f32>> = (0..3).map(|_| used.step(&step_in)).collect();
+        // A runner opened on the used one's stack starts from zero state.
+        let mut fresh = SeqRunner::new(used.stack());
         for want in &first {
-            let got = runner.step(&step_in);
+            let got = fresh.step(&step_in);
             for (a, b) in got.iter().zip(want) {
                 assert_eq!(a.to_bits(), b.to_bits());
             }
@@ -750,16 +685,25 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "share one model stack")]
+    fn gang_of_two_models_panics() {
+        let mut a = runner(&lstm_classifier(8, 16, 8, 4, 1));
+        let mut b = runner(&lstm_classifier(8, 16, 8, 4, 2));
+        let x = [0.5f32; 8];
+        SeqRunnerBatch::step(&mut [&mut a, &mut b], &[&x, &x]);
+    }
+
+    #[test]
     fn non_streamable_stacks_are_rejected() {
         // Attention is non-causal: no streaming form.
         let attn = attn_lstm_classifier(4, 4, 2, 2, 15);
         assert!(matches!(
-            SeqRunner::from_network(&attn),
+            SeqStack::from_network(&attn),
             Err(SeqError::Unsupported(_))
         ));
         // A CNN has no recurrent cell (conv has no streaming semantics).
         let cnn = vgg_tiny(ConvMode::Dense, 10, 16);
-        assert!(SeqRunner::from_network(&cnn).is_err());
+        assert!(SeqStack::from_network(&cnn).is_err());
         // A head with no cell in front of it.
         let mut rng = StdRng::seed_from_u64(17);
         let headless = Network::new(
@@ -767,7 +711,7 @@ mod tests {
             vec![Box::new(Linear::new(&mut rng, 4, 2)) as Box<dyn Layer>],
         );
         assert!(matches!(
-            SeqRunner::from_network(&headless),
+            SeqStack::from_network(&headless),
             Err(SeqError::NoRecurrentLayer)
         ));
     }
@@ -783,7 +727,7 @@ mod tests {
             ],
         );
         assert!(matches!(
-            SeqRunner::from_network(&bad),
+            SeqStack::from_network(&bad),
             Err(SeqError::Unsupported(_))
         ));
     }

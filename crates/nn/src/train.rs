@@ -728,6 +728,6 @@ mod tests {
         );
         // The pruned cell still streams: the skip index survives into a
         // runner without panicking.
-        assert!(crate::seq::SeqRunner::from_network(&best.net).is_ok());
+        assert!(crate::seq::SeqStack::from_network(&best.net).is_ok());
     }
 }

@@ -281,7 +281,7 @@ impl Model {
         self.fx.as_ref()
     }
 
-    /// The streaming-session templates, when the stack is a recurrent
+    /// The streaming-session weight stacks, when the stack is a recurrent
     /// sequence model (see [`crate::session`]).
     pub fn seq(&self) -> Option<&SeqModel> {
         self.seq.as_ref()
@@ -350,9 +350,10 @@ impl ModelEntry {
         self.fx.as_ref()
     }
 
-    /// The streaming-session templates, when the stack is a recurrent
-    /// sequence model. Sessions opened against this entry hold its `Arc`,
-    /// so a hot swap never changes the weights mid-session.
+    /// The streaming-session weight stacks, when the stack is a
+    /// recurrent sequence model. Sessions opened against this entry hold
+    /// its `Arc` and their runners hold the stacks' `Arc`s, so a hot swap
+    /// never changes the weights mid-session.
     pub fn seq(&self) -> Option<&SeqModel> {
         self.seq.as_ref()
     }

@@ -7,10 +7,10 @@
 //! - **float** — [`nn::seq::SeqRunner`], whose per-step outputs are
 //!   bit-identical to the offline full-sequence `Network::forward` (the
 //!   shared-cell-math contract proven in `nn::seq`);
-//! - **fixed-point** — [`FxSeqRunner`] below, a stack of
+//! - **fixed-point** — [`FxSeqRunner`] below, over a stack of
 //!   [`hwsim::FxLstmCell`] / [`hwsim::FxGruCell`] cells plus an optional
-//!   [`hwsim::FxLinear`] head, quantized from the float stepper's
-//!   folded weights.
+//!   [`hwsim::FxLinear`] head, quantized from the float stack's folded
+//!   weights.
 //!   The fx cells are pure functions of quantized state and input, so a
 //!   streamed replay is trivially bit-identical to an offline fold of
 //!   the same step sequence.
@@ -19,52 +19,35 @@
 //! ([`nn::seq::SeqRunnerBatch`], [`FxSeqRunnerBatch`]); a single
 //! session's `step` is a gang of one.
 //!
-//! Both runners are built **once per published model version** as
-//! zero-state templates inside [`SeqModel`] (carried by the registry's
-//! `ModelEntry`), and cloned per session — so `session_open` never
-//! re-quantizes weights or re-plans FFTs, and the template's `Arc` rides
-//! the entry that the session pinned, giving hot-swap isolation for
-//! free.
+//! Weights and state are separate. Each published model version builds
+//! its float [`nn::seq::SeqStack`] and its quantized fx stack **once**,
+//! inside [`SeqModel`] (carried by the registry's `ModelEntry`), each
+//! behind one `Arc`. A session runner is that `Arc` plus zeroed state
+//! vectors, so `session_open` copies no weights, re-quantizes nothing and
+//! re-plans no FFTs; the `Arc` also pins the version a session opened
+//! against, giving hot-swap isolation for free. A gang checks once that
+//! all its members share one stack, then walks the shared cells.
+
+use std::sync::Arc;
 
 use circulant::{BlockCirculant, ConvBlockCirculant};
 use hwsim::inference::FxWeights;
 use hwsim::{FxGruCell, FxLinear, FxLstmCell, QFormat};
-use nn::seq::{CellWeights, SeqRunner};
+use nn::seq::{Cell, SeqRunner, SeqStack};
 use nn::{CheckpointMeta, Network};
 
-/// One fixed-point recurrent cell of an [`FxSeqRunner`].
-#[derive(Debug, Clone)]
+/// One fixed-point recurrent cell of an [`FxSeqStack`].
+#[derive(Debug)]
 enum FxCell {
     Lstm(FxLstmCell),
     Gru(FxGruCell),
 }
 
 impl FxCell {
-    fn in_features(&self) -> usize {
+    fn state_len(&self) -> usize {
         match self {
-            FxCell::Lstm(c) => c.in_features(),
-            FxCell::Gru(c) => c.in_features(),
-        }
-    }
-
-    fn hidden(&self) -> usize {
-        match self {
-            FxCell::Lstm(c) => c.hidden(),
-            FxCell::Gru(c) => c.hidden(),
-        }
-    }
-
-    fn reset(&mut self) {
-        match self {
-            FxCell::Lstm(c) => c.reset(),
-            FxCell::Gru(c) => c.reset(),
-        }
-    }
-
-    fn step_scalar(&mut self, x: &[i16]) -> Vec<i16> {
-        match self {
-            FxCell::Lstm(c) => c.step_scalar(x).to_vec(),
-            FxCell::Gru(c) => c.step_scalar(x).to_vec(),
+            FxCell::Lstm(c) => c.state_len(),
+            FxCell::Gru(c) => c.state_len(),
         }
     }
 }
@@ -75,39 +58,42 @@ fn quantize_grid(q: QFormat, grid: &BlockCirculant<f32>) -> FxWeights {
     FxWeights::from_folded(q, &ConvBlockCirculant::from_grids(1, 1, vec![grid.clone()]))
 }
 
-/// The fixed-point streaming stepper: the "FPGA mode" twin of
-/// [`SeqRunner`], running every gate matvec through the same packed eMAC
-/// lane kernels ([`hwsim::inference::conv_forward_fx_batch_packed`]) as
-/// batch fx inference.
-#[derive(Debug, Clone)]
-pub struct FxSeqRunner {
+/// The quantized weights of one model version's streaming form, shared
+/// by every [`FxSeqRunner`] opened on it.
+#[derive(Debug)]
+pub(crate) struct FxSeqStack {
     q: QFormat,
     cells: Vec<FxCell>,
     head: Option<FxLinear>,
+    input_len: usize,
+    output_len: usize,
 }
 
-impl FxSeqRunner {
-    /// Quantizes the float stepper `runner` (its weights, not its state)
-    /// to `q`: the same cells, grids and head on the fixed-point datapath.
-    pub(crate) fn quantize(runner: &SeqRunner, q: QFormat) -> FxSeqRunner {
-        let cells = runner
-            .cell_weights()
+impl FxSeqStack {
+    /// Quantizes the float `stack` to `q`: the same cells, grids and
+    /// head on the fixed-point datapath.
+    fn quantize(stack: &SeqStack, q: QFormat) -> FxSeqStack {
+        let cells = stack
+            .cells()
+            .iter()
             .map(|cell| match cell {
-                CellWeights::Lstm {
+                Cell::Lstm {
                     grid,
                     bias,
                     in_features,
+                    ..
                 } => FxCell::Lstm(FxLstmCell::new(
                     q,
                     quantize_grid(q, grid),
                     q.quantize_slice(bias),
-                    in_features,
+                    *in_features,
                 )),
-                CellWeights::Gru {
+                Cell::Gru {
                     w,
                     u,
                     bias_w,
                     bias_u,
+                    ..
                 } => FxCell::Gru(FxGruCell::new(
                     q,
                     quantize_grid(q, w),
@@ -117,35 +103,60 @@ impl FxSeqRunner {
                 )),
             })
             .collect();
-        let head = runner
-            .head_weights()
-            .map(|h| FxLinear::quantize(q, h.weight, h.bias, h.out_features, h.in_features));
-        FxSeqRunner { q, cells, head }
+        let head = stack
+            .head()
+            .map(|h| FxLinear::quantize(q, &h.weight, &h.bias, h.out_features, h.in_features));
+        FxSeqStack {
+            q,
+            cells,
+            head,
+            input_len: stack.input_len(),
+            output_len: stack.output_len(),
+        }
+    }
+}
+
+/// The fixed-point streaming stepper: the "FPGA mode" twin of
+/// [`SeqRunner`], running every gate matvec through the same packed eMAC
+/// lane kernels ([`hwsim::inference::conv_forward_fx_batch_packed`]) as
+/// batch fx inference. It is the model version's shared fx stack plus
+/// this sequence's state, one word vector per cell (`[h; c]` for LSTM,
+/// `h` for GRU); cloning it copies the `Arc` and the state, never the
+/// weights.
+#[derive(Debug, Clone)]
+pub struct FxSeqRunner {
+    stack: Arc<FxSeqStack>,
+    state: Vec<Vec<i16>>,
+}
+
+impl FxSeqRunner {
+    /// A zero-state runner over `stack`, starting a fresh sequence.
+    fn new(stack: &Arc<FxSeqStack>) -> FxSeqRunner {
+        let state = stack.cells.iter().map(|c| vec![0; c.state_len()]).collect();
+        FxSeqRunner {
+            stack: Arc::clone(stack),
+            state,
+        }
+    }
+
+    /// The shared weights this runner steps through.
+    pub(crate) fn stack(&self) -> &Arc<FxSeqStack> {
+        &self.stack
     }
 
     /// The Q-format the stepper was quantized for.
     pub fn qformat(&self) -> QFormat {
-        self.q
+        self.stack.q
     }
 
     /// Per-step input width in i16 words.
     pub fn input_len(&self) -> usize {
-        self.cells[0].in_features()
+        self.stack.input_len
     }
 
     /// Per-step output width in i16 words.
     pub fn output_len(&self) -> usize {
-        match &self.head {
-            Some(h) => h.out_features(),
-            None => self.cells.last().expect("non-empty").hidden(),
-        }
-    }
-
-    /// Zeroes all hidden state, starting a fresh sequence.
-    pub fn reset(&mut self) {
-        for c in &mut self.cells {
-            c.reset();
-        }
+        self.stack.output_len
     }
 
     /// Advances one timestep and returns the per-step output: a
@@ -171,10 +182,13 @@ impl FxSeqRunner {
     pub fn step_scalar(&mut self, x: &[i16]) -> Vec<i16> {
         assert_eq!(x.len(), self.input_len(), "fx step input length");
         let mut cur = x.to_vec();
-        for cell in &mut self.cells {
-            cur = cell.step_scalar(&cur);
+        for (cell, state) in self.stack.cells.iter().zip(&mut self.state) {
+            cur = match cell {
+                FxCell::Lstm(c) => c.step_scalar(state, &cur).to_vec(),
+                FxCell::Gru(c) => c.step_scalar(state, &cur).to_vec(),
+            };
         }
-        match &self.head {
+        match &self.stack.head {
             Some(h) => h.apply(&cur),
             None => cur,
         }
@@ -193,10 +207,6 @@ impl FxSeqRunner {
 /// is **bit-identical to [`FxSeqRunner::step_scalar`] at every gang
 /// width**, so the shard can gang and un-gang sessions freely between
 /// steps with no observable difference on the wire.
-///
-/// Members must be clones of the same model version's template (the
-/// shard groups sessions by registry entry before ganging); the gang
-/// steps through member 0's quantized weights.
 pub struct FxSeqRunnerBatch;
 
 impl FxSeqRunnerBatch {
@@ -205,52 +215,36 @@ impl FxSeqRunnerBatch {
     ///
     /// # Panics
     ///
-    /// Panics if `xs.len() != members.len()`, if any input length differs
-    /// from its member's [`FxSeqRunner::input_len`], or if members
-    /// disagree on stack shape (cell count, kinds, widths, `Q`-format).
+    /// Panics if `xs.len() != members.len()`, if the members do not all
+    /// share one model version's fx stack, or if any input length
+    /// differs from [`FxSeqRunner::input_len`].
     pub fn step(members: &mut [&mut FxSeqRunner], xs: &[&[i16]]) -> Vec<Vec<i16>> {
-        let n = members.len();
-        assert_eq!(xs.len(), n, "one input per gang member");
-        if n == 0 {
+        assert_eq!(xs.len(), members.len(), "one input per gang member");
+        let Some(first) = members.first() else {
             return Vec::new();
-        }
-        let n_cells = members[0].cells.len();
+        };
+        let stack = Arc::clone(&first.stack);
         for (m, x) in members.iter().zip(xs) {
-            assert_eq!(
-                m.cells.len(),
-                n_cells,
-                "gang members must share a stack shape"
+            assert!(
+                Arc::ptr_eq(&m.stack, &stack),
+                "gang members must share one model stack"
             );
-            assert_eq!(x.len(), m.input_len(), "fx step input length");
+            assert_eq!(x.len(), stack.input_len, "fx step input length");
         }
         let mut curs: Vec<Vec<i16>> = xs.iter().map(|x| x.to_vec()).collect();
-        for ci in 0..n_cells {
+        for (ci, cell) in stack.cells.iter().enumerate() {
             let x_refs: Vec<&[i16]> = curs.iter().map(|c| c.as_slice()).collect();
-            let is_lstm = matches!(members[0].cells[ci], FxCell::Lstm(_));
-            curs = if is_lstm {
-                let mut cells: Vec<&mut FxLstmCell> = members
-                    .iter_mut()
-                    .map(|m| match &mut m.cells[ci] {
-                        FxCell::Lstm(c) => c,
-                        FxCell::Gru(_) => panic!("gang members must agree on cell kinds"),
-                    })
-                    .collect();
-                FxLstmCell::step_gang(&mut cells, &x_refs)
-            } else {
-                let mut cells: Vec<&mut FxGruCell> = members
-                    .iter_mut()
-                    .map(|m| match &mut m.cells[ci] {
-                        FxCell::Gru(c) => c,
-                        FxCell::Lstm(_) => panic!("gang members must agree on cell kinds"),
-                    })
-                    .collect();
-                FxGruCell::step_gang(&mut cells, &x_refs)
+            let mut states: Vec<&mut [i16]> = members
+                .iter_mut()
+                .map(|m| m.state[ci].as_mut_slice())
+                .collect();
+            curs = match cell {
+                FxCell::Lstm(c) => c.step_gang(&mut states, &x_refs),
+                FxCell::Gru(c) => c.step_gang(&mut states, &x_refs),
             };
         }
-        members
-            .iter()
-            .zip(curs)
-            .map(|(m, cur)| match &m.head {
+        curs.into_iter()
+            .map(|cur| match &stack.head {
                 Some(h) => h.apply(&cur),
                 None => cur,
             })
@@ -258,48 +252,47 @@ impl FxSeqRunnerBatch {
     }
 }
 
-/// The streaming capability of one published model version: zero-state
-/// float and (when buildable) fixed-point stepper templates, cloned per
-/// session at `session_open`.
+/// The streaming capability of one published model version: the float
+/// and fixed-point weight stacks, each built once and shared by every
+/// session opened on this version.
 pub struct SeqModel {
-    runner: SeqRunner,
-    fx: FxSeqRunner,
+    f32: Arc<SeqStack>,
+    fx: Arc<FxSeqStack>,
 }
 
 impl SeqModel {
-    /// Builds the templates, or `None` when the stack has no streaming
+    /// Builds the stacks, or `None` when the network has no streaming
     /// form (e.g. a conv stack, or a non-causal attention layer). The fx
-    /// template is the float one quantized to the checkpoint's Q-format.
+    /// stack is the float one quantized to the checkpoint's Q-format.
     pub(crate) fn build(net: &Network, meta: &CheckpointMeta) -> Option<SeqModel> {
-        let runner = SeqRunner::from_network(net).ok()?;
-        let fx = FxSeqRunner::quantize(&runner, QFormat::new(u32::from(meta.frac_bits)));
-        Some(SeqModel { runner, fx })
+        let f32 = SeqStack::from_network(net).ok()?;
+        let fx = FxSeqStack::quantize(&f32, QFormat::new(u32::from(meta.frac_bits)));
+        Some(SeqModel {
+            f32: Arc::new(f32),
+            fx: Arc::new(fx),
+        })
     }
 
     /// Per-step float input width.
     pub fn input_len(&self) -> usize {
-        self.runner.input_len()
+        self.f32.input_len()
     }
 
     /// Per-step float output width.
     pub fn output_len(&self) -> usize {
-        self.runner.output_len()
+        self.f32.output_len()
     }
 
-    /// A fresh zero-state float session stepper.
+    /// A fresh zero-state float session stepper over the shared stack.
     pub fn new_f32(&self) -> SeqRunner {
-        let mut r = self.runner.clone();
-        r.reset();
-        r
+        SeqRunner::new(&self.f32)
     }
 
-    /// A fresh zero-state fixed-point session stepper. Every streamable
-    /// stack has one today; the `Option` leaves room for a float-only
-    /// streaming form.
+    /// A fresh zero-state fixed-point session stepper over the shared
+    /// stack. Every streamable stack has one today; the `Option` leaves
+    /// room for a float-only streaming form.
     pub fn new_fx(&self) -> Option<FxSeqRunner> {
-        let mut r = self.fx.clone();
-        r.reset();
-        Some(r)
+        Some(FxSeqRunner::new(&self.fx))
     }
 }
 
@@ -349,16 +342,11 @@ mod tests {
         let mut a = seq.new_f32();
         let first: Vec<u32> = a.step(&x).iter().map(|v| v.to_bits()).collect();
         a.step(&x);
-        // A second fresh clone reproduces the first step exactly, and a
-        // reset of a used stepper does too.
+        // A stepper opened after another has run reproduces the first
+        // step exactly: stepping never touches the shared weights.
         let mut b = seq.new_f32();
         assert_eq!(
             b.step(&x).iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-            first
-        );
-        a.reset();
-        assert_eq!(
-            a.step(&x).iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
             first
         );
 
@@ -366,8 +354,6 @@ mod tests {
         let mut fa = seq.new_fx().unwrap();
         let ffirst = fa.step(&xq);
         fa.step(&xq);
-        fa.reset();
-        assert_eq!(fa.step(&xq), ffirst);
         assert_eq!(seq.new_fx().unwrap().step(&xq), ffirst);
     }
 
@@ -437,6 +423,30 @@ mod tests {
             decoy.step(&steps[(t + 1) % steps.len()]);
             assert_eq!(streamed.step(x), offline_outs[t], "step {t}");
         }
+    }
+
+    #[test]
+    fn sessions_share_one_weight_allocation() {
+        let seq = SeqModel::build(&lstm_classifier(8, 16, 8, 4, 1), &meta()).unwrap();
+        let floats: Vec<SeqRunner> = (0..8).map(|_| seq.new_f32()).collect();
+        let fxs: Vec<FxSeqRunner> = (0..8).map(|_| seq.new_fx().unwrap()).collect();
+        assert!(floats.iter().all(|r| Arc::ptr_eq(r.stack(), &seq.f32)));
+        assert!(fxs.iter().all(|r| Arc::ptr_eq(r.stack(), &seq.fx)));
+        assert_eq!(Arc::strong_count(&seq.f32), 9);
+        assert_eq!(Arc::strong_count(&seq.fx), 9);
+        drop((floats, fxs));
+        assert_eq!(Arc::strong_count(&seq.f32), 1);
+        assert_eq!(Arc::strong_count(&seq.fx), 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "share one model stack")]
+    fn fx_gang_of_two_models_panics() {
+        let a = SeqModel::build(&lstm_classifier(8, 16, 8, 4, 1), &meta()).unwrap();
+        let b = SeqModel::build(&lstm_classifier(8, 16, 8, 4, 2), &meta()).unwrap();
+        let (mut ra, mut rb) = (a.new_fx().unwrap(), b.new_fx().unwrap());
+        let x = [256i16; 8];
+        FxSeqRunnerBatch::step(&mut [&mut ra, &mut rb], &[&x, &x]);
     }
 
     /// A seeded, pruned LSTM -> GRU -> pool -> head stack.

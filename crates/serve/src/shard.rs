@@ -121,6 +121,18 @@ enum SessionRunner {
     Fx(FxSeqRunner),
 }
 
+impl SessionRunner {
+    /// Gang-formation key: the address of the runner's shared weight
+    /// stack. Only runners of one stack may share lanes; float and fx
+    /// stacks are separate allocations, so the key also fixes the mode.
+    fn stack_key(&self) -> usize {
+        match self {
+            SessionRunner::F32(r) => Arc::as_ptr(r.stack()) as usize,
+            SessionRunner::Fx(r) => Arc::as_ptr(r.stack()) as usize,
+        }
+    }
+}
+
 /// One open streaming session: the stepper holding the server-side
 /// hidden state, pinned to the exact model version resolved at open.
 struct Session {
@@ -216,11 +228,8 @@ struct ReadyStep {
     json: bool,
     input: Payload,
     trace: Option<FlightRecord>,
-    /// Gang-formation key: the exact `ModelEntry` the session pinned
-    /// (pointer identity ⇒ same version ⇒ same weights) …
-    entry_key: usize,
-    /// … and the engine mode. Only same-entry same-mode steps share lanes.
-    fx: bool,
+    /// [`SessionRunner::stack_key`] of the session's runner.
+    stack_key: usize,
 }
 
 /// Why a connection must be torn down.
@@ -864,8 +873,8 @@ fn settle_output(conn: &mut Conn, poller: &mut Poller, hold_open: bool) -> ConnF
 /// at most one op per session (pipelined same-session traffic executes
 /// strictly in arrival order, and a close is a barrier), executes each
 /// wave's closes in arrival order, groups the wave's validated steps by
-/// (pinned model entry, engine mode), and runs each group in lane gangs
-/// of at most [`SESSION_GANG`] sessions.
+/// shared weight stack (one per model version and engine mode), and runs
+/// each group in lane gangs of at most [`SESSION_GANG`] sessions.
 fn flush_session_ops(
     conns: &mut HashMap<usize, Conn>,
     pending: &mut Vec<SessionOp>,
@@ -958,18 +967,17 @@ fn flush_session_ops(
                         json,
                         input,
                         trace,
-                        entry_key: Arc::as_ptr(&s.entry) as usize,
-                        fx: matches!(runner, SessionRunner::Fx(_)),
+                        stack_key: runner.stack_key(),
                     });
                 }
             }
         }
-        // Gang formation: group by (entry, mode) preserving arrival
+        // Gang formation: group by shared stack preserving arrival
         // order, then chunk each group to the lane width (ragged tails
         // run as narrower gangs, down to a gang of one).
-        let mut groups: Vec<((usize, bool), Vec<ReadyStep>)> = Vec::new();
+        let mut groups: Vec<(usize, Vec<ReadyStep>)> = Vec::new();
         for st in steps {
-            let key = (st.entry_key, st.fx);
+            let key = st.stack_key;
             match groups.iter_mut().find(|(k, _)| *k == key) {
                 Some((_, g)) => g.push(st),
                 None => groups.push((key, vec![st])),
@@ -1020,19 +1028,19 @@ fn execute_gang(
         runners.push(s.runner.take().expect("runner checked in"));
     }
     let t0 = telemetry::flight::now_ns();
-    let outputs: Vec<Payload> = if gang[0].fx {
+    let outputs: Vec<Payload> = if matches!(runners[0], SessionRunner::Fx(_)) {
         let mut members: Vec<&mut FxSeqRunner> = runners
             .iter_mut()
             .map(|r| match r {
                 SessionRunner::Fx(r) => r,
-                SessionRunner::F32(_) => unreachable!("gang grouped by mode"),
+                SessionRunner::F32(_) => unreachable!("gang grouped by stack"),
             })
             .collect();
         let xs: Vec<&[i16]> = gang
             .iter()
             .map(|st| match &st.input {
                 Payload::Fx(x) => x.as_slice(),
-                Payload::F32(_) => unreachable!("gang grouped by mode"),
+                Payload::F32(_) => unreachable!("gang grouped by stack"),
             })
             .collect();
         FxSeqRunnerBatch::step(&mut members, &xs)
@@ -1044,14 +1052,14 @@ fn execute_gang(
             .iter_mut()
             .map(|r| match r {
                 SessionRunner::F32(r) => r,
-                SessionRunner::Fx(_) => unreachable!("gang grouped by mode"),
+                SessionRunner::Fx(_) => unreachable!("gang grouped by stack"),
             })
             .collect();
         let xs: Vec<&[f32]> = gang
             .iter()
             .map(|st| match &st.input {
                 Payload::F32(x) => x.as_slice(),
-                Payload::Fx(_) => unreachable!("gang grouped by mode"),
+                Payload::Fx(_) => unreachable!("gang grouped by stack"),
             })
             .collect();
         SeqRunnerBatch::step(&mut members, &xs)

@@ -19,6 +19,7 @@ echo "== lane/gang bit-identity suites on one worker =="
 # this re-runs the referees with the serial path forced.
 RPBCM_THREADS=1 cargo test -q -p hwsim --test fx_lane_bitident
 RPBCM_THREADS=1 cargo test -q -p serve --test seq_gang_bitident
+RPBCM_THREADS=1 cargo test -q -p serve --test sessions
 RPBCM_THREADS=1 cargo test -q -p nn --lib seq::
 RPBCM_THREADS=1 cargo test -q -p hwsim --lib recurrent::
 RPBCM_THREADS=1 cargo test -q -p serve --lib session::
