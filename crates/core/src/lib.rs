@@ -32,11 +32,9 @@
 pub mod accounting;
 pub mod hadabcm;
 pub mod normstats;
-pub mod pipeline;
 pub mod pruning;
 pub mod skipindex;
 
 pub use hadabcm::{HadaBcm, HadaBcmGrid};
-pub use pipeline::{CompressionReport, RpbcmConfig};
 pub use pruning::{BcmWisePruner, PruneOutcome, PruningReport};
 pub use skipindex::SkipIndexBuffer;

@@ -1,6 +1,6 @@
 //! Stateless shape/activation layers: ReLU and Flatten.
 
-use crate::layers::Layer;
+use crate::layers::{Layer, NO_TRAINING_FORWARD};
 use tensor::Tensor;
 
 /// Rectified linear unit.
@@ -21,13 +21,13 @@ impl Layer for ReLU {
         "relu"
     }
 
-    fn forward(&mut self, x: &Tensor<f32>, _train: bool) -> Tensor<f32> {
-        self.mask = Some(x.as_slice().iter().map(|&v| v > 0.0).collect());
+    fn forward(&mut self, x: &Tensor<f32>, train: bool) -> Tensor<f32> {
+        self.mask = train.then(|| x.as_slice().iter().map(|&v| v > 0.0).collect());
         x.map(|v| v.max(0.0))
     }
 
     fn backward(&mut self, grad: &Tensor<f32>) -> Tensor<f32> {
-        let mask = self.mask.as_ref().expect("backward before forward");
+        let mask = self.mask.as_ref().expect(NO_TRAINING_FORWARD);
         assert_eq!(mask.len(), grad.len(), "gradient shape changed");
         let mut out = grad.clone();
         for (g, &m) in out.as_mut_slice().iter_mut().zip(mask) {
@@ -65,17 +65,17 @@ impl Layer for Flatten {
         "flatten"
     }
 
-    fn forward(&mut self, x: &Tensor<f32>, _train: bool) -> Tensor<f32> {
-        let dims = x.dims().to_vec();
+    fn forward(&mut self, x: &Tensor<f32>, train: bool) -> Tensor<f32> {
+        let dims = x.dims();
         assert!(dims.len() >= 2, "flatten needs a batch dimension");
         let n = dims[0];
         let rest: usize = dims[1..].iter().product();
-        self.input_dims = Some(dims);
+        self.input_dims = train.then(|| dims.to_vec());
         x.reshape(&[n, rest])
     }
 
     fn backward(&mut self, grad: &Tensor<f32>) -> Tensor<f32> {
-        let dims = self.input_dims.as_ref().expect("backward before forward");
+        let dims = self.input_dims.as_ref().expect(NO_TRAINING_FORWARD);
         grad.reshape(dims)
     }
 
@@ -113,7 +113,7 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "backward before forward")]
+    #[should_panic(expected = "backward before training forward")]
     fn relu_backward_requires_forward() {
         ReLU::new().backward(&Tensor::ones(&[1]));
     }

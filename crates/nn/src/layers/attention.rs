@@ -12,7 +12,7 @@
 
 use crate::layers::checkpoint::{LayerSnapshot, StackSnapshot};
 use crate::layers::gates::GateStack;
-use crate::layers::{BcmLayer, Layer, Param};
+use crate::layers::{BcmLayer, Layer, Param, NO_TRAINING_FORWARD};
 use crate::optim::SgdUpdate;
 use circulant::ConvBlockCirculant;
 use rand::Rng;
@@ -185,7 +185,7 @@ impl Layer for BcmAttention {
     }
 
     fn backward(&mut self, grad: &Tensor<f32>) -> Tensor<f32> {
-        let cache = self.cache.take().expect("backward before training forward");
+        let cache = self.cache.take().expect(NO_TRAINING_FORWARD);
         let (n, d, t_len) = (cache.samples.len(), self.dim, cache.t_len);
         assert_eq!(grad.dims(), &[n, d, t_len, 1], "upstream gradient shape");
         let gs = grad.as_slice();

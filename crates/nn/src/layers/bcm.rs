@@ -13,7 +13,7 @@
 use crate::layers::checkpoint::{LayerSnapshot, StackSnapshot};
 use crate::layers::conv::ConvCore;
 use crate::layers::gates::{BcmLayout, GateStack};
-use crate::layers::{Layer, Param};
+use crate::layers::{Layer, Param, NO_TRAINING_FORWARD};
 use crate::optim::SgdUpdate;
 use circulant::ConvBlockCirculant;
 use rand::Rng;
@@ -98,8 +98,8 @@ impl Layer for BcmConv2d {
         &self.name
     }
 
-    fn forward(&mut self, x: &Tensor<f32>, _train: bool) -> Tensor<f32> {
-        self.core.forward(x, self.weights.dense())
+    fn forward(&mut self, x: &Tensor<f32>, train: bool) -> Tensor<f32> {
+        self.core.forward(x, self.weights.dense(), train)
     }
 
     fn backward(&mut self, grad: &Tensor<f32>) -> Tensor<f32> {
@@ -200,8 +200,8 @@ pub struct HadaBcmConv2d {
     b: Param,
     pruned: Vec<bool>,
     core: ConvCore,
-    /// Expanded folded im2col weight from the latest `forward`, reused by
-    /// `backward` in the same step; dropped on any weight update.
+    /// Expanded folded im2col weight from the latest training `forward`,
+    /// reused by `backward` in the same step; dropped on any weight update.
     cached_w: Option<Tensor<f32>>,
 }
 
@@ -256,21 +256,17 @@ impl Layer for HadaBcmConv2d {
         &self.name
     }
 
-    fn forward(&mut self, x: &Tensor<f32>, _train: bool) -> Tensor<f32> {
+    fn forward(&mut self, x: &Tensor<f32>, train: bool) -> Tensor<f32> {
         // Fold + expand once per step; `backward` reuses the same matrix.
         let w = self.layout.expand(&self.folded_vecs());
-        let y = self.core.forward(x, &w);
-        self.cached_w = Some(w);
+        let y = self.core.forward(x, &w, train);
+        self.cached_w = train.then_some(w);
         y
     }
 
     fn backward(&mut self, grad: &Tensor<f32>) -> Tensor<f32> {
-        let w = self
-            .cached_w
-            .take()
-            .unwrap_or_else(|| self.layout.expand(&self.folded_vecs()));
-        let (dw_mat, dx) = self.core.backward(grad, &w);
-        self.cached_w = Some(w);
+        let w = self.cached_w.as_ref().expect(NO_TRAINING_FORWARD);
+        let (dw_mat, dx) = self.core.backward(grad, w);
         // Project onto the folded defining vectors, then split by Eq. (1):
         // ∂L/∂A = ∂L/∂W ⊙ B, ∂L/∂B = ∂L/∂W ⊙ A. `project_grad` leaves
         // pruned blocks at zero, and `eliminate` zeroed their grads.

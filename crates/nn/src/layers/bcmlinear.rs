@@ -12,7 +12,7 @@
 
 use crate::layers::checkpoint::{LayerSnapshot, StackSnapshot};
 use crate::layers::gates::GateStack;
-use crate::layers::{BcmLayer, Layer, Param};
+use crate::layers::{BcmLayer, Layer, Param, NO_TRAINING_FORWARD};
 use crate::optim::SgdUpdate;
 use circulant::{BlockCirculant, ConvBlockCirculant};
 use rand::Rng;
@@ -78,7 +78,7 @@ impl Layer for BcmLinear {
         assert_eq!(x.shape().ndim(), 2, "bcm linear expects [batch, features]");
         let (inf, outf) = self.features();
         assert_eq!(x.dims()[1], inf, "feature mismatch");
-        self.input = Some(x.clone());
+        self.input = train.then(|| x.clone());
         let n = x.dims()[0];
         let mut y = if train {
             x.matmul(&self.weights.dense().transpose())
@@ -95,7 +95,7 @@ impl Layer for BcmLinear {
     }
 
     fn backward(&mut self, grad: &Tensor<f32>) -> Tensor<f32> {
-        let x = self.input.as_ref().expect("backward before forward");
+        let x = self.input.as_ref().expect(NO_TRAINING_FORWARD);
         self.weights.accumulate_grad(&grad.transpose().matmul(x));
         let (n, outf) = (grad.dims()[0], grad.dims()[1]);
         for i in 0..n {

@@ -1,7 +1,7 @@
 //! Dense 2-d convolution via im2col, plus the shared core the BCM layers
 //! reuse.
 
-use crate::layers::{Layer, Param};
+use crate::layers::{Layer, Param, NO_TRAINING_FORWARD};
 use crate::optim::SgdUpdate;
 use rand::Rng;
 use tensor::{init, parallel, Tensor};
@@ -108,8 +108,9 @@ impl ConvCore {
         }
     }
 
-    /// Forward convolution of NCHW `x` against `w_mat: [c_out, c_in·kh·kw]`.
-    pub fn forward(&mut self, x: &Tensor<f32>, w_mat: &Tensor<f32>) -> Tensor<f32> {
+    /// Forward convolution of NCHW `x` against `w_mat: [c_out, c_in·kh·kw]`;
+    /// only a training forward keeps the im2col matrices for `backward`.
+    pub fn forward(&mut self, x: &Tensor<f32>, w_mat: &Tensor<f32>, train: bool) -> Tensor<f32> {
         let dims = x.dims();
         assert_eq!(dims.len(), 4, "conv expects NCHW input");
         assert_eq!(dims[1], self.c_in, "input channel mismatch");
@@ -125,12 +126,12 @@ impl ConvCore {
                 let cols = this.im2col(x, ni, h, w);
                 let prod = w_mat.matmul(&cols); // [c_out, oh*ow]
                 y.copy_from_slice(prod.as_slice());
-                cols
+                train.then_some(cols)
             })
         };
-        self.cache = Some(CoreCache {
+        self.cache = train.then(|| CoreCache {
             input_dims: dims.to_vec(),
-            cols: cols_cache,
+            cols: cols_cache.into_iter().flatten().collect(),
             oh,
             ow,
         });
@@ -143,7 +144,7 @@ impl ConvCore {
         grad: &Tensor<f32>,
         w_mat: &Tensor<f32>,
     ) -> (Tensor<f32>, Tensor<f32>) {
-        let cache = self.cache.as_ref().expect("backward before forward");
+        let cache = self.cache.as_ref().expect(NO_TRAINING_FORWARD);
         let (n, h, w) = (
             cache.input_dims[0],
             cache.input_dims[2],
@@ -242,8 +243,8 @@ impl Layer for Conv2d {
         &self.name
     }
 
-    fn forward(&mut self, x: &Tensor<f32>, _train: bool) -> Tensor<f32> {
-        self.core.forward(x, &self.weight.value)
+    fn forward(&mut self, x: &Tensor<f32>, train: bool) -> Tensor<f32> {
+        self.core.forward(x, &self.weight.value, train)
     }
 
     fn backward(&mut self, grad: &Tensor<f32>) -> Tensor<f32> {

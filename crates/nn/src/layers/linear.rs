@@ -1,6 +1,6 @@
 //! Fully-connected layer.
 
-use crate::layers::{Layer, Param};
+use crate::layers::{Layer, Param, NO_TRAINING_FORWARD};
 use crate::optim::SgdUpdate;
 use rand::Rng;
 use tensor::{init, Tensor};
@@ -59,11 +59,11 @@ impl Layer for Linear {
         &self.name
     }
 
-    fn forward(&mut self, x: &Tensor<f32>, _train: bool) -> Tensor<f32> {
+    fn forward(&mut self, x: &Tensor<f32>, train: bool) -> Tensor<f32> {
         assert_eq!(x.shape().ndim(), 2, "linear expects [batch, features]");
         let (out_f, in_f) = (self.weight.value.dims()[0], self.weight.value.dims()[1]);
         assert_eq!(x.dims()[1], in_f, "feature mismatch");
-        self.input = Some(x.clone());
+        self.input = train.then(|| x.clone());
         let mut y = x.matmul(&self.weight.value.transpose());
         let b = self.bias.value.as_slice();
         for row in 0..x.dims()[0] {
@@ -75,7 +75,7 @@ impl Layer for Linear {
     }
 
     fn backward(&mut self, grad: &Tensor<f32>) -> Tensor<f32> {
-        let x = self.input.as_ref().expect("backward before forward");
+        let x = self.input.as_ref().expect(NO_TRAINING_FORWARD);
         // dW = gradᵀ·x ; db = Σ_batch grad ; dx = grad·W
         let dw = grad.transpose().matmul(x);
         self.weight.grad += &dw;

@@ -29,12 +29,18 @@ pub use recurrent::{BcmGru, BcmLstm};
 use crate::optim::SgdUpdate;
 use tensor::Tensor;
 
+/// What `backward` panics with when no training forward left its state.
+const NO_TRAINING_FORWARD: &str = "backward before training forward";
+
 /// A differentiable layer.
 ///
-/// `forward` caches whatever `backward` needs; `backward` consumes the
-/// upstream gradient and returns the gradient with respect to the layer
-/// input, accumulating parameter gradients internally. `step` applies an
-/// SGD update to the layer's parameters (a no-op for stateless layers).
+/// A training forward (`train = true`) keeps whatever `backward` needs; an
+/// eval forward keeps nothing and drops what an earlier training forward
+/// kept, so a served model holds only its weights and their derived
+/// inference caches. `backward` consumes the upstream gradient and returns
+/// the gradient with respect to the layer input, accumulating parameter
+/// gradients internally. `step` applies an SGD update to the layer's
+/// parameters (a no-op for stateless layers).
 ///
 /// `Send` is a supertrait so whole networks can move across threads
 /// (the serving engine runs batches on a dedicated worker).
@@ -50,7 +56,8 @@ pub trait Layer: Send {
     ///
     /// # Panics
     ///
-    /// Implementations may panic if called before `forward`.
+    /// Panics with "backward before training forward" when no training
+    /// forward has left its state: none ran, or an eval forward ran since.
     fn backward(&mut self, grad: &Tensor<f32>) -> Tensor<f32>;
 
     /// Applies one SGD update and clears gradients. Default: no parameters.

@@ -1,6 +1,6 @@
 //! Layer composition: sequential networks and residual blocks.
 
-use crate::layers::{BatchNorm2d, BcmLayer, Layer, Param};
+use crate::layers::{BatchNorm2d, BcmLayer, Layer, Param, NO_TRAINING_FORWARD};
 use crate::optim::SgdUpdate;
 use tensor::Tensor;
 
@@ -354,12 +354,12 @@ impl Layer for ResidualBlock {
             }
         }
         let sum = &main + &short;
-        self.relu_mask = Some(sum.as_slice().iter().map(|&v| v > 0.0).collect());
+        self.relu_mask = train.then(|| sum.as_slice().iter().map(|&v| v > 0.0).collect());
         sum.map(|v| v.max(0.0))
     }
 
     fn backward(&mut self, grad: &Tensor<f32>) -> Tensor<f32> {
-        let mask = self.relu_mask.as_ref().expect("backward before forward");
+        let mask = self.relu_mask.as_ref().expect(NO_TRAINING_FORWARD);
         let mut g = grad.clone();
         for (v, &m) in g.as_mut_slice().iter_mut().zip(mask) {
             if !m {

@@ -1,6 +1,6 @@
 //! Batch normalization over NCHW feature maps.
 
-use crate::layers::{Layer, Param};
+use crate::layers::{Layer, Param, NO_TRAINING_FORWARD};
 use crate::optim::SgdUpdate;
 use tensor::Tensor;
 
@@ -17,7 +17,8 @@ pub struct BatchNorm2d {
     running_mean: Vec<f32>,
     running_var: Vec<f32>,
     momentum: f32,
-    /// Forward cache: normalized activations, per-channel batch std, input.
+    /// Kept by a training forward: normalized activations, per-channel
+    /// batch std, input dims and batch statistics.
     cache: Option<Cache>,
 }
 
@@ -26,13 +27,11 @@ struct Cache {
     x_hat: Tensor<f32>,
     inv_std: Vec<f32>,
     dims: Vec<usize>,
-    /// Per-channel statistics of the batch this cache was built from, and
-    /// whether they are true batch statistics (train) or running stats
-    /// (eval). The data-parallel trainer reads these per shard to pool a
-    /// full-batch running-statistics update on the master network.
+    /// Per-channel statistics of the batch this cache was built from. The
+    /// data-parallel trainer reads these per shard to pool a full-batch
+    /// running-statistics update on the master network.
     mean: Vec<f32>,
     var: Vec<f32>,
-    train: bool,
 }
 
 impl BatchNorm2d {
@@ -125,9 +124,6 @@ impl BatchNorm2d {
     /// shards (count-weighted) into one master running-stats update.
     pub fn batch_stats(&self) -> Option<(&[f32], &[f32], usize)> {
         let cache = self.cache.as_ref()?;
-        if !cache.train {
-            return None;
-        }
         let count = cache.dims[0] * cache.dims[2] * cache.dims[3];
         Some((&cache.mean, &cache.var, count))
     }
@@ -166,38 +162,39 @@ impl Layer for BatchNorm2d {
             self.update_running_stats(&mean, &var);
         }
         let inv_std: Vec<f32> = var.iter().map(|&v| 1.0 / (v + EPS).sqrt()).collect();
-        let mut x_hat = Tensor::zeros(dims);
+        let mut x_hat = train.then(|| Tensor::zeros(dims));
         let mut out = Tensor::zeros(dims);
         let xs = x.as_slice();
         let g = self.gamma.value.as_slice();
         let b = self.beta.value.as_slice();
         {
-            let xh = x_hat.as_mut_slice();
+            let mut xh = x_hat.as_mut().map(Tensor::as_mut_slice);
             let os = out.as_mut_slice();
             for ni in 0..n {
                 for ci in 0..c {
                     let base = (ni * c + ci) * h * w;
                     for k in 0..h * w {
                         let normalized = (xs[base + k] - mean[ci]) * inv_std[ci];
-                        xh[base + k] = normalized;
+                        if let Some(xh) = &mut xh {
+                            xh[base + k] = normalized;
+                        }
                         os[base + k] = g[ci] * normalized + b[ci];
                     }
                 }
             }
         }
-        self.cache = Some(Cache {
+        self.cache = x_hat.map(|x_hat| Cache {
             x_hat,
             inv_std,
             dims: dims.to_vec(),
             mean,
             var,
-            train,
         });
         out
     }
 
     fn backward(&mut self, grad: &Tensor<f32>) -> Tensor<f32> {
-        let cache = self.cache.as_ref().expect("backward before forward");
+        let cache = self.cache.as_ref().expect(NO_TRAINING_FORWARD);
         let dims = &cache.dims;
         let (n, c, h, w) = (dims[0], dims[1], dims[2], dims[3]);
         let count = (n * h * w) as f32;

@@ -1,6 +1,6 @@
 //! Pooling layers: 2×2 max pooling and global average pooling.
 
-use crate::layers::Layer;
+use crate::layers::{Layer, NO_TRAINING_FORWARD};
 use tensor::Tensor;
 
 /// Max pooling with a square window and stride equal to the window size
@@ -8,7 +8,8 @@ use tensor::Tensor;
 #[derive(Debug, Clone)]
 pub struct MaxPool2d {
     window: usize,
-    /// Cached: input dims and the flat argmax index per output element.
+    /// Kept by a training forward: input dims and the flat argmax index
+    /// per output element.
     cache: Option<(Vec<usize>, Vec<usize>)>,
 }
 
@@ -32,7 +33,7 @@ impl Layer for MaxPool2d {
         "maxpool"
     }
 
-    fn forward(&mut self, x: &Tensor<f32>, _train: bool) -> Tensor<f32> {
+    fn forward(&mut self, x: &Tensor<f32>, train: bool) -> Tensor<f32> {
         let dims = x.dims();
         assert_eq!(dims.len(), 4, "maxpool expects NCHW");
         let (n, c, h, w) = (dims[0], dims[1], dims[2], dims[3]);
@@ -41,7 +42,7 @@ impl Layer for MaxPool2d {
         assert_eq!(w % k, 0, "width {w} not divisible by window {k}");
         let (oh, ow) = (h / k, w / k);
         let mut out = Tensor::zeros(&[n, c, oh, ow]);
-        let mut argmax = vec![0usize; n * c * oh * ow];
+        let mut argmax = train.then(|| vec![0usize; n * c * oh * ow]);
         let xs = x.as_slice();
         let os = out.as_mut_slice();
         for ni in 0..n {
@@ -62,17 +63,19 @@ impl Layer for MaxPool2d {
                         }
                         let oidx = ((ni * c + ci) * oh + oy) * ow + ox;
                         os[oidx] = best;
-                        argmax[oidx] = best_idx;
+                        if let Some(argmax) = &mut argmax {
+                            argmax[oidx] = best_idx;
+                        }
                     }
                 }
             }
         }
-        self.cache = Some((dims.to_vec(), argmax));
+        self.cache = argmax.map(|argmax| (dims.to_vec(), argmax));
         out
     }
 
     fn backward(&mut self, grad: &Tensor<f32>) -> Tensor<f32> {
-        let (dims, argmax) = self.cache.as_ref().expect("backward before forward");
+        let (dims, argmax) = self.cache.as_ref().expect(NO_TRAINING_FORWARD);
         let mut out = Tensor::zeros(dims);
         let os = out.as_mut_slice();
         for (g, &idx) in grad.as_slice().iter().zip(argmax) {
@@ -110,11 +113,11 @@ impl Layer for GlobalAvgPool {
         "gap"
     }
 
-    fn forward(&mut self, x: &Tensor<f32>, _train: bool) -> Tensor<f32> {
+    fn forward(&mut self, x: &Tensor<f32>, train: bool) -> Tensor<f32> {
         let dims = x.dims();
         assert_eq!(dims.len(), 4, "global avg pool expects NCHW");
         let (n, c, h, w) = (dims[0], dims[1], dims[2], dims[3]);
-        self.input_dims = Some(dims.to_vec());
+        self.input_dims = train.then(|| dims.to_vec());
         let area = (h * w) as f32;
         let xs = x.as_slice();
         Tensor::from_fn(&[n, c], |idx| {
@@ -124,7 +127,7 @@ impl Layer for GlobalAvgPool {
     }
 
     fn backward(&mut self, grad: &Tensor<f32>) -> Tensor<f32> {
-        let dims = self.input_dims.as_ref().expect("backward before forward");
+        let dims = self.input_dims.as_ref().expect(NO_TRAINING_FORWARD);
         let (n, c, h, w) = (dims[0], dims[1], dims[2], dims[3]);
         let area = (h * w) as f32;
         let gs = grad.as_slice();

@@ -23,7 +23,7 @@
 
 use crate::layers::checkpoint::{LayerSnapshot, StackSnapshot};
 use crate::layers::gates::GateStack;
-use crate::layers::{BcmLayer, Layer, Param};
+use crate::layers::{BcmLayer, Layer, Param, NO_TRAINING_FORWARD};
 use crate::optim::SgdUpdate;
 use crate::seq::{add_bias, gru_cell, lstm_cell};
 use circulant::ConvBlockCirculant;
@@ -230,7 +230,7 @@ impl Layer for BcmLstm {
     }
 
     fn backward(&mut self, grad: &Tensor<f32>) -> Tensor<f32> {
-        let cache = self.cache.take().expect("backward before training forward");
+        let cache = self.cache.take().expect(NO_TRAINING_FORWARD);
         let (n, t_len) = (cache.n, cache.t_len);
         let (f, hd) = (self.in_features, self.hidden);
         let (fh, g4) = (f + hd, 4 * hd);
@@ -527,7 +527,7 @@ impl Layer for BcmGru {
     }
 
     fn backward(&mut self, grad: &Tensor<f32>) -> Tensor<f32> {
-        let cache = self.cache.take().expect("backward before training forward");
+        let cache = self.cache.take().expect(NO_TRAINING_FORWARD);
         let (n, t_len) = (cache.n, cache.t_len);
         let (f, hd) = (self.in_features, self.hidden);
         let g3 = 3 * hd;

@@ -27,9 +27,10 @@
 //! fx batch kernel ([`hwsim::inference::conv_forward_fx_batch_packed`])
 //! preserves each sample's fixed-point operation sequence exactly —
 //! batching only amortizes the per-dispatch plan build and weight
-//! streams. The float path locks its `Network` per dispatch
-//! (`Network::forward` takes `&mut self` for workspace reuse); the fx
-//! path is lock-free.
+//! streams. The float path locks its `Network` per dispatch: an eval
+//! `Network::forward` keeps no per-call state, but it takes `&mut self`
+//! because each BCM layer's `GateStack` builds its dense expansion and
+//! prepared spectra lazily on first use. The fx path is lock-free.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -298,8 +299,9 @@ pub struct ModelEntry {
     meta: CheckpointMeta,
     input_len: usize,
     output_len: usize,
-    /// `Network::forward` needs `&mut self` (workspace reuse), so the
-    /// float path serializes per entry. The fx path below is lock-free.
+    /// `Network::forward` needs `&mut self` for the `GateStack`s' lazily
+    /// built weight caches, so the float path serializes per entry. The
+    /// fx path below is lock-free.
     net: Mutex<Network>,
     fx: Option<FxModel>,
     seq: Option<SeqModel>,

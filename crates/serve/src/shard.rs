@@ -44,7 +44,7 @@ use crate::metrics;
 use crate::protocol::{self, Payload, Request, Response, Status, HANDSHAKE, MAX_FRAME};
 use crate::quota::QuotaGuard;
 use crate::reactor::{self, Event, Interest, Poller, WAKER_TOKEN};
-use crate::registry::{Mode, ModelEntry};
+use crate::registry::Mode;
 use crate::server::ServerShared;
 use crate::session::{FxSeqRunner, FxSeqRunnerBatch};
 
@@ -141,10 +141,11 @@ struct Session {
     /// inside `execute_gang` — it is always checked back in (bit-exact)
     /// before the flush returns.
     runner: Option<SessionRunner>,
-    /// The entry the session resolved at `session_open`. Holding the
-    /// `Arc` pins the version: a hot swap republishes the name but this
-    /// session keeps stepping the weights it opened against.
-    entry: Arc<ModelEntry>,
+    /// The version the session resolved at `session_open`, for flight
+    /// traces. The runner's stack `Arc` pins that version's weights, so a
+    /// hot swap republishes the name while this session keeps stepping the
+    /// weights it opened against, and the rest of the old entry is freed.
+    version: u64,
     /// Refreshed on every step; the idle-TTL sweep expires stale ones.
     last_used: Instant,
     /// Server-wide session-cap slot (RAII: released on close, expiry,
@@ -775,7 +776,7 @@ fn process_request(
                 id,
                 Session {
                     runner: Some(runner),
-                    entry,
+                    version,
                     last_used: Instant::now(),
                     _slot: slot,
                     _quota: guard,
@@ -803,7 +804,7 @@ fn process_request(
             };
             if let Some(rec) = trace.as_mut() {
                 rec.tenant_hash = tenant_hash(&conn.tenant);
-                rec.model_version = s.entry.version();
+                rec.model_version = s.version;
                 rec.stamps_ns[STAMP_ADMIT] = telemetry::flight::now_ns();
                 rec.stamps_ns[STAMP_ENQUEUE] = telemetry::flight::now_ns();
             }

@@ -13,6 +13,7 @@ use serve::{protocol, Payload, Request, Response};
 use serve::{Client, ClientError, Model, Registry, ServeConfig, Server, Status};
 use std::io::Write;
 use std::net::TcpStream;
+use std::sync::Arc;
 use std::time::Duration;
 use tensor::Tensor;
 
@@ -274,6 +275,73 @@ fn mid_session_hot_swap_keeps_the_pinned_version() {
         .expect("step");
     assert_eq!(bits(&got), bits(&want2[0]), "new session serves v2");
 
+    server.shutdown();
+    assert_eq!(server.protocol_errors(), 0);
+}
+
+/// A session pins the weight stack it steps, not its whole model entry:
+/// once a hot swap retires v1 and nobody else holds v1's entry, the entry
+/// is freed while the open session keeps stepping v1 bit for bit and its
+/// flight traces still report v1.
+#[test]
+fn a_session_outlives_its_retired_model_entry() {
+    telemetry::set_enabled(true);
+    let dir = std::env::temp_dir().join(format!("rpbcm-session-pin-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("dump dir");
+    std::env::set_var("RPBCM_SERVE_SLO_DIR", &dir);
+
+    let (v1, meta) = pruned_lstm(61);
+    let x = sequence(5);
+    let want = offline_per_step(&v1, &x);
+    let registry = Registry::new();
+    let e1 = registry.publish(Model::from_network("cls", v1, meta.clone()));
+    let (v1_version, v1_entry) = (e1.version(), Arc::downgrade(&e1));
+    drop(e1);
+    let cfg = ServeConfig {
+        shards: 1,
+        ..ServeConfig::default()
+    };
+    let server = Server::bind("127.0.0.1:0", cfg, registry).expect("bind");
+    let mut client = Client::connect(server.local_addr()).expect("connect");
+    let (sid, pinned) = client.open_session("cls", false).expect("open on v1");
+    assert_eq!(pinned, v1_version);
+    for (t, want_t) in want.iter().enumerate().take(3) {
+        let got = client
+            .session_step_f32(sid, &step_input(&x, t))
+            .expect("step");
+        assert_eq!(bits(&got), bits(want_t), "pre-swap step {t}");
+    }
+
+    let v2_version = server
+        .registry()
+        .publish(Model::from_network("cls", pruned_lstm(62).0, meta))
+        .version();
+    assert!(
+        v1_entry.upgrade().is_none(),
+        "the open session still holds v1's model entry"
+    );
+    for (t, want_t) in want.iter().enumerate().skip(3) {
+        let got = client
+            .session_step_f32(sid, &step_input(&x, t))
+            .expect("step");
+        assert_eq!(bits(&got), bits(want_t), "post-swap step {t} left v1");
+    }
+
+    let (json_path, trace_path) = server.dump_flight("session pin").expect("dump");
+    let doc = std::fs::read_to_string(&json_path).expect("dump json");
+    for path in [json_path, trace_path] {
+        std::fs::remove_file(path).expect("remove dump");
+    }
+    std::fs::remove_dir(&dir).expect("remove dump dir");
+    assert!(
+        doc.contains(&format!("\"model_version\":{v1_version}")),
+        "steps trace v1: {doc}"
+    );
+    assert!(
+        !doc.contains(&format!("\"model_version\":{v2_version}")),
+        "no request ran on v2: {doc}"
+    );
+    client.close_session(sid).expect("close");
     server.shutdown();
     assert_eq!(server.protocol_errors(), 0);
 }

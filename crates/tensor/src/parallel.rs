@@ -82,10 +82,10 @@ thread_local! {
     static IN_WORKER: Cell<bool> = const { Cell::new(false) };
 }
 
-/// The worker count the *default* helpers ([`par_map`], [`par_chunk_map`],
-/// [`par_chunks_mut`]) use from the current thread: [`max_workers`] at top
-/// level, `1` inside a parallel worker or a [`serial_scope`]. The
-/// explicit-count `*_with` variants are unaffected.
+/// The worker count the *default* helpers ([`par_map`], [`par_chunk_map`])
+/// use from the current thread: [`max_workers`] at top level, `1` inside a
+/// parallel worker or a [`serial_scope`]. The explicit-count `*_with`
+/// variants are unaffected.
 pub fn current_workers() -> usize {
     if IN_WORKER.with(Cell::get) {
         1
@@ -245,20 +245,6 @@ where
     par_chunk_map_with(current_workers(), data, chunk, f)
 }
 
-/// Runs `f` over each `chunk`-sized piece of `data` in parallel, discarding
-/// outputs. `f` receives `(chunk_index, chunk)`.
-///
-/// # Panics
-///
-/// Panics if `chunk == 0`.
-pub fn par_chunks_mut<T, F>(data: &mut [T], chunk: usize, f: F)
-where
-    T: Send,
-    F: Fn(usize, &mut [T]) + Sync,
-{
-    par_chunk_map(data, chunk, |i, c| f(i, c));
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -320,21 +306,9 @@ mod tests {
     }
 
     #[test]
-    fn par_chunks_mut_writes_every_chunk() {
-        let mut data = vec![0u8; 17];
-        par_chunks_mut(&mut data, 3, |i, c| {
-            for v in c.iter_mut() {
-                *v = i as u8 + 1;
-            }
-        });
-        assert!(data.iter().all(|&v| v > 0));
-        assert_eq!(data[16], 6); // chunk 5, last short chunk
-    }
-
-    #[test]
     #[should_panic(expected = "chunk size")]
     fn zero_chunk_rejected() {
-        par_chunks_mut(&mut [0u8; 4], 0, |_, _| {});
+        par_chunk_map(&mut [0u8; 4], 0, |_, _| {});
     }
 
     #[test]

@@ -14,13 +14,15 @@ echo "== workspace tests =="
 cargo test --workspace -q
 
 echo "== lane/gang bit-identity suites on one worker =="
-# The lane kernels and the session gang steppers must be bit-identical
-# across any worker count. The workspace run above uses the host default;
-# this re-runs the referees with the serial path forced.
+# The lane kernels, the session gang steppers and BCM training (the
+# golden weight-store fingerprints) must be bit-identical across any
+# worker count. The workspace run above uses the host default; this
+# re-runs the referees with the serial path forced.
 RPBCM_THREADS=1 cargo test -q -p hwsim --test fx_lane_bitident
 RPBCM_THREADS=1 cargo test -q -p serve --test seq_gang_bitident
 RPBCM_THREADS=1 cargo test -q -p serve --test sessions
 RPBCM_THREADS=1 cargo test -q -p nn --lib seq::
+RPBCM_THREADS=1 cargo test -q -p nn --test weight_store
 RPBCM_THREADS=1 cargo test -q -p hwsim --lib recurrent::
 RPBCM_THREADS=1 cargo test -q -p serve --lib session::
 RPBCM_THREADS=1 cargo test -q -p circulant
