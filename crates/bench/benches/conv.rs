@@ -5,7 +5,7 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use fft::real::HalfSpectrum;
 use fft::{Complex, Fft};
-use nn::layers::{BcmConv2d, Conv2d, HadaBcmConv2d, Layer};
+use nn::layers::{BcmConv2d, Conv2d, Layer};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::hint::black_box;
@@ -18,7 +18,7 @@ fn bench_conv_forward(c: &mut Criterion) {
     let x: Tensor<f32> = init::gaussian(&mut rng, &[4, 32, 8, 8], 0.0, 1.0);
     let mut dense = Conv2d::new(&mut rng, 32, 32, 3, 1, 1);
     let mut bcm = BcmConv2d::new(&mut rng, 32, 32, 3, 1, 1, 8);
-    let mut hada = HadaBcmConv2d::new(&mut rng, 32, 32, 3, 1, 1, 8);
+    let mut hada = BcmConv2d::new_hada(&mut rng, 32, 32, 3, 1, 1, 8);
     group.bench_function("dense", |b| {
         b.iter(|| black_box(dense.forward(black_box(&x), true)))
     });

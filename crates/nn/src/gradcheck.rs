@@ -83,7 +83,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::layers::{BatchNorm2d, BcmConv2d, Conv2d, HadaBcmConv2d, ReLU};
+    use crate::layers::{BatchNorm2d, BcmConv2d, Conv2d, ReLU};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use tensor::init;
@@ -98,7 +98,7 @@ mod tests {
         let bcm = BcmConv2d::new(&mut rng, 8, 8, 3, 1, 1, 8);
         let check = check_input_gradient(&bcm, &x, 12);
         assert!(check.passes(2e-2), "bcm: {check:?}");
-        let hada = HadaBcmConv2d::new(&mut rng, 8, 8, 3, 1, 1, 8);
+        let hada = BcmConv2d::new_hada(&mut rng, 8, 8, 3, 1, 1, 8);
         let check = check_input_gradient(&hada, &x, 12);
         assert!(check.passes(2e-2), "hada: {check:?}");
     }

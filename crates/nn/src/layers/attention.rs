@@ -10,6 +10,7 @@
 //! axis) with a residual connection `y = attn(x) + x`, so the layer can
 //! ride between recurrent cells without re-learning the identity.
 
+use crate::layers::bcm::StackedLayer;
 use crate::layers::checkpoint::{LayerSnapshot, StackSnapshot};
 use crate::layers::gates::GateStack;
 use crate::layers::{BcmLayer, Layer, Param, NO_TRAINING_FORWARD};
@@ -264,15 +265,16 @@ impl Layer for BcmAttention {
     }
 
     fn param_count(&self) -> usize {
-        self.live_blocks() * self.block_size()
+        self.trained_param_count()
     }
 
     fn params(&self) -> Vec<&Param> {
-        vec![self.q.vecs(), self.k.vecs(), self.v.vecs()]
+        self.stacks().into_iter().flat_map(|s| s.params()).collect()
     }
 
     fn params_mut(&mut self) -> Vec<&mut Param> {
-        vec![self.q.vecs_mut(), self.k.vecs_mut(), self.v.vecs_mut()]
+        let stacks = self.stacks_mut().into_iter();
+        stacks.flat_map(|s| s.params_mut().iter_mut()).collect()
     }
 
     fn clone_box(&self) -> Box<dyn Layer> {
@@ -296,71 +298,24 @@ impl Layer for BcmAttention {
     }
 }
 
-impl BcmLayer for BcmAttention {
-    fn block_size(&self) -> usize {
-        self.q.block_size()
-    }
-
+impl StackedLayer for BcmAttention {
     /// `q` blocks, then `k`, then `v` — the stable local ordering the
     /// whole-network global pruning index builds on.
-    fn block_count(&self) -> usize {
-        3 * self.q.block_count()
+    fn stacks(&self) -> Vec<&GateStack> {
+        vec![&self.q, &self.k, &self.v]
     }
 
-    fn importances(&self) -> Vec<f64> {
-        let mut v = self.q.importances();
-        v.extend(self.k.importances());
-        v.extend(self.v.importances());
-        v
-    }
-
-    fn eliminate(&mut self, local_indices: &[usize]) {
-        let per = self.q.block_count();
-        let mut q_idx = Vec::new();
-        let mut k_idx = Vec::new();
-        let mut v_idx = Vec::new();
-        for &i in local_indices {
-            match i / per {
-                0 => q_idx.push(i),
-                1 => k_idx.push(i - per),
-                _ => v_idx.push(i - 2 * per),
-            }
-        }
-        self.q.eliminate(&q_idx);
-        self.k.eliminate(&k_idx);
-        self.v.eliminate(&v_idx);
-    }
-
-    fn live_blocks(&self) -> usize {
-        self.q.live_blocks() + self.k.live_blocks() + self.v.live_blocks()
-    }
-
-    fn skip_index(&self) -> Vec<bool> {
-        let mut v = self.q.skip_index();
-        v.extend(self.k.skip_index());
-        v.extend(self.v.skip_index());
-        v
-    }
-
-    fn folded_param_count(&self) -> usize {
-        self.live_blocks() * self.block_size()
-    }
-
-    fn train_param_surrogate(&self) -> usize {
-        self.live_blocks() * self.block_size()
-    }
-
-    fn dense_param_count(&self) -> usize {
-        3 * self.dim * self.dim
+    fn stacks_mut(&mut self) -> Vec<&mut GateStack> {
+        vec![&mut self.q, &mut self.k, &mut self.v]
     }
 
     /// The folded weights as the vertically stacked `[3D, D]` projection
     /// matrix `[W_q; W_k; W_v]`.
-    fn folded(&self) -> ConvBlockCirculant<f32> {
+    fn fold(&self) -> ConvBlockCirculant<f32> {
         let (qg, kg, vg) = (
-            self.q.folded_grid(),
-            self.k.folded_grid(),
-            self.v.folded_grid(),
+            self.q.snapshot().folded_grid(),
+            self.k.snapshot().folded_grid(),
+            self.v.snapshot().folded_grid(),
         );
         let bs = self.block_size();
         let (rows, cols) = qg.grid_dims();

@@ -1,53 +1,139 @@
-//! Block-circulant convolution layers: plain BCM and hadaBCM.
+//! Block-circulant convolution (plain BCM and hadaBCM) and the
+//! [`BcmLayer`] surface every BCM layer shares.
 //!
-//! Both store only defining vectors (`BS` values per block, paper §II-A);
-//! the forward pass expands to a dense weight and reuses the im2col core,
-//! which is mathematically identical to the "FFT → eMAC → IFFT" path (the
-//! `circulant` crate's property tests pin that equivalence; the hardware
-//! model in `hwsim` exercises the FFT path itself). The backward pass
-//! projects the dense weight gradient back onto the circulant subspace —
-//! the exact chain rule through the weight-tying `W[i][j] = w[(i−j) mod BS]`.
-//! Both mappings live in [`BcmLayout`]; `BcmConv2d` keeps its vectors and
-//! caches in the shared [`GateStack`] store.
+//! A [`BcmConv2d`] stores only its [`GateStack`]: `BS` values per block
+//! (paper §II-A), trained either directly or, for hadaBCM (§III-A), as two
+//! factors whose Hadamard product folds into the same plain BCM. The
+//! forward pass expands the folded vectors to a dense weight and reuses
+//! the im2col core, which is mathematically identical to the
+//! "FFT → eMAC → IFFT" path (the `circulant` crate's property tests pin
+//! that equivalence; the hardware model in `hwsim` exercises the FFT path
+//! itself). The backward pass projects the dense weight gradient back onto
+//! the circulant subspace — the exact chain rule through the weight-tying
+//! `W[i][j] = w[(i−j) mod BS]` — and, for hadaBCM, splits it between the
+//! factors; both steps live in the stack.
+//!
+//! Each BCM layer lists its stacks in local block order
+//! ([`StackedLayer`]); one blanket impl writes the whole [`BcmLayer`]
+//! surface over that list, and only `folded` is per layer.
 
 use crate::layers::checkpoint::{LayerSnapshot, StackSnapshot};
 use crate::layers::conv::ConvCore;
-use crate::layers::gates::{BcmLayout, GateStack};
-use crate::layers::{Layer, Param, NO_TRAINING_FORWARD};
+use crate::layers::gates::GateStack;
+use crate::layers::{Layer, Param};
 use crate::optim::SgdUpdate;
 use circulant::ConvBlockCirculant;
 use rand::Rng;
-use tensor::{init, Tensor};
+use tensor::Tensor;
 
-/// The block-circulant surface shared by [`BcmConv2d`] and
-/// [`HadaBcmConv2d`], used by Algorithm 1's driver and the reports.
+/// The block-circulant surface shared by every BCM layer, used by
+/// Algorithm 1's pruner and the reports. Blocks are indexed in each
+/// layer's local order: its stacks in turn, each tap-major, then
+/// output-block, then input-block. The parameter counts are of weights
+/// alone; a layer's biases count only through
+/// [`crate::layers::Layer::param_count`].
 pub trait BcmLayer {
     /// Block size `BS`.
     fn block_size(&self) -> usize;
-    /// Total BCM count (`kh·kw·(c_out/BS)·(c_in/BS)`).
+    /// Total BCM count (`kh·kw·(c_out/BS)·(c_in/BS)` per stack).
     fn block_count(&self) -> usize;
     /// ℓ₂ norm of each block's folded defining vector, in block order.
     fn importances(&self) -> Vec<f64>;
     /// Eliminates blocks by local index (idempotent).
+    ///
+    /// # Panics
+    ///
+    /// Panics if an index is not below [`BcmLayer::block_count`].
     fn eliminate(&mut self, local_indices: &[usize]);
     /// Number of live (unpruned) blocks.
     fn live_blocks(&self) -> usize;
     /// `true` per block when live — the skip-index bitmap.
     fn skip_index(&self) -> Vec<bool>;
-    /// Folded inference parameters (`live · BS`).
+    /// Folded inference weight parameters (`live · BS`).
     fn folded_param_count(&self) -> usize;
-    /// Trainable parameters as counted by [`crate::layers::Layer::param_count`]
-    /// (`live·BS` for plain BCM, `2·live·BS` for hadaBCM) — used to swap
-    /// trainable for folded counts in whole-network accounting.
-    fn train_param_surrogate(&self) -> usize;
-    /// Parameters of the dense equivalent.
+    /// Trainable weight parameters: `live · BS` per factor, so twice the
+    /// folded count for hadaBCM.
+    fn trained_param_count(&self) -> usize;
+    /// Weight parameters of the dense equivalent.
     fn dense_param_count(&self) -> usize;
     /// The folded weights as a block-circulant conv structure.
     fn folded(&self) -> ConvBlockCirculant<f32>;
 }
 
-/// Traditional BCM-compressed convolution: one trainable defining vector
-/// per block (paper §II-A), held in the shared `GateStack` weight store.
+/// A layer whose weights are an ordered list of [`GateStack`]s.
+pub(crate) trait StackedLayer {
+    /// The stacks in local block order.
+    fn stacks(&self) -> Vec<&GateStack>;
+    /// Mutable variant of [`StackedLayer::stacks`], in the same order.
+    fn stacks_mut(&mut self) -> Vec<&mut GateStack>;
+    /// The folded weights as one structure ([`BcmLayer::folded`]): a
+    /// multi-stack layer concatenates its stacks' grids.
+    fn fold(&self) -> ConvBlockCirculant<f32>;
+}
+
+impl<T: StackedLayer> BcmLayer for T {
+    fn block_size(&self) -> usize {
+        self.stacks()[0].layout().bs
+    }
+
+    fn block_count(&self) -> usize {
+        self.stacks().iter().map(|s| s.block_count()).sum()
+    }
+
+    fn importances(&self) -> Vec<f64> {
+        self.stacks().iter().flat_map(|s| s.importances()).collect()
+    }
+
+    /// Routes each index to the stack that owns it: the stacks hold
+    /// consecutive index ranges, in order.
+    fn eliminate(&mut self, local_indices: &[usize]) {
+        let total = self.block_count();
+        assert!(
+            local_indices.iter().all(|&i| i < total),
+            "block index out of range"
+        );
+        let mut first = 0;
+        for stack in self.stacks_mut() {
+            let len = stack.block_count();
+            let own: Vec<usize> = local_indices
+                .iter()
+                .filter_map(|&i| i.checked_sub(first).filter(|&j| j < len))
+                .collect();
+            stack.eliminate(&own);
+            first += len;
+        }
+    }
+
+    fn live_blocks(&self) -> usize {
+        self.stacks().iter().map(|s| s.live_blocks()).sum()
+    }
+
+    fn skip_index(&self) -> Vec<bool> {
+        self.stacks().iter().flat_map(|s| s.skip_index()).collect()
+    }
+
+    fn folded_param_count(&self) -> usize {
+        self.stacks().iter().map(|s| s.folded_param_count()).sum()
+    }
+
+    fn trained_param_count(&self) -> usize {
+        self.stacks().iter().map(|s| s.param_count()).sum()
+    }
+
+    fn dense_param_count(&self) -> usize {
+        self.stacks().iter().map(|s| s.layout().dense_len()).sum()
+    }
+
+    fn folded(&self) -> ConvBlockCirculant<f32> {
+        self.fold()
+    }
+}
+
+/// BCM-compressed convolution over one block-circulant weight store:
+/// plain BCM (one trainable defining vector per block, paper §II-A) or
+/// hadaBCM (each block the Hadamard product of two trainable circulant
+/// factors, §III-A, trained with the Eq. (1) gradient coupling and folded
+/// into a plain BCM for inference).
 #[derive(Debug, Clone)]
 pub struct BcmConv2d {
     name: String,
@@ -56,7 +142,7 @@ pub struct BcmConv2d {
 }
 
 impl BcmConv2d {
-    /// Creates a Kaiming-scaled BCM convolution.
+    /// Creates a Kaiming-scaled plain BCM convolution.
     ///
     /// The defining vectors are drawn with the std of the equivalent dense
     /// layer (`sqrt(2/fan_in)`), so folded activations match dense ones in
@@ -75,20 +161,41 @@ impl BcmConv2d {
         pad: usize,
         bs: usize,
     ) -> Self {
-        BcmConv2d {
-            name: format!("bcmconv{c_in}x{c_out}k{kernel}bs{bs}"),
-            weights: GateStack::new(rng, c_in, c_out, kernel, bs),
-            core: ConvCore::new(c_in, c_out, kernel, kernel, stride, pad),
-        }
+        let weights = GateStack::new(rng, c_in, c_out, kernel, bs);
+        Self::with_weights("bcmconv", weights, stride, pad)
+    }
+
+    /// Creates a hadaBCM convolution whose *folded* weights have the same
+    /// Kaiming scale as the dense equivalent (each factor uses
+    /// `sqrt(std_dense)`).
+    ///
+    /// # Panics
+    ///
+    /// As [`BcmConv2d::new`].
+    pub fn new_hada(
+        rng: &mut impl Rng,
+        c_in: usize,
+        c_out: usize,
+        kernel: usize,
+        stride: usize,
+        pad: usize,
+        bs: usize,
+    ) -> Self {
+        let weights = GateStack::new_hada(rng, c_in, c_out, kernel, bs);
+        Self::with_weights("hadabcmconv", weights, stride, pad)
     }
 
     /// Rebuilds a BCM convolution from its checkpoint record.
     pub(crate) fn from_parts(stride: usize, pad: usize, weights: StackSnapshot) -> Self {
-        let (c_in, c_out, kernel, bs) = (weights.c_in, weights.c_out, weights.k, weights.bs);
+        Self::with_weights("bcmconv", GateStack::from_snapshot(weights), stride, pad)
+    }
+
+    fn with_weights(kind: &str, weights: GateStack, stride: usize, pad: usize) -> Self {
+        let l = *weights.layout();
         BcmConv2d {
-            name: format!("bcmconv{c_in}x{c_out}k{kernel}bs{bs}"),
-            weights: GateStack::from_snapshot(weights),
-            core: ConvCore::new(c_in, c_out, kernel, kernel, stride, pad),
+            name: format!("{kind}{}x{}k{}bs{}", l.c_in, l.c_out, l.k, l.bs),
+            core: ConvCore::new(l.c_in, l.c_out, l.k, l.k, stride, pad),
+            weights,
         }
     }
 }
@@ -113,15 +220,15 @@ impl Layer for BcmConv2d {
     }
 
     fn param_count(&self) -> usize {
-        self.weights.folded_param_count()
+        self.trained_param_count()
     }
 
     fn params(&self) -> Vec<&Param> {
-        vec![self.weights.vecs()]
+        self.weights.params().iter().collect()
     }
 
     fn params_mut(&mut self) -> Vec<&mut Param> {
-        vec![self.weights.vecs_mut()]
+        self.weights.params_mut().iter_mut().collect()
     }
 
     fn clone_box(&self) -> Box<dyn Layer> {
@@ -136,6 +243,9 @@ impl Layer for BcmConv2d {
         Some(self)
     }
 
+    /// A hadaBCM conv records its folded vectors `a ⊙ b`, so it loads as a
+    /// plain BCM with bit-identical inference (both expand the same f32
+    /// products).
     fn snapshot(&self) -> Option<LayerSnapshot> {
         Some(LayerSnapshot::BcmConv2d {
             stride: self.core.stride,
@@ -145,232 +255,17 @@ impl Layer for BcmConv2d {
     }
 }
 
-impl BcmLayer for BcmConv2d {
-    fn block_size(&self) -> usize {
-        self.weights.block_size()
+impl StackedLayer for BcmConv2d {
+    fn stacks(&self) -> Vec<&GateStack> {
+        vec![&self.weights]
     }
 
-    fn block_count(&self) -> usize {
-        self.weights.block_count()
+    fn stacks_mut(&mut self) -> Vec<&mut GateStack> {
+        vec![&mut self.weights]
     }
 
-    fn importances(&self) -> Vec<f64> {
-        self.weights.importances()
-    }
-
-    fn eliminate(&mut self, local_indices: &[usize]) {
-        self.weights.eliminate(local_indices);
-    }
-
-    fn live_blocks(&self) -> usize {
-        self.weights.live_blocks()
-    }
-
-    fn skip_index(&self) -> Vec<bool> {
-        self.weights.skip_index()
-    }
-
-    fn folded_param_count(&self) -> usize {
-        self.weights.folded_param_count()
-    }
-
-    fn train_param_surrogate(&self) -> usize {
-        self.weights.folded_param_count()
-    }
-
-    fn dense_param_count(&self) -> usize {
-        self.weights.layout().dense_len()
-    }
-
-    fn folded(&self) -> ConvBlockCirculant<f32> {
-        self.weights.folded()
-    }
-}
-
-/// hadaBCM-compressed convolution: each block is the Hadamard product of
-/// two trainable circulant factors (paper §III-A), trained with the Eq. (1)
-/// gradient coupling and folded into a plain BCM for inference.
-#[derive(Debug, Clone)]
-pub struct HadaBcmConv2d {
-    name: String,
-    layout: BcmLayout,
-    /// Factor A defining vectors, flat `[block_count, bs]`.
-    a: Param,
-    /// Factor B defining vectors, flat `[block_count, bs]`.
-    b: Param,
-    pruned: Vec<bool>,
-    core: ConvCore,
-    /// Expanded folded im2col weight from the latest training `forward`,
-    /// reused by `backward` in the same step; dropped on any weight update.
-    cached_w: Option<Tensor<f32>>,
-}
-
-impl HadaBcmConv2d {
-    /// Creates a hadaBCM convolution whose *folded* weights have the same
-    /// Kaiming scale as the dense equivalent (each factor uses
-    /// `sqrt(std_dense)`).
-    ///
-    /// # Panics
-    ///
-    /// Panics if channels are not divisible by `bs` or `bs` is not a power
-    /// of two ≥ 2.
-    pub fn new(
-        rng: &mut impl Rng,
-        c_in: usize,
-        c_out: usize,
-        kernel: usize,
-        stride: usize,
-        pad: usize,
-        bs: usize,
-    ) -> Self {
-        let layout = BcmLayout::new(c_in, c_out, kernel, bs);
-        let std_dense = (2.0 / (c_in * kernel * kernel) as f64).sqrt();
-        let factor_std = std_dense.sqrt();
-        let shape = [layout.block_count(), bs];
-        let a = Param::new(init::gaussian(rng, &shape, 0.0, factor_std));
-        let b = Param::new(init::gaussian(rng, &shape, 0.0, factor_std));
-        HadaBcmConv2d {
-            name: format!("hadabcmconv{c_in}x{c_out}k{kernel}bs{bs}"),
-            layout,
-            a,
-            b,
-            pruned: vec![false; layout.block_count()],
-            core: ConvCore::new(c_in, c_out, kernel, kernel, stride, pad),
-            cached_w: None,
-        }
-    }
-
-    fn folded_vecs(&self) -> Vec<f32> {
-        self.a
-            .value
-            .as_slice()
-            .iter()
-            .zip(self.b.value.as_slice())
-            .map(|(&x, &y)| x * y)
-            .collect()
-    }
-}
-
-impl Layer for HadaBcmConv2d {
-    fn name(&self) -> &str {
-        &self.name
-    }
-
-    fn forward(&mut self, x: &Tensor<f32>, train: bool) -> Tensor<f32> {
-        // Fold + expand once per step; `backward` reuses the same matrix.
-        let w = self.layout.expand(&self.folded_vecs());
-        let y = self.core.forward(x, &w, train);
-        self.cached_w = train.then_some(w);
-        y
-    }
-
-    fn backward(&mut self, grad: &Tensor<f32>) -> Tensor<f32> {
-        let w = self.cached_w.as_ref().expect(NO_TRAINING_FORWARD);
-        let (dw_mat, dx) = self.core.backward(grad, w);
-        // Project onto the folded defining vectors, then split by Eq. (1):
-        // ∂L/∂A = ∂L/∂W ⊙ B, ∂L/∂B = ∂L/∂W ⊙ A. `project_grad` leaves
-        // pruned blocks at zero, and `eliminate` zeroed their grads.
-        let mut dfold = vec![0.0f32; self.a.value.len()];
-        self.layout.project_grad(&dw_mat, &self.pruned, &mut dfold);
-        let av = self.a.value.as_slice();
-        let bv = self.b.value.as_slice();
-        let ga = self.a.grad.as_mut_slice();
-        let gb = self.b.grad.as_mut_slice();
-        for (k, &d) in dfold.iter().enumerate() {
-            ga[k] += d * bv[k];
-            gb[k] += d * av[k];
-        }
-        dx
-    }
-
-    fn step(&mut self, update: &SgdUpdate) {
-        self.cached_w = None;
-        self.a.step(update);
-        self.b.step(update);
-    }
-
-    fn param_count(&self) -> usize {
-        2 * self.live_blocks() * self.layout.bs
-    }
-
-    fn params(&self) -> Vec<&Param> {
-        vec![&self.a, &self.b]
-    }
-
-    fn params_mut(&mut self) -> Vec<&mut Param> {
-        vec![&mut self.a, &mut self.b]
-    }
-
-    fn clone_box(&self) -> Box<dyn Layer> {
-        Box::new(self.clone())
-    }
-
-    fn bcm(&self) -> Option<&dyn BcmLayer> {
-        Some(self)
-    }
-
-    fn bcm_mut(&mut self) -> Option<&mut dyn BcmLayer> {
-        Some(self)
-    }
-
-    /// hadaBCM deploys as a plain BCM: the checkpoint stores the folded
-    /// vectors `a ⊙ b`, so the loaded layer is a [`BcmConv2d`] with
-    /// bit-identical inference (both paths expand the same f32 products).
-    fn snapshot(&self) -> Option<LayerSnapshot> {
-        Some(LayerSnapshot::BcmConv2d {
-            stride: self.core.stride,
-            pad: self.core.pad,
-            weights: StackSnapshot::new(&self.layout, self.folded_vecs(), &self.pruned),
-        })
-    }
-}
-
-impl BcmLayer for HadaBcmConv2d {
-    fn block_size(&self) -> usize {
-        self.layout.bs
-    }
-
-    fn block_count(&self) -> usize {
-        self.layout.block_count()
-    }
-
-    fn importances(&self) -> Vec<f64> {
-        self.layout.importances(&self.folded_vecs())
-    }
-
-    fn eliminate(&mut self, local_indices: &[usize]) {
-        self.cached_w = None;
-        let bs = self.layout.bs;
-        for &blk in local_indices {
-            assert!(blk < self.pruned.len(), "block index out of range");
-            self.pruned[blk] = true;
-            self.a.reset_region(blk * bs..(blk + 1) * bs);
-            self.b.reset_region(blk * bs..(blk + 1) * bs);
-        }
-    }
-
-    fn live_blocks(&self) -> usize {
-        self.pruned.iter().filter(|&&p| !p).count()
-    }
-
-    fn skip_index(&self) -> Vec<bool> {
-        self.pruned.iter().map(|&p| !p).collect()
-    }
-
-    fn folded_param_count(&self) -> usize {
-        self.live_blocks() * self.layout.bs
-    }
-
-    fn train_param_surrogate(&self) -> usize {
-        2 * self.live_blocks() * self.layout.bs
-    }
-
-    fn dense_param_count(&self) -> usize {
-        self.layout.dense_len()
-    }
-
-    fn folded(&self) -> ConvBlockCirculant<f32> {
-        self.layout.folded_from(&self.folded_vecs(), &self.pruned)
+    fn fold(&self) -> ConvBlockCirculant<f32> {
+        self.weights.snapshot().folded()
     }
 }
 
@@ -379,6 +274,7 @@ mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+    use tensor::init;
 
     #[test]
     fn expansion_matches_circulant_dense() {
@@ -429,13 +325,13 @@ mod tests {
         let eps = 1e-3;
         for idx in [0usize, 1, 3] {
             let mut p = bcm.clone();
-            p.weights.vecs_mut().value.as_mut_slice()[idx] += eps;
+            p.weights.params_mut()[0].value.as_mut_slice()[idx] += eps;
             let y1 = p.forward(&x, true).sum();
             let mut m = bcm.clone();
-            m.weights.vecs_mut().value.as_mut_slice()[idx] -= eps;
+            m.weights.params_mut()[0].value.as_mut_slice()[idx] -= eps;
             let y0 = m.forward(&x, true).sum();
             let fd = (y1 - y0) / (2.0 * eps);
-            let got = bcm.weights.vecs().grad.as_slice()[idx];
+            let got = bcm.weights.params()[0].grad.as_slice()[idx];
             assert!((fd - got).abs() < 2e-2, "idx={idx}: fd={fd} got={got}");
         }
     }
@@ -443,20 +339,20 @@ mod tests {
     #[test]
     fn hadabcm_gradient_matches_finite_difference() {
         let mut rng = StdRng::seed_from_u64(3);
-        let mut hc = HadaBcmConv2d::new(&mut rng, 4, 4, 1, 1, 0, 4);
+        let mut hc = BcmConv2d::new_hada(&mut rng, 4, 4, 1, 1, 0, 4);
         let x: Tensor<f32> = init::gaussian(&mut rng, &[1, 4, 3, 3], 0.0, 1.0);
         let _ = hc.forward(&x, true);
         let _ = hc.backward(&Tensor::ones(&[1, 4, 3, 3]));
         let eps = 1e-3;
         for idx in [0usize, 2, 3] {
             let mut p = hc.clone();
-            p.a.value.as_mut_slice()[idx] += eps;
+            p.weights.params_mut()[0].value.as_mut_slice()[idx] += eps;
             let y1 = p.forward(&x, true).sum();
             let mut m = hc.clone();
-            m.a.value.as_mut_slice()[idx] -= eps;
+            m.weights.params_mut()[0].value.as_mut_slice()[idx] -= eps;
             let y0 = m.forward(&x, true).sum();
             let fd = (y1 - y0) / (2.0 * eps);
-            let got = hc.a.grad.as_slice()[idx];
+            let got = hc.weights.params()[0].grad.as_slice()[idx];
             assert!((fd - got).abs() < 2e-2, "A idx={idx}: fd={fd} got={got}");
         }
     }
@@ -479,7 +375,7 @@ mod tests {
     #[test]
     fn pruned_blocks_stay_zero_through_training_steps() {
         let mut rng = StdRng::seed_from_u64(5);
-        let mut hc = HadaBcmConv2d::new(&mut rng, 8, 8, 1, 1, 0, 4);
+        let mut hc = BcmConv2d::new_hada(&mut rng, 8, 8, 1, 1, 0, 4);
         assert_eq!(hc.block_count(), 4);
         hc.eliminate(&[1, 2]);
         let x: Tensor<f32> = init::gaussian(&mut rng, &[2, 8, 3, 3], 0.0, 1.0);
@@ -502,7 +398,7 @@ mod tests {
     #[test]
     fn importances_are_folded_norms() {
         let mut rng = StdRng::seed_from_u64(6);
-        let hc = HadaBcmConv2d::new(&mut rng, 4, 4, 1, 1, 0, 4);
+        let hc = BcmConv2d::new_hada(&mut rng, 4, 4, 1, 1, 0, 4);
         let folded = hc.folded();
         let grid = folded.grid(0, 0);
         let want = grid.block(0, 0).vector_norm();
@@ -518,9 +414,47 @@ mod tests {
         assert_eq!(bcm.block_count(), 18);
         assert_eq!(bcm.param_count(), 144);
         assert_eq!(bcm.dense_param_count(), 8 * 16 * 9);
-        let hc = HadaBcmConv2d::new(&mut rng, 8, 16, 3, 1, 1, 8);
+        let hc = BcmConv2d::new_hada(&mut rng, 8, 16, 3, 1, 1, 8);
         assert_eq!(hc.param_count(), 2 * 144); // two factors in training
         assert_eq!(hc.folded_param_count(), 144); // folds to plain BCM
+    }
+
+    #[test]
+    fn hadabcm_eval_forward_reuses_one_expansion() {
+        let mut rng = StdRng::seed_from_u64(9);
+        let mut hc = BcmConv2d::new_hada(&mut rng, 8, 8, 3, 1, 1, 4);
+        let x: Tensor<f32> = init::gaussian(&mut rng, &[2, 8, 4, 4], 0.0, 1.0);
+        let _ = hc.forward(&x, false);
+        assert!(
+            hc.weights.caches_built().0,
+            "eval forward caches the expansion"
+        );
+        let built = hc.weights.dense().as_slice().as_ptr();
+        let _ = hc.forward(&x, false);
+        assert_eq!(
+            hc.weights.dense().as_slice().as_ptr(),
+            built,
+            "a second eval forward reuses the expansion"
+        );
+        // Every mutable path forces a rebuild.
+        hc.step(&SgdUpdate {
+            lr: 0.1,
+            momentum: 0.9,
+            weight_decay: 1e-4,
+        });
+        assert!(!hc.weights.caches_built().0, "step drops the expansion");
+        let _ = hc.forward(&x, false);
+        hc.eliminate(&[3]);
+        assert!(
+            !hc.weights.caches_built().0,
+            "eliminate drops the expansion"
+        );
+        let _ = hc.forward(&x, false);
+        let _ = hc.params_mut();
+        assert!(
+            !hc.weights.caches_built().0,
+            "params_mut drops the expansion"
+        );
     }
 
     #[test]

@@ -10,6 +10,7 @@
 //! dense expansion; inference runs the batched "FFT → eMAC → IFFT" path
 //! against the store's prepared spectra.
 
+use crate::layers::bcm::StackedLayer;
 use crate::layers::checkpoint::{LayerSnapshot, StackSnapshot};
 use crate::layers::gates::GateStack;
 use crate::layers::{BcmLayer, Layer, Param, NO_TRAINING_FORWARD};
@@ -65,7 +66,7 @@ impl BcmLinear {
 
     /// The folded grid (for analysis and hardware export).
     pub fn folded_grid(&self) -> BlockCirculant<f32> {
-        self.weights.folded_grid()
+        self.weights.snapshot().folded_grid()
     }
 }
 
@@ -112,15 +113,16 @@ impl Layer for BcmLinear {
     }
 
     fn param_count(&self) -> usize {
-        self.weights.folded_param_count() + self.bias.len()
+        self.trained_param_count() + self.bias.len()
     }
 
     fn params(&self) -> Vec<&Param> {
-        vec![self.weights.vecs(), &self.bias]
+        self.weights.params().iter().chain([&self.bias]).collect()
     }
 
     fn params_mut(&mut self) -> Vec<&mut Param> {
-        vec![self.weights.vecs_mut(), &mut self.bias]
+        let bias = [&mut self.bias];
+        self.weights.params_mut().iter_mut().chain(bias).collect()
     }
 
     fn clone_box(&self) -> Box<dyn Layer> {
@@ -143,45 +145,17 @@ impl Layer for BcmLinear {
     }
 }
 
-impl BcmLayer for BcmLinear {
-    fn block_size(&self) -> usize {
-        self.weights.block_size()
+impl StackedLayer for BcmLinear {
+    fn stacks(&self) -> Vec<&GateStack> {
+        vec![&self.weights]
     }
 
-    fn block_count(&self) -> usize {
-        self.weights.block_count()
+    fn stacks_mut(&mut self) -> Vec<&mut GateStack> {
+        vec![&mut self.weights]
     }
 
-    fn importances(&self) -> Vec<f64> {
-        self.weights.importances()
-    }
-
-    fn eliminate(&mut self, local_indices: &[usize]) {
-        self.weights.eliminate(local_indices);
-    }
-
-    fn live_blocks(&self) -> usize {
-        self.weights.live_blocks()
-    }
-
-    fn skip_index(&self) -> Vec<bool> {
-        self.weights.skip_index()
-    }
-
-    fn folded_param_count(&self) -> usize {
-        self.weights.folded_param_count()
-    }
-
-    fn train_param_surrogate(&self) -> usize {
-        self.weights.folded_param_count() + self.bias.len()
-    }
-
-    fn dense_param_count(&self) -> usize {
-        self.weights.layout().dense_len() + self.bias.len()
-    }
-
-    fn folded(&self) -> ConvBlockCirculant<f32> {
-        self.weights.folded()
+    fn fold(&self) -> ConvBlockCirculant<f32> {
+        self.weights.snapshot().folded()
     }
 }
 
@@ -220,13 +194,13 @@ mod tests {
         let eps = 1e-3;
         for idx in [0usize, 5, 11] {
             let mut p = l.clone();
-            p.weights.vecs_mut().value.as_mut_slice()[idx] += eps;
+            p.weights.params_mut()[0].value.as_mut_slice()[idx] += eps;
             let y1 = p.forward(&x, true).sum();
             let mut m = l.clone();
-            m.weights.vecs_mut().value.as_mut_slice()[idx] -= eps;
+            m.weights.params_mut()[0].value.as_mut_slice()[idx] -= eps;
             let y0 = m.forward(&x, true).sum();
             let fd = (y1 - y0) / (2.0 * eps);
-            let got = l.weights.vecs().grad.as_slice()[idx];
+            let got = l.weights.params()[0].grad.as_slice()[idx];
             assert!((fd - got).abs() < 2e-2, "idx={idx}: fd={fd} got={got}");
         }
     }
@@ -236,7 +210,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(2);
         let mut l = BcmLinear::new(&mut rng, 16, 8, 4);
         assert_eq!(l.block_count(), 2 * 4);
-        assert_eq!(l.dense_param_count(), 16 * 8 + 8);
+        assert_eq!(l.dense_param_count(), 16 * 8);
         l.eliminate(&[0, 3]);
         assert_eq!(l.live_blocks(), 6);
         assert_eq!(l.folded_param_count(), 24);
@@ -258,6 +232,18 @@ mod tests {
         let net = Network::new("fc", vec![Box::new(BcmLinear::new(&mut rng, 16, 16, 8))]);
         assert_eq!(net.bcm_block_count(), 4);
         assert_eq!(net.bcm_importances().len(), 4);
+    }
+
+    #[test]
+    fn network_counts_the_bias_once_on_both_sides() {
+        use crate::layers::Network;
+        let mut rng = StdRng::seed_from_u64(5);
+        let mut net = Network::new("fc", vec![Box::new(BcmLinear::new(&mut rng, 16, 8, 4))]);
+        net.bcm_eliminate(&[0, 3]);
+        // 6 live blocks × BS 4 folded weights against 16·8 dense ones,
+        // plus the 8 bias words on each side.
+        assert_eq!(net.folded_param_count(), 6 * 4 + 8);
+        assert_eq!(net.dense_equiv_param_count(), 16 * 8 + 8);
     }
 
     #[test]

@@ -220,8 +220,8 @@ pub enum LayerSnapshot {
         /// Running variance, `[channels]`.
         var: Vec<f32>,
     },
-    /// Block-circulant convolution ([`BcmConv2d`], or a folded
-    /// `HadaBcmConv2d`); channels, kernel and BS live in `weights`.
+    /// Block-circulant convolution ([`BcmConv2d`], plain or hadaBCM with
+    /// its folded vectors); channels, kernel and BS live in `weights`.
     BcmConv2d {
         /// Stride.
         stride: usize,
@@ -934,7 +934,6 @@ impl Network {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::layers::HadaBcmConv2d;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use tensor::{init, Tensor};
@@ -953,7 +952,7 @@ mod tests {
         let mut net = Network::new(
             "mixed",
             vec![
-                Box::new(HadaBcmConv2d::new(&mut rng, 4, 8, 3, 1, 1, 4)),
+                Box::new(BcmConv2d::new_hada(&mut rng, 4, 8, 3, 1, 1, 4)),
                 Box::new(BatchNorm2d::new(8)),
                 Box::new(ReLU::new()),
                 Box::new(MaxPool2d::new(2)),
@@ -1233,7 +1232,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(11);
         let mut net = Network::new(
             "hada",
-            vec![Box::new(HadaBcmConv2d::new(&mut rng, 8, 8, 3, 1, 1, 4))],
+            vec![Box::new(BcmConv2d::new_hada(&mut rng, 8, 8, 3, 1, 1, 4))],
         );
         net.bcm_eliminate(&[1, 6, 11, 30]);
         net

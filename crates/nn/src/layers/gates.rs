@@ -1,20 +1,27 @@
 //! The block-circulant weight store.
 //!
-//! Every BCM layer that trains one defining vector per `BS×BS` block holds
-//! its weights in a [`GateStack`]: [`super::BcmConv2d`] (one `[c_out, c_in]`
-//! grid per `k×k` tap), [`super::BcmLinear`] (the paper's `K = 1` FC case),
-//! and the gate matrices of `BcmLstm`, `BcmGru` and `BcmAttention` — the
+//! Every BCM layer holds its weights in [`GateStack`]s: [`super::BcmConv2d`]
+//! (one `[c_out, c_in]` grid per `k×k` tap, plain or hadaBCM),
+//! [`super::BcmLinear`] (the paper's `K = 1` FC case), and the gate
+//! matrices of `BcmLstm`, `BcmGru` and `BcmAttention` — the
 //! parameterization C-LSTM (FPGA'18) and E-RNN (HPCA'19) use for LSTM/GRU
 //! gates. [`BcmLayout`] is the one place that maps defining vectors to a
 //! dense im2col weight, dense gradients back to vectors, and vectors to a
-//! folded grid. `HadaBcmConv2d`, whose trained parameters are two factors
-//! rather than the defining vectors, uses the layout directly.
+//! folded grid; only this module calls it on trained weights.
+//!
+//! **Factorization.** A stack trains either one defining vector per block
+//! (plain BCM, paper §II-A) or hadaBCM's two factors `a`, `b` (§III-A),
+//! whose Hadamard product `a ⊙ b` is the block's vector. Everything that
+//! reads weights — the dense expansion, the spectral grid, the folded
+//! weights, importances and the checkpoint record — reads the folded
+//! vectors; everything that trains walks the factors, and the Eq. (1)
+//! gradient split lives in [`GateStack::accumulate_grad`] alone.
 //!
 //! **Cache rule.** A stack owns two derived caches: the dense expansion
 //! shared by forward and backward, and the folded grid with prepared
-//! spectra for 1-tap inference. The vectors are private, and every path
+//! spectra for 1-tap inference. The factors are private, and every path
 //! that can change them — [`GateStack::step`], [`GateStack::eliminate`] and
-//! the single mutable accessor [`GateStack::vecs_mut`] that each layer's
+//! the single mutable accessor [`GateStack::params_mut`] that each layer's
 //! `params_mut` (and so `Network::sync_params_from`) goes through — drops
 //! both. A stale expansion is therefore unrepresentable.
 
@@ -23,6 +30,7 @@ use crate::layers::Param;
 use crate::optim::SgdUpdate;
 use circulant::{BlockCirculant, CirculantMatrix, ConvBlockCirculant};
 use rand::Rng;
+use std::borrow::Cow;
 use tensor::{init, Tensor};
 
 /// Dimensions of a block-circulant weight and its block indexing:
@@ -174,13 +182,53 @@ impl BcmLayout {
     }
 }
 
-/// One block-circulant weight: defining vectors, a per-block pruning mask,
-/// and lazily-built dense/spectral caches kept valid by construction.
+/// A stack's trained parameters.
+#[derive(Debug, Clone)]
+enum Factors {
+    /// Plain BCM: the defining vectors, flat `[block_count, bs]`.
+    Plain(Param),
+    /// hadaBCM: factors `[a, b]`, each flat `[block_count, bs]`.
+    Hada([Param; 2]),
+}
+
+impl Factors {
+    fn as_slice(&self) -> &[Param] {
+        match self {
+            Factors::Plain(vecs) => std::slice::from_ref(vecs),
+            Factors::Hada(ab) => ab,
+        }
+    }
+
+    fn as_mut_slice(&mut self) -> &mut [Param] {
+        match self {
+            Factors::Plain(vecs) => std::slice::from_mut(vecs),
+            Factors::Hada(ab) => ab,
+        }
+    }
+
+    /// The folded defining vectors: `vecs`, or `a ⊙ b` for hadaBCM.
+    fn folded(&self) -> Cow<'_, [f32]> {
+        match self {
+            Factors::Plain(vecs) => Cow::Borrowed(vecs.value.as_slice()),
+            Factors::Hada([a, b]) => Cow::Owned(
+                a.value
+                    .as_slice()
+                    .iter()
+                    .zip(b.value.as_slice())
+                    .map(|(&x, &y)| x * y)
+                    .collect(),
+            ),
+        }
+    }
+}
+
+/// One block-circulant weight: its trained factors, a per-block pruning
+/// mask, and lazily-built dense/spectral caches kept valid by
+/// construction.
 #[derive(Debug, Clone)]
 pub(crate) struct GateStack {
     layout: BcmLayout,
-    /// Defining vectors, flat `[block_count, bs]` in layout block order.
-    vecs: Param,
+    factors: Factors,
     pruned: Vec<bool>,
     /// Dense im2col expansion shared by forward and backward.
     dense: Option<Tensor<f32>>,
@@ -189,21 +237,57 @@ pub(crate) struct GateStack {
 }
 
 impl GateStack {
-    /// Kaiming-scaled stack: defining vectors drawn with the std of the
-    /// equivalent dense layer (`sqrt(2/fan_in)`), so folded activations
-    /// match dense ones in scale.
+    /// Kaiming-scaled plain stack: defining vectors drawn with the std of
+    /// the equivalent dense layer (`sqrt(2/fan_in)`), so folded
+    /// activations match dense ones in scale.
     ///
     /// # Panics
     ///
     /// As [`BcmLayout::new`].
     pub(crate) fn new(rng: &mut impl Rng, c_in: usize, c_out: usize, k: usize, bs: usize) -> Self {
-        let layout = BcmLayout::new(c_in, c_out, k, bs);
-        let std = (2.0 / (c_in * k * k) as f64).sqrt();
+        let (layout, std) = Self::kaiming(c_in, c_out, k, bs);
         let vecs = init::gaussian(rng, &[layout.block_count(), bs], 0.0, std);
-        Self::with_vecs(layout, vecs, vec![false; layout.block_count()])
+        let pruned = vec![false; layout.block_count()];
+        Self::with_factors(layout, Factors::Plain(Param::new(vecs)), pruned)
     }
 
-    /// Rebuilds a stack from its checkpoint record.
+    /// hadaBCM stack whose *folded* vectors have the plain stack's Kaiming
+    /// scale: each factor is drawn with `sqrt(std)`, `a` before `b`.
+    ///
+    /// # Panics
+    ///
+    /// As [`BcmLayout::new`].
+    pub(crate) fn new_hada(
+        rng: &mut impl Rng,
+        c_in: usize,
+        c_out: usize,
+        k: usize,
+        bs: usize,
+    ) -> Self {
+        let (layout, std) = Self::kaiming(c_in, c_out, k, bs);
+        let shape = [layout.block_count(), bs];
+        let a = Param::new(init::gaussian(rng, &shape, 0.0, std.sqrt()));
+        let b = Param::new(init::gaussian(rng, &shape, 0.0, std.sqrt()));
+        let pruned = vec![false; layout.block_count()];
+        Self::with_factors(layout, Factors::Hada([a, b]), pruned)
+    }
+
+    fn kaiming(c_in: usize, c_out: usize, k: usize, bs: usize) -> (BcmLayout, f64) {
+        let layout = BcmLayout::new(c_in, c_out, k, bs);
+        (layout, (2.0 / (c_in * k * k) as f64).sqrt())
+    }
+
+    fn with_factors(layout: BcmLayout, factors: Factors, pruned: Vec<bool>) -> Self {
+        GateStack {
+            layout,
+            factors,
+            pruned,
+            dense: None,
+            spectra: None,
+        }
+    }
+
+    /// Rebuilds a plain stack from its checkpoint record.
     ///
     /// # Panics
     ///
@@ -214,41 +298,33 @@ impl GateStack {
         assert_eq!(snap.live.len(), layout.block_count(), "skip index length");
         let pruned = snap.pruned();
         let vecs = Tensor::from_vec(snap.vecs, &[layout.block_count(), layout.bs]);
-        Self::with_vecs(layout, vecs, pruned)
+        Self::with_factors(layout, Factors::Plain(Param::new(vecs)), pruned)
     }
 
-    /// The stack's checkpoint record.
+    /// The stack's checkpoint record: the folded vectors, so a hadaBCM
+    /// stack deploys as the plain stack it folds into.
     pub(crate) fn snapshot(&self) -> StackSnapshot {
         StackSnapshot::new(
             &self.layout,
-            self.vecs.value.as_slice().to_vec(),
+            self.factors.folded().into_owned(),
             &self.pruned,
         )
-    }
-
-    fn with_vecs(layout: BcmLayout, vecs: Tensor<f32>, pruned: Vec<bool>) -> Self {
-        GateStack {
-            layout,
-            vecs: Param::new(vecs),
-            pruned,
-            dense: None,
-            spectra: None,
-        }
     }
 
     pub(crate) fn layout(&self) -> &BcmLayout {
         &self.layout
     }
 
-    pub(crate) fn vecs(&self) -> &Param {
-        &self.vecs
+    /// The trained factors: `[vecs]`, or `[a, b]` for hadaBCM.
+    pub(crate) fn params(&self) -> &[Param] {
+        self.factors.as_slice()
     }
 
-    /// The only mutable path to the defining vectors: drops both caches,
-    /// since the caller may rewrite the values.
-    pub(crate) fn vecs_mut(&mut self) -> &mut Param {
+    /// The only mutable path to the factors: drops both caches, since the
+    /// caller may rewrite the values.
+    pub(crate) fn params_mut(&mut self) -> &mut [Param] {
         self.drop_caches();
-        &mut self.vecs
+        self.factors.as_mut_slice()
     }
 
     fn drop_caches(&mut self) {
@@ -256,81 +332,85 @@ impl GateStack {
         self.spectra = None;
     }
 
-    /// The dense `[c_out, c_in·k·k]` expansion, built on first use after
-    /// any change to the vectors.
+    /// The dense `[c_out, c_in·k·k]` expansion of the folded vectors,
+    /// built on first use after any change to the factors.
     pub(crate) fn dense(&mut self) -> &Tensor<f32> {
-        let (layout, vecs) = (&self.layout, &self.vecs);
+        let (layout, factors) = (&self.layout, &self.factors);
         self.dense
-            .get_or_insert_with(|| layout.expand(vecs.value.as_slice()))
+            .get_or_insert_with(|| layout.expand(&factors.folded()))
     }
 
     /// The folded grid with prepared spectra — the batched
     /// "FFT → eMAC → IFFT" inference path of a 1-tap stack.
     pub(crate) fn grid(&mut self) -> &BlockCirculant<f32> {
         assert_eq!(self.layout.k, 1, "spectral path is for 1-tap stacks");
-        let (layout, vecs, pruned) = (&self.layout, &self.vecs, &self.pruned);
+        let (layout, factors, pruned) = (&self.layout, &self.factors, &self.pruned);
         self.spectra.get_or_insert_with(|| {
-            let grid = layout.tap_grid(vecs.value.as_slice(), pruned, 0, 0);
+            let grid = layout.tap_grid(&factors.folded(), pruned, 0, 0);
             grid.prepare_spectra();
             grid
         })
     }
 
     /// Accumulates a dense `[c_out, c_in·k·k]` weight gradient onto the
-    /// defining-vector gradient (pruned blocks stay at zero).
+    /// factors' gradients (pruned blocks stay at zero). For hadaBCM the
+    /// folded-vector gradient splits by Eq. (1):
+    /// `∂L/∂A = ∂L/∂W ⊙ B`, `∂L/∂B = ∂L/∂W ⊙ A`.
     pub(crate) fn accumulate_grad(&mut self, dw: &Tensor<f32>) {
-        self.layout
-            .project_grad(dw, &self.pruned, self.vecs.grad.as_mut_slice());
-    }
-
-    /// The folded weights, one grid per tap.
-    pub(crate) fn folded(&self) -> ConvBlockCirculant<f32> {
-        self.layout
-            .folded_from(self.vecs.value.as_slice(), &self.pruned)
-    }
-
-    /// The folded grid of a 1-tap stack.
-    pub(crate) fn folded_grid(&self) -> BlockCirculant<f32> {
-        assert_eq!(self.layout.k, 1, "folded_grid is for 1-tap stacks");
-        self.layout
-            .tap_grid(self.vecs.value.as_slice(), &self.pruned, 0, 0)
-    }
-
-    /// Applies one SGD update, drops the caches, and re-zeroes pruned
-    /// regions for exactness against momentum drift.
-    pub(crate) fn step(&mut self, update: &SgdUpdate) {
-        self.drop_caches();
-        self.vecs.step(update);
-        let bs = self.layout.bs;
-        for (blk, &p) in self.pruned.iter().enumerate() {
-            if p {
-                self.vecs.reset_region(blk * bs..(blk + 1) * bs);
+        match &mut self.factors {
+            Factors::Plain(vecs) => {
+                self.layout
+                    .project_grad(dw, &self.pruned, vecs.grad.as_mut_slice());
+            }
+            Factors::Hada([a, b]) => {
+                let mut dfold = vec![0.0f32; a.len()];
+                self.layout.project_grad(dw, &self.pruned, &mut dfold);
+                let (av, ga) = (a.value.as_slice(), a.grad.as_mut_slice());
+                let (bv, gb) = (b.value.as_slice(), b.grad.as_mut_slice());
+                for (k, &d) in dfold.iter().enumerate() {
+                    ga[k] += d * bv[k];
+                    gb[k] += d * av[k];
+                }
             }
         }
     }
 
-    // --- BcmLayer building blocks -----------------------------------
+    /// Applies one SGD update to every factor, drops the caches, and
+    /// re-zeroes pruned regions for exactness against momentum drift.
+    pub(crate) fn step(&mut self, update: &SgdUpdate) {
+        self.drop_caches();
+        let bs = self.layout.bs;
+        for factor in self.factors.as_mut_slice() {
+            factor.step(update);
+            for (blk, &p) in self.pruned.iter().enumerate() {
+                if p {
+                    factor.reset_region(blk * bs..(blk + 1) * bs);
+                }
+            }
+        }
+    }
 
-    pub(crate) fn block_size(&self) -> usize {
-        self.layout.bs
+    /// Eliminates blocks by index: marks them pruned and zeroes every
+    /// factor's value, gradient and momentum there.
+    pub(crate) fn eliminate(&mut self, indices: &[usize]) {
+        self.drop_caches();
+        let bs = self.layout.bs;
+        for &blk in indices {
+            assert!(blk < self.pruned.len(), "block index out of range");
+            self.pruned[blk] = true;
+            for factor in self.factors.as_mut_slice() {
+                factor.reset_region(blk * bs..(blk + 1) * bs);
+            }
+        }
+    }
+
+    /// ℓ₂ norm of each block's folded vector, in block order.
+    pub(crate) fn importances(&self) -> Vec<f64> {
+        self.layout.importances(&self.factors.folded())
     }
 
     pub(crate) fn block_count(&self) -> usize {
         self.layout.block_count()
-    }
-
-    pub(crate) fn importances(&self) -> Vec<f64> {
-        self.layout.importances(self.vecs.value.as_slice())
-    }
-
-    pub(crate) fn eliminate(&mut self, local_indices: &[usize]) {
-        self.drop_caches();
-        let bs = self.layout.bs;
-        for &blk in local_indices {
-            assert!(blk < self.pruned.len(), "block index out of range");
-            self.pruned[blk] = true;
-            self.vecs.reset_region(blk * bs..(blk + 1) * bs);
-        }
     }
 
     pub(crate) fn live_blocks(&self) -> usize {
@@ -344,6 +424,11 @@ impl GateStack {
     /// Folded inference parameters (`live · BS`).
     pub(crate) fn folded_param_count(&self) -> usize {
         self.live_blocks() * self.layout.bs
+    }
+
+    /// Trainable parameters: `live · BS` per factor.
+    pub(crate) fn param_count(&self) -> usize {
+        self.params().len() * self.folded_param_count()
     }
 
     /// Whether the dense and spectral caches are currently built.

@@ -16,7 +16,7 @@ mod recurrent;
 
 pub use act::{Flatten, ReLU};
 pub use attention::BcmAttention;
-pub use bcm::{BcmConv2d, BcmLayer, HadaBcmConv2d};
+pub use bcm::{BcmConv2d, BcmLayer};
 pub use bcmlinear::BcmLinear;
 pub use conv::Conv2d;
 pub use linear::Linear;
@@ -79,9 +79,8 @@ pub trait Layer: Send {
     /// Mutable variant of [`Layer::params`], in the same stable order. The
     /// data-parallel trainer uses it to sync replica weights from the
     /// master and to reduce replica gradients back in a fixed order.
-    /// BCM layers with one defining vector per block drop their cached
-    /// dense and spectral weights here, since the caller may rewrite the
-    /// values.
+    /// BCM layers drop their cached dense and spectral weights here,
+    /// since the caller may rewrite the values.
     fn params_mut(&mut self) -> Vec<&mut Param> {
         Vec::new()
     }

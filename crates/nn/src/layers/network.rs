@@ -247,43 +247,27 @@ impl Network {
         }
     }
 
-    /// Folded inference parameter count: BCM layers contribute `live·BS`,
-    /// everything else its trainable count. Composites containing BCM
-    /// sublayers are accounted by replacing each sublayer's trainable count
-    /// with its folded count.
+    /// Folded inference parameter count: every BCM layer's weights count
+    /// `live·BS`, every other parameter (biases included) as trained.
     pub fn folded_param_count(&self) -> usize {
-        let train: usize = self.param_count();
-        let bcm_train: usize = self
-            .bcm_layers()
-            .iter()
-            .map(|b| {
-                // Trainable params of a live BCM layer: BS (plain) or 2·BS
-                // (hadaBCM) per live block — recover via ratio to folded.
-                b.train_param_surrogate()
-            })
-            .sum();
-        let bcm_folded: usize = self
-            .bcm_layers()
-            .iter()
-            .map(|b| b.folded_param_count())
-            .sum();
-        train - bcm_train + bcm_folded
+        self.count_with_bcm_weights(|b| b.folded_param_count())
     }
 
-    /// Dense-equivalent parameter count (BCM layers expanded).
+    /// Dense-equivalent parameter count: every BCM layer's weights count
+    /// as their dense expansion, every other parameter as trained.
     pub fn dense_equiv_param_count(&self) -> usize {
-        let train: usize = self.param_count();
-        let bcm_train: usize = self
-            .bcm_layers()
-            .iter()
-            .map(|b| b.train_param_surrogate())
-            .sum();
-        let bcm_dense: usize = self
-            .bcm_layers()
-            .iter()
-            .map(|b| b.dense_param_count())
-            .sum();
-        train - bcm_train + bcm_dense
+        self.count_with_bcm_weights(|b| b.dense_param_count())
+    }
+
+    /// The trainable count with each BCM layer's trainable weights swapped
+    /// for `weights(layer)`; composites are covered through
+    /// [`Network::bcm_layers`].
+    fn count_with_bcm_weights(&self, weights: impl Fn(&dyn BcmLayer) -> usize) -> usize {
+        self.bcm_layers()
+            .into_iter()
+            .fold(self.param_count(), |n, b| {
+                n - b.trained_param_count() + weights(b)
+            })
     }
 
     /// Global block sparsity across BCM layers (0 when there are none).

@@ -21,6 +21,7 @@
 //! [`crate::seq`], which makes a batched eval forward bit-identical to
 //! the step-at-a-time [`crate::seq::SeqRunner`] the serving tier uses.
 
+use crate::layers::bcm::StackedLayer;
 use crate::layers::checkpoint::{LayerSnapshot, StackSnapshot};
 use crate::layers::gates::GateStack;
 use crate::layers::{BcmLayer, Layer, Param, NO_TRAINING_FORWARD};
@@ -303,15 +304,16 @@ impl Layer for BcmLstm {
     }
 
     fn param_count(&self) -> usize {
-        self.gates.folded_param_count() + self.bias.len()
+        self.trained_param_count() + self.bias.len()
     }
 
     fn params(&self) -> Vec<&Param> {
-        vec![self.gates.vecs(), &self.bias]
+        self.gates.params().iter().chain([&self.bias]).collect()
     }
 
     fn params_mut(&mut self) -> Vec<&mut Param> {
-        vec![self.gates.vecs_mut(), &mut self.bias]
+        let bias = [&mut self.bias];
+        self.gates.params_mut().iter_mut().chain(bias).collect()
     }
 
     fn clone_box(&self) -> Box<dyn Layer> {
@@ -334,45 +336,17 @@ impl Layer for BcmLstm {
     }
 }
 
-impl BcmLayer for BcmLstm {
-    fn block_size(&self) -> usize {
-        self.gates.block_size()
+impl StackedLayer for BcmLstm {
+    fn stacks(&self) -> Vec<&GateStack> {
+        vec![&self.gates]
     }
 
-    fn block_count(&self) -> usize {
-        self.gates.block_count()
+    fn stacks_mut(&mut self) -> Vec<&mut GateStack> {
+        vec![&mut self.gates]
     }
 
-    fn importances(&self) -> Vec<f64> {
-        self.gates.importances()
-    }
-
-    fn eliminate(&mut self, local_indices: &[usize]) {
-        self.gates.eliminate(local_indices);
-    }
-
-    fn live_blocks(&self) -> usize {
-        self.gates.live_blocks()
-    }
-
-    fn skip_index(&self) -> Vec<bool> {
-        self.gates.skip_index()
-    }
-
-    fn folded_param_count(&self) -> usize {
-        self.gates.folded_param_count()
-    }
-
-    fn train_param_surrogate(&self) -> usize {
-        self.gates.folded_param_count() + self.bias.len()
-    }
-
-    fn dense_param_count(&self) -> usize {
-        self.gates.layout().dense_len() + self.bias.len()
-    }
-
-    fn folded(&self) -> ConvBlockCirculant<f32> {
-        self.gates.folded()
+    fn fold(&self) -> ConvBlockCirculant<f32> {
+        self.gates.snapshot().folded()
     }
 }
 
@@ -619,22 +593,23 @@ impl Layer for BcmGru {
     }
 
     fn param_count(&self) -> usize {
-        (self.w.live_blocks() + self.u.live_blocks()) * self.w.block_size()
-            + self.bias_w.len()
-            + self.bias_u.len()
+        self.trained_param_count() + self.bias_w.len() + self.bias_u.len()
     }
 
     fn params(&self) -> Vec<&Param> {
-        vec![self.w.vecs(), self.u.vecs(), &self.bias_w, &self.bias_u]
+        let biases = [&self.bias_w, &self.bias_u];
+        self.w
+            .params()
+            .iter()
+            .chain(self.u.params())
+            .chain(biases)
+            .collect()
     }
 
     fn params_mut(&mut self) -> Vec<&mut Param> {
-        vec![
-            self.w.vecs_mut(),
-            self.u.vecs_mut(),
-            &mut self.bias_w,
-            &mut self.bias_u,
-        ]
+        let biases = [&mut self.bias_w, &mut self.bias_u];
+        let (w, u) = (self.w.params_mut(), self.u.params_mut());
+        w.iter_mut().chain(u).chain(biases).collect()
     }
 
     fn clone_box(&self) -> Box<dyn Layer> {
@@ -659,62 +634,25 @@ impl Layer for BcmGru {
     }
 }
 
-impl BcmLayer for BcmGru {
-    fn block_size(&self) -> usize {
-        self.w.block_size()
-    }
-
+impl StackedLayer for BcmGru {
     /// `w` blocks first, then `u` blocks — the stable local ordering the
     /// whole-network global index builds on.
-    fn block_count(&self) -> usize {
-        self.w.block_count() + self.u.block_count()
+    fn stacks(&self) -> Vec<&GateStack> {
+        vec![&self.w, &self.u]
     }
 
-    fn importances(&self) -> Vec<f64> {
-        let mut v = self.w.importances();
-        v.extend(self.u.importances());
-        v
-    }
-
-    fn eliminate(&mut self, local_indices: &[usize]) {
-        let split = self.w.block_count();
-        let (w_idx, u_idx): (Vec<usize>, Vec<usize>) =
-            local_indices.iter().partition(|&&i| i < split);
-        let u_idx: Vec<usize> = u_idx.into_iter().map(|i| i - split).collect();
-        self.w.eliminate(&w_idx);
-        self.u.eliminate(&u_idx);
-    }
-
-    fn live_blocks(&self) -> usize {
-        self.w.live_blocks() + self.u.live_blocks()
-    }
-
-    fn skip_index(&self) -> Vec<bool> {
-        let mut v = self.w.skip_index();
-        v.extend(self.u.skip_index());
-        v
-    }
-
-    fn folded_param_count(&self) -> usize {
-        self.live_blocks() * self.block_size()
-    }
-
-    fn train_param_surrogate(&self) -> usize {
-        self.live_blocks() * self.block_size() + self.bias_w.len() + self.bias_u.len()
-    }
-
-    fn dense_param_count(&self) -> usize {
-        self.w.layout().dense_len()
-            + self.u.layout().dense_len()
-            + self.bias_w.len()
-            + self.bias_u.len()
+    fn stacks_mut(&mut self) -> Vec<&mut GateStack> {
+        vec![&mut self.w, &mut self.u]
     }
 
     /// The folded weights as a single `[3H, F+H]` grid: per gate row, the
     /// input blocks (`W`) then the recurrent blocks (`U`) — the
     /// concatenated matrix `[W U]` applied to `[x; h]`.
-    fn folded(&self) -> ConvBlockCirculant<f32> {
-        let (wg, ug) = (self.w.folded_grid(), self.u.folded_grid());
+    fn fold(&self) -> ConvBlockCirculant<f32> {
+        let (wg, ug) = (
+            self.w.snapshot().folded_grid(),
+            self.u.snapshot().folded_grid(),
+        );
         let bs = self.block_size();
         let (rows, w_cols) = wg.grid_dims();
         let (_, u_cols) = ug.grid_dims();
@@ -865,7 +803,7 @@ mod tests {
             let _ = lstm.backward(&Tensor::ones(y.dims()));
             lstm.step(&update());
         }
-        let vs = lstm.gates.vecs().value.as_slice();
+        let vs = lstm.gates.params()[0].value.as_slice();
         for blk in [0usize, 5, 31] {
             assert!(
                 vs[blk * 2..(blk + 1) * 2].iter().all(|&v| v == 0.0),

@@ -6,7 +6,7 @@
 //! accuracy/compression trade-offs — implemented entirely in safe Rust on
 //! the [`tensor`] crate.
 //!
-//! - [`layers`]: `Conv2d` (im2col), `BcmConv2d`, `HadaBcmConv2d`,
+//! - [`layers`]: `Conv2d` (im2col), `BcmConv2d` (plain or hadaBCM),
 //!   `Linear`, `BatchNorm2d`, `ReLU`, `MaxPool2d`, `GlobalAvgPool`,
 //!   `Flatten` — each with hand-derived backward passes.
 //! - [`layers::checkpoint`]: compact `.rpbcm` binary checkpointing of

@@ -9,8 +9,8 @@
 //! exactly the controlled comparison Figs. 9b/9c make.
 
 use crate::layers::{
-    BatchNorm2d, BcmAttention, BcmConv2d, BcmGru, BcmLstm, Conv2d, GlobalAvgPool, HadaBcmConv2d,
-    Layer, Linear, MaxPool2d, Network, ReLU, ResidualBlock,
+    BatchNorm2d, BcmAttention, BcmConv2d, BcmGru, BcmLstm, Conv2d, GlobalAvgPool, Layer, Linear,
+    MaxPool2d, Network, ReLU, ResidualBlock,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -66,7 +66,7 @@ fn conv_in_mode(
         }
         ConvMode::HadaBcm { block_size } => {
             if c_in.is_multiple_of(block_size) && c_out.is_multiple_of(block_size) {
-                Box::new(HadaBcmConv2d::new(
+                Box::new(BcmConv2d::new_hada(
                     rng, c_in, c_out, k, stride, pad, block_size,
                 ))
             } else {

@@ -7,7 +7,7 @@
 
 use nn::layers::{
     BatchNorm2d, BcmAttention, BcmConv2d, BcmGru, BcmLinear, BcmLstm, Conv2d, Flatten,
-    GlobalAvgPool, HadaBcmConv2d, Layer, Linear, MaxPool2d, ReLU, ResidualBlock,
+    GlobalAvgPool, Layer, Linear, MaxPool2d, ReLU, ResidualBlock,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -36,7 +36,7 @@ fn every_kind() -> Vec<(Box<dyn Layer>, Vec<usize>)> {
             conv.clone(),
         ),
         (
-            Box::new(HadaBcmConv2d::new(&mut rng, 8, 8, 3, 1, 1, 4)),
+            Box::new(BcmConv2d::new_hada(&mut rng, 8, 8, 3, 1, 1, 4)),
             conv.clone(),
         ),
         (Box::new(Linear::new(&mut rng, 16, 8)), vec![3, 16]),

@@ -12,7 +12,7 @@
 //!   They were recorded on x86_64 Linux; the recurrent and attention cells
 //!   call `exp`/`tanh`, whose last bit may differ on another libm.
 
-use nn::layers::{BcmAttention, BcmConv2d, BcmGru, BcmLinear, BcmLstm, HadaBcmConv2d, Layer};
+use nn::layers::{BcmAttention, BcmConv2d, BcmGru, BcmLinear, BcmLstm, Layer};
 use nn::optim::SgdUpdate;
 use nn::Network;
 use rand::rngs::StdRng;
@@ -35,7 +35,7 @@ fn build(kind: &str, seed: u64) -> (Network, Tensor<f32>) {
             vec![2, 8, 5, 5],
         ),
         "hadabcmconv" => (
-            Box::new(HadaBcmConv2d::new(&mut rng, 8, 8, 3, 1, 1, 4)),
+            Box::new(BcmConv2d::new_hada(&mut rng, 8, 8, 3, 1, 1, 4)),
             vec![2, 8, 5, 5],
         ),
         "bcmlinear" => (Box::new(BcmLinear::new(&mut rng, 16, 8, 4)), vec![3, 16]),

@@ -86,7 +86,7 @@ impl Client {
         Self::expect_output(resp).map(|_| ())
     }
 
-    /// Runs one float sample through `model` on the spectral fast path.
+    /// Runs one float sample through `model` on the float path.
     ///
     /// # Errors
     ///

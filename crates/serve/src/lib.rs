@@ -11,8 +11,9 @@
 //! batch fills to `B` or its oldest request has waited `T`). Batches
 //! execute through either
 //!
-//! - the **float fast path** — the cached spectral-weight
-//!   `Network::forward` inference route, or
+//! - the **float path** — an eval `Network::forward` over each BCM
+//!   layer's cached weights (dense im2col GEMM for convolutions, spectral
+//!   `matmat` for linear and recurrent layers), or
 //! - the **fixed-point datapath** ("FPGA mode") — the [`hwsim`] 16-bit
 //!   eMAC pipeline, when the deployed model is a stride-1 BCM conv stack.
 //!

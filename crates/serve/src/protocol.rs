@@ -180,7 +180,7 @@ impl Status {
 /// fixed-point datapath).
 #[derive(Debug, Clone, PartialEq)]
 pub enum Payload {
-    /// Float samples for the spectral fast path.
+    /// Float samples for the float path.
     F32(Vec<f32>),
     /// Q-format words for the fixed-point datapath ("FPGA mode").
     Fx(Vec<i16>),

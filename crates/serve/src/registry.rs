@@ -26,11 +26,13 @@
 //! paths: every float forward op treats batch rows independently, and the
 //! fx batch kernel ([`hwsim::inference::conv_forward_fx_batch_packed`])
 //! preserves each sample's fixed-point operation sequence exactly —
-//! batching only amortizes the per-dispatch plan build and weight
-//! streams. The float path locks its `Network` per dispatch: an eval
-//! `Network::forward` keeps no per-call state, but it takes `&mut self`
-//! because each BCM layer's `GateStack` builds its dense expansion and
-//! prepared spectra lazily on first use. The fx path is lock-free.
+//! batching only shares each live block's weight stream across the
+//! samples and pays each dispatch's set-up (FFT twiddles, buffers, the
+//! worker fan-out) once. The float path locks its `Network` per
+//! dispatch: an eval `Network::forward` keeps no per-call state, but it
+//! takes `&mut self` because each BCM layer's `GateStack` builds its
+//! dense expansion and prepared spectra lazily on first use. The fx path
+//! is lock-free.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -46,7 +48,9 @@ use crate::session::SeqModel;
 /// Which engine path a request wants.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Mode {
-    /// Float spectral fast path (`Network::forward`, train = false).
+    /// Float path (`Network::forward`, train = false): BCM convolutions
+    /// run the dense im2col GEMM over each stack's cached expansion; BCM
+    /// linear, recurrent and attention layers run the spectral `matmat`.
     F32,
     /// hwsim 16-bit fixed-point datapath.
     Fx,
@@ -147,11 +151,10 @@ impl FxModel {
     /// vectorized lane kernels ([`conv_forward_fx_batch_packed`]): the
     /// `i16` words stay in the [`FxBatch`] container end to end — one
     /// flat buffer in, one flat buffer out, no per-sample row splits
-    /// between layers. Each layer's eMAC plans and weight streams are
-    /// prepared once per dispatch instead of once per sample — the
-    /// amortization micro-batching exists to buy — and the lane form
-    /// additionally shares each weight load across every sample in the
-    /// batch. This is the only fx model datapath ([`FxModel::forward`]
+    /// between layers. The eMAC entry lists live in the [`FxWeights`],
+    /// built once with the model; what micro-batching buys is each
+    /// dispatch's set-up paid once and each weight load shared across
+    /// every sample in the batch. This is the only fx model datapath ([`FxModel::forward`]
     /// is a batch of one); per sample it is bit-identical to a
     /// [`hwsim::inference::conv_forward_fx`] fold of the stages.
     pub fn forward_batch_packed(&self, batch: FxBatch) -> FxBatch {
@@ -218,9 +221,10 @@ pub struct Model {
 }
 
 impl Model {
-    /// Wraps a deployed network for serving under `name`, warming the
-    /// spectral weight caches with one zero-sample forward (which also
-    /// derives the output length).
+    /// Wraps a deployed network for serving under `name`, building every
+    /// BCM layer's weight cache (dense expansions for convolutions,
+    /// prepared spectra for 1-tap stacks) with one zero-sample forward,
+    /// which also derives the output length.
     ///
     /// # Panics
     ///
@@ -500,7 +504,7 @@ impl Registry {
 mod tests {
     use super::*;
     use hwsim::inference::conv_forward_fx;
-    use nn::layers::{BcmConv2d, Flatten, HadaBcmConv2d, Linear, ReLU};
+    use nn::layers::{BcmConv2d, Flatten, Linear, ReLU};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -538,7 +542,7 @@ mod tests {
         let net = Network::new(
             "hada",
             vec![
-                Box::new(HadaBcmConv2d::new(&mut rng, 4, 4, 3, 1, 1, 4)),
+                Box::new(BcmConv2d::new_hada(&mut rng, 4, 4, 3, 1, 1, 4)),
                 Box::new(ReLU::new()),
             ],
         );

@@ -1,7 +1,7 @@
 //! Loopback end-to-end tests: a real TCP server on an ephemeral port,
 //! real clients, and bit-exact comparisons against direct engine calls.
 
-use nn::layers::{BcmConv2d, Flatten, HadaBcmConv2d, Linear, ReLU};
+use nn::layers::{BcmConv2d, Flatten, Linear, ReLU};
 use nn::{CheckpointMeta, Network};
 use rand::rngs::StdRng;
 use rand::Rng;
@@ -34,7 +34,7 @@ fn classifier(seed: u64) -> (Network, CheckpointMeta) {
     let net = Network::new(
         "classifier",
         vec![
-            Box::new(HadaBcmConv2d::new(&mut rng, 4, 8, 3, 1, 1, 4)),
+            Box::new(BcmConv2d::new_hada(&mut rng, 4, 8, 3, 1, 1, 4)),
             Box::new(ReLU::new()),
             Box::new(Flatten::new()),
             Box::new(Linear::new(&mut rng, 8 * 5 * 5, 3)),

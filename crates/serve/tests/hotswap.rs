@@ -2,7 +2,7 @@
 //! loopback socket, concurrent clients across a version flip, raw
 //! pipelined connections, and tenant admission limits.
 
-use nn::layers::{Flatten, HadaBcmConv2d, Linear, ReLU};
+use nn::layers::{BcmConv2d, Flatten, Linear, ReLU};
 use nn::{CheckpointMeta, Network};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -23,7 +23,7 @@ fn classifier(seed: u64) -> (Network, CheckpointMeta) {
     let net = Network::new(
         "cls",
         vec![
-            Box::new(HadaBcmConv2d::new(&mut rng, 4, 8, 3, 1, 1, 4)),
+            Box::new(BcmConv2d::new_hada(&mut rng, 4, 8, 3, 1, 1, 4)),
             Box::new(ReLU::new()),
             Box::new(Flatten::new()),
             Box::new(Linear::new(&mut rng, 8 * 5 * 5, 3)),

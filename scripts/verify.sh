@@ -96,6 +96,21 @@ echo "== benchmark harness tests =="
 # than only when the benchmark is next run.
 cargo test --release --offline --manifest-path perfbench/Cargo.toml
 
+echo "== prune_pipeline output check, every recorded variant =="
+# prune_pipeline trains, prunes and folds a hadaBCM vgg_tiny and checks
+# its sparsity, final alpha and folded-weight fingerprint against the
+# values recorded for its variant (seed mod 4). The harness tests above
+# run seed 7 (variant 3); seeds 4, 5 and 6 cover variants 0-2.
+for seed in 4 5 6; do
+    line=$(cargo run --release --quiet --offline --manifest-path perfbench/Cargo.toml -- \
+        --workload prune_pipeline --seed "$seed" --seconds 1 --trace 0 | tail -n 1)
+    echo "prune_pipeline seed $seed: $line"
+    case "$line" in
+        *'"correct": true,'*'"failed": 0,'*) ;;
+        *) echo "verify: prune_pipeline seed $seed failed its output check" >&2; exit 1 ;;
+    esac
+done
+
 echo "== rustdoc (deny warnings) =="
 # Also keeps docs/PROTOCOL.md and docs/OPERATIONS.md honest: both are
 # compiled into the serve crate's rustdoc (serve::spec), so broken

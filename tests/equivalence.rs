@@ -104,12 +104,12 @@ fn fixed_point_datapath_tracks_float_reference() {
     }
 }
 
-/// nn's HadaBcmConv2d and rpbcm's HadaBcm agree on fold and importance.
+/// nn's hadaBCM conv and rpbcm's HadaBcm agree on fold and importance.
 #[test]
 fn nn_layer_and_core_hadabcm_agree() {
-    use rpbcm_repro::nn::layers::{BcmLayer, HadaBcmConv2d};
+    use rpbcm_repro::nn::layers::{BcmConv2d, BcmLayer};
     let mut rng = StdRng::seed_from_u64(3);
-    let layer = HadaBcmConv2d::new(&mut rng, 8, 8, 1, 1, 0, 8);
+    let layer = BcmConv2d::new_hada(&mut rng, 8, 8, 1, 1, 0, 8);
     let folded = layer.folded();
     let imp = layer.importances();
     // Reconstruct the same importance through the core type.
