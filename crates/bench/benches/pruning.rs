@@ -1,10 +1,11 @@
 //! BCM-wise pruning machinery: norm ranking (Algorithm 1 lines 8–14) and
-//! the hadaBCM fold/importance computation it ranks.
+//! the hadaBCM fold/importance computation it ranks, on a 256→256, 1x1,
+//! BS 8 hadaBCM layer (1024 blocks).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use nn::layers::{BcmConv2d, BcmLayer};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use rpbcm::hadabcm::HadaBcmGrid;
 use rpbcm::pruning::{prune_indices, prune_threshold};
 use std::hint::black_box;
 
@@ -31,12 +32,12 @@ fn bench_threshold(c: &mut Criterion) {
 
 fn bench_grid_importances(c: &mut Criterion) {
     let mut rng = StdRng::seed_from_u64(2);
-    let grid = HadaBcmGrid::<f32>::random(&mut rng, 8, 32, 32, 0.1);
+    let layer = BcmConv2d::new_hada(&mut rng, 256, 256, 1, 1, 0, 8);
     c.bench_function("hadabcm_importances_1024_blocks", |b| {
-        b.iter(|| black_box(grid.importances()))
+        b.iter(|| black_box(layer.importances()))
     });
     c.bench_function("hadabcm_fold_1024_blocks", |b| {
-        b.iter(|| black_box(grid.fold()))
+        b.iter(|| black_box(layer.folded()))
     });
 }
 

@@ -2,6 +2,7 @@
 
 use crate::CirculantMatrix;
 use fft::real::HalfSpectrum;
+use fft::Complex;
 use std::sync::OnceLock;
 use tensor::{parallel, Scalar, Tensor};
 
@@ -504,13 +505,16 @@ impl<T: Scalar> BlockCirculant<T> {
     /// Layout mirrors the fixed-point lane kernels in `hwsim`: each lane's
     /// input chunks are forward-FFT'd with the scalar real transform and
     /// scattered into `[col_block][bin][lane]` split re/im planes; the
-    /// eMAC accumulate then runs bin-outer / lane-inner, so one weight-bin
-    /// load serves every lane and the inner loop is a contiguous stream
-    /// the autovectorizer widens. Per lane and bin the expression tree is
-    /// exactly `acc += w * x` on complex values over ascending col-blocks
-    /// (the [`HalfSpectrum::emac_accumulate`] order), and each output row
-    /// is recovered with the same scalar IFFT, so results are
-    /// bit-identical to [`Self::matvec_uncached`].
+    /// eMAC accumulate then runs bin-outer / lane-inner over `[bin][lane]`
+    /// accumulator planes, so one weight-bin load serves every lane and
+    /// the inner loop is a contiguous stream the autovectorizer widens.
+    /// Per lane and bin the expression tree is exactly `acc += w * x` on
+    /// complex values over ascending col-blocks (the
+    /// [`HalfSpectrum::emac_accumulate`] order). Each lane's output row
+    /// then gathers its `bins` accumulators into one pooled complex buffer
+    /// and runs [`fft::real::inverse_half_into`], the IFFT
+    /// [`Self::matvec_uncached`] runs, so results are bit-identical to it
+    /// by construction.
     fn lanes_into(&self, spectra: &SpectralCache<T>, xs: &[&[T]], outs: &mut [&mut [T]]) {
         let cols = self.dense_dims().1;
         let n = xs.len();
@@ -532,9 +536,7 @@ impl<T: Scalar> BlockCirculant<T> {
         // Accumulator planes `[bin][lane]`, reused across output rows.
         let mut are = vec![T::ZERO; bins * n];
         let mut aim = vec![T::ZERO; bins * n];
-        fft::workspace::with_split_scratch::<T, _>(|lre, lim| {
-            lre.resize(bins, T::ZERO);
-            lim.resize(bins, T::ZERO);
+        fft::workspace::with_scratch::<T, _>(|row| {
             for bi in 0..self.row_blocks {
                 let _lat = ROW_MATVEC_NS.span();
                 are.fill(T::ZERO);
@@ -567,16 +569,9 @@ impl<T: Scalar> BlockCirculant<T> {
                 EMAC_SKIPPED.add((self.col_blocks as u64 - computed) * n as u64);
                 // Per-lane scalar IFFT out of the lane planes.
                 for (s, out) in outs.iter_mut().enumerate() {
-                    for k in 0..bins {
-                        lre[k] = are[k * n + s];
-                        lim[k] = aim[k * n + s];
-                    }
-                    fft::real::inverse_half_split_into(
-                        bs,
-                        lre,
-                        lim,
-                        &mut out[bi * bs..(bi + 1) * bs],
-                    );
+                    row.clear();
+                    row.extend((0..bins).map(|k| Complex::new(are[k * n + s], aim[k * n + s])));
+                    fft::real::inverse_half_into(bs, row, &mut out[bi * bs..(bi + 1) * bs]);
                 }
             }
         });
@@ -871,9 +866,10 @@ mod tests {
 
     #[test]
     fn split_lane_matvec_is_bit_identical_to_uncached_oracle() {
-        // The lane-form cached path (split planes + split IFFT) must not
-        // just be close to the seed implementation — every f64 must match
-        // bit for bit, because the per-bin expression trees are identical.
+        // The lane-form cached path (split eMAC planes + the shared IFFT)
+        // must not just be close to the seed implementation — every f64
+        // must match bit for bit, because the per-bin expression trees are
+        // identical.
         for (seed, bs, rb, cb, prune) in [
             (7u64, 4, 3, 2, false),
             (8, 8, 2, 4, true),

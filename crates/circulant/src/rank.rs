@@ -228,6 +228,27 @@ mod tests {
     }
 
     #[test]
+    fn hadabcm_improves_rank_condition_of_poor_blocks() {
+        // Deliberately rank-poor single blocks vs the Hadamard product of
+        // two generic factors: the product's spectrum support widens
+        // (Fig. 9a's mechanism).
+        let n = 16;
+        let single = CirculantMatrix::new(
+            (0..n)
+                .map(|t| 1.0 + 0.02 * (2.0 * std::f64::consts::PI * t as f64 / n as f64).cos())
+                .collect(),
+        );
+        assert!(PoorRankCriterion::paper().is_poor_spectrum(&single.singular_values()));
+        let mut rng = StdRng::seed_from_u64(11);
+        let mut factor =
+            || CirculantMatrix::new(init::gaussian::<f64>(&mut rng, &[n], 0.0, 1.0).into_vec());
+        let folded = factor().hadamard(&factor());
+        assert!(!PoorRankCriterion::paper().is_poor_spectrum(&folded.singular_values()));
+        let grid = BlockCirculant::from_blocks(n, 1, 1, vec![folded]);
+        assert_eq!(poor_rank_fraction(&grid, PoorRankCriterion::paper()), 0.0);
+    }
+
+    #[test]
     fn poor_rank_fraction_flags_decayed_blocks() {
         // Build a grid with one healthy and three spectrally-collapsed blocks.
         let n = 16;

@@ -159,28 +159,6 @@ impl BcmWisePruner {
     /// Panics if `alpha_step <= 0`, `alpha_init < 0`, or the network
     /// reports zero blocks.
     pub fn run<M: PrunableNetwork + Clone>(&self, network: M) -> (M, PruningReport) {
-        self.run_inner(network, false)
-    }
-
-    /// Ablation variant: re-score the norm list from the *fine-tuned*
-    /// network at the start of each round, instead of ranking once from
-    /// the pre-trained weights as Algorithm 1's pseudo-code does
-    /// (lines 3–5 sit outside the loop). Re-scoring lets fine-tuning
-    /// "rescue" blocks that regained importance; the paper's fixed ranking
-    /// is cheaper and what the reported numbers use.
-    ///
-    /// # Panics
-    ///
-    /// Same conditions as [`BcmWisePruner::run`].
-    pub fn run_with_rescoring<M: PrunableNetwork + Clone>(&self, network: M) -> (M, PruningReport) {
-        self.run_inner(network, true)
-    }
-
-    fn run_inner<M: PrunableNetwork + Clone>(
-        &self,
-        network: M,
-        rescore: bool,
-    ) -> (M, PruningReport) {
         assert!(self.alpha_step > 0.0, "alpha_step must be positive");
         assert!(self.alpha_init >= 0.0, "alpha_init must be non-negative");
         let norms = network.bcm_norms();
@@ -196,17 +174,10 @@ impl BcmWisePruner {
         let mut outcome = PruneOutcome::RoundLimit;
 
         for round in 0..self.max_rounds {
-            // With re-scoring, prune the *previously accepted* network by
-            // its current norms; with the paper's fixed ranking, always
-            // prune the original network by the pre-trained norms.
-            let (mut candidate, indices) = if rescore && round > 0 {
-                let current = best.clone();
-                let fresh_norms = current.bcm_norms();
-                let idx = prune_indices(&fresh_norms, alpha);
-                (current, idx)
-            } else {
-                (network.clone(), prune_indices(&norms, alpha))
-            };
+            // The paper's fixed ranking: always prune the original network
+            // by the pre-trained norms (lines 3–5 sit outside the loop).
+            let mut candidate = network.clone();
+            let indices = prune_indices(&norms, alpha);
             candidate.eliminate(&indices);
             let acc = candidate.fine_tune();
             let accepted = acc >= self.target_accuracy;
@@ -404,73 +375,6 @@ mod tests {
         let (_, report) = pruner.run(net);
         assert_eq!(report.steps.len(), 3);
         assert_eq!(report.outcome, PruneOutcome::RoundLimit);
-    }
-
-    /// A toy net where fine-tuning "regrows" one pruned-adjacent block's
-    /// importance, so re-scoring picks different victims than the fixed
-    /// ranking.
-    #[derive(Debug, Clone)]
-    struct RegrowNet {
-        inner: ToyNet,
-        rounds: usize,
-    }
-
-    impl PrunableNetwork for RegrowNet {
-        fn bcm_norms(&self) -> Vec<f64> {
-            let mut norms = self.inner.norms.clone();
-            for (i, &p) in self.inner.pruned.iter().enumerate() {
-                if p {
-                    norms[i] = 0.0;
-                } else if self.rounds > 0 && i == 2 {
-                    norms[i] = 100.0; // block 2 regains importance
-                }
-            }
-            norms
-        }
-        fn eliminate(&mut self, indices: &[usize]) {
-            self.inner.eliminate(indices);
-        }
-        fn fine_tune(&mut self) -> f64 {
-            self.rounds += 1;
-            1.0
-        }
-    }
-
-    #[test]
-    fn rescoring_variant_respects_regrown_importance() {
-        let norms = vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0];
-        let make = || RegrowNet {
-            inner: ToyNet::new(norms.clone()),
-            rounds: 0,
-        };
-        let pruner = BcmWisePruner {
-            alpha_init: 0.25,
-            alpha_step: 0.25,
-            target_accuracy: 0.5,
-            max_rounds: 2,
-        };
-        // Fixed ranking prunes blocks {0,1} then {0,1,2,3}.
-        let (fixed, _) = pruner.run(make());
-        assert!(fixed.inner.pruned[2]);
-        // Re-scoring sees block 2 at norm 100 after round 1 and spares it.
-        let (rescored, _) = pruner.run_with_rescoring(make());
-        assert!(!rescored.inner.pruned[2]);
-        assert!(rescored.inner.pruned[3]);
-    }
-
-    #[test]
-    fn rescoring_matches_fixed_on_single_round() {
-        let net = ToyNet::new(vec![3.0, 1.0, 2.0, 4.0]);
-        let pruner = BcmWisePruner {
-            alpha_init: 0.5,
-            alpha_step: 0.5,
-            target_accuracy: 2.0, // reject immediately after round 1
-            max_rounds: 4,
-        };
-        let (a, ra) = pruner.run(net.clone());
-        let (b, rb) = pruner.run_with_rescoring(net);
-        assert_eq!(a.pruned, b.pruned);
-        assert_eq!(ra.steps.len(), rb.steps.len());
     }
 
     #[test]

@@ -170,10 +170,49 @@ impl FromIterator<bool> for SkipIndexBuffer {
     }
 }
 
+/// Appends a skip bitmap in its byte form: `ceil(n/8)` bytes, packed
+/// LSB-first (bit `i % 8` of byte `i / 8` set = block `i` live), tail bits
+/// zero. This is the skip index the `nn` checkpoint and the `hwsim`
+/// deployment package store. It builds no [`SkipIndexBuffer`], so the
+/// construction telemetry stays a count of buffers the model built.
+pub fn pack_bits(out: &mut Vec<u8>, live: &[bool]) {
+    out.extend(live.chunks(8).map(|chunk| {
+        chunk
+            .iter()
+            .enumerate()
+            .fold(0u8, |byte, (i, &l)| byte | (u8::from(l) << i))
+    }));
+}
+
+/// Reads `n` skip bits from their byte form (see [`pack_bits`]).
+///
+/// # Panics
+///
+/// Panics if `bytes` holds fewer than `ceil(n/8)` bytes.
+pub fn unpack_bits(bytes: &[u8], n: usize) -> Vec<bool> {
+    (0..n).map(|i| bytes[i / 8] >> (i % 8) & 1 == 1).collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use circulant::CirculantMatrix;
+
+    #[test]
+    fn byte_form_round_trips_and_is_lsb_first() {
+        for n in [0usize, 8, 13] {
+            let bits: Vec<bool> = (0..n).map(|i| i % 3 != 1).collect();
+            let mut bytes = vec![0xaa]; // appends after what is there
+            pack_bits(&mut bytes, &bits);
+            assert_eq!(bytes.len(), 1 + n.div_ceil(8), "n={n}");
+            assert_eq!(unpack_bits(&bytes[1..], n), bits, "n={n}");
+        }
+        // Blocks 0, 2, 3, 5, 6, 8, 9, 11, 12 live: LSB-first, zero tail.
+        let bits: Vec<bool> = (0..13).map(|i| i % 3 != 1).collect();
+        let mut bytes = Vec::new();
+        pack_bits(&mut bytes, &bits);
+        assert_eq!(bytes, [0b0110_1101, 0b0001_1011]);
+    }
 
     #[test]
     fn round_trip_bools() {

@@ -3,8 +3,9 @@
 //!
 //! A circulant matrix–vector product is a circular convolution, so it can be
 //! evaluated either naively in O(n²) or through the FFT in O(n log n). Both
-//! paths live here; the naive ones are the ground truth for property tests
-//! and for the accelerator's bit-exactness checks.
+//! paths live here; the naive one is the ground truth for property tests
+//! and for the accelerator's bit-exactness checks. Correlation, the
+//! adjoint backpropagation computes, has only the naive form.
 
 use tensor::Scalar;
 
@@ -75,30 +76,6 @@ pub fn circular_correlate_naive<T: Scalar>(a: &[T], b: &[T]) -> Vec<T> {
         .collect()
 }
 
-/// Circular cross-correlation via FFT:
-/// `y = IFFT(conj(FFT(a)) ⊙ FFT(b))`.
-///
-/// # Panics
-///
-/// Panics if lengths differ or are not a power of two.
-pub fn circular_correlate<T: Scalar>(a: &[T], b: &[T]) -> Vec<T> {
-    assert_eq!(a.len(), b.len(), "circular correlation length mismatch");
-    let n = a.len();
-    crate::plan::with_plan::<T, _>(n, |plan| {
-        crate::workspace::with_scratch::<T, _>(|fa| {
-            crate::workspace::with_scratch::<T, _>(|fb| {
-                plan.forward_real_into(a, fa);
-                plan.forward_real_into(b, fb);
-                for (x, &y) in fa.iter_mut().zip(fb.iter()) {
-                    *x = x.conj() * y;
-                }
-                plan.inverse(fa);
-                fa.iter().map(|z| z.re).collect()
-            })
-        })
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -110,17 +87,6 @@ mod tests {
         let b: Vec<f64> = (0..16).map(|i| 1.0 / (1.0 + i as f64)).collect();
         let fast = circular_convolve(&a, &b);
         let slow = circular_convolve_naive(&a, &b);
-        for (x, y) in fast.iter().zip(&slow) {
-            assert!((x - y).abs() < 1e-9);
-        }
-    }
-
-    #[test]
-    fn fft_correlation_matches_naive() {
-        let a: Vec<f64> = (0..8).map(|i| i as f64 - 4.0).collect();
-        let b: Vec<f64> = (0..8).map(|i| (i * i % 5) as f64).collect();
-        let fast = circular_correlate(&a, &b);
-        let slow = circular_correlate_naive(&a, &b);
         for (x, y) in fast.iter().zip(&slow) {
             assert!((x - y).abs() < 1e-9);
         }
@@ -176,18 +142,6 @@ mod tests {
             let (a, b) = raw.split_at(8);
             let fast = circular_convolve(a, b);
             let slow = circular_convolve_naive(a, b);
-            for (x, y) in fast.iter().zip(&slow) {
-                prop_assert!((x - y).abs() < 1e-7);
-            }
-        }
-
-        #[test]
-        fn prop_fft_matches_naive_correlation(
-            raw in proptest::collection::vec(-10.0_f64..10.0, 32),
-        ) {
-            let (a, b) = raw.split_at(16);
-            let fast = circular_correlate(a, b);
-            let slow = circular_correlate_naive(a, b);
             for (x, y) in fast.iter().zip(&slow) {
                 prop_assert!((x - y).abs() < 1e-7);
             }

@@ -5,8 +5,7 @@ use tensor::Scalar;
 
 /// Per-call forward-transform latency distribution (nanoseconds).
 static FORWARD_NS: telemetry::Histogram = telemetry::Histogram::new("fft.forward_ns");
-/// Per-call inverse-transform latency distribution (nanoseconds), both
-/// scaled and unscaled variants.
+/// Per-call inverse-transform latency distribution (nanoseconds).
 static INVERSE_NS: telemetry::Histogram = telemetry::Histogram::new("fft.inverse_ns");
 
 /// A fixed-size FFT plan with a precomputed twiddle table.
@@ -116,17 +115,6 @@ impl<T: Scalar> Fft<T> {
         }
     }
 
-    /// In-place inverse DFT *without* the `1/n` normalization — what the
-    /// hardware computes before the shift-based divider (paper §IV-B).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `x.len()` differs from the plan size.
-    pub fn inverse_unscaled(&self, x: &mut [Complex<T>]) {
-        let _lat = INVERSE_NS.span();
-        self.transform(x, true);
-    }
-
     fn transform(&self, x: &mut [Complex<T>], inverse: bool) {
         assert_eq!(
             x.len(),
@@ -161,87 +149,6 @@ impl<T: Scalar> Fft<T> {
         }
     }
 
-    /// In-place forward DFT over split re/im planes (structure-of-arrays
-    /// layout). Performs, per element, the exact same operation sequence as
-    /// [`Fft::forward`] on an interleaved buffer, so results are
-    /// bit-identical to the AoS path — the planes just live in flat scalar
-    /// slices that the autovectorizer handles directly.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `re.len()` or `im.len()` differs from the plan size.
-    pub fn forward_split(&self, re: &mut [T], im: &mut [T]) {
-        let _lat = FORWARD_NS.span();
-        self.transform_split(re, im, false);
-    }
-
-    /// In-place inverse DFT over split re/im planes, including the `1/n`
-    /// normalization. Bit-identical to [`Fft::inverse`] on the equivalent
-    /// interleaved buffer.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `re.len()` or `im.len()` differs from the plan size.
-    pub fn inverse_split(&self, re: &mut [T], im: &mut [T]) {
-        let _lat = INVERSE_NS.span();
-        self.transform_split(re, im, true);
-        let scale = T::ONE / T::from_usize(self.n);
-        for v in re.iter_mut() {
-            *v *= scale;
-        }
-        for v in im.iter_mut() {
-            *v *= scale;
-        }
-    }
-
-    fn transform_split(&self, re: &mut [T], im: &mut [T], inverse: bool) {
-        assert_eq!(
-            re.len(),
-            self.n,
-            "re plane length {} does not match FFT size {}",
-            re.len(),
-            self.n
-        );
-        assert_eq!(
-            im.len(),
-            self.n,
-            "im plane length {} does not match FFT size {}",
-            im.len(),
-            self.n
-        );
-        // Bit-reversal permutation.
-        for i in 0..self.n {
-            let j = self.rev[i];
-            if i < j {
-                re.swap(i, j);
-                im.swap(i, j);
-            }
-        }
-        // Butterfly stages — the same `u ± v·tw` dataflow as `transform`,
-        // with the complex product written out over the split planes. The
-        // operand order matches `Complex::mul` exactly (bit-identity).
-        let mut len = 2;
-        while len <= self.n {
-            let half = len / 2;
-            let step = self.n / len;
-            for start in (0..self.n).step_by(len) {
-                for k in 0..half {
-                    let tw = self.twiddles[k * step];
-                    let tw = if inverse { tw.conj() } else { tw };
-                    let (ure, uim) = (re[start + k], im[start + k]);
-                    let (bre, bim) = (re[start + k + half], im[start + k + half]);
-                    let vre = bre * tw.re - bim * tw.im;
-                    let vim = bre * tw.im + bim * tw.re;
-                    re[start + k] = ure + vre;
-                    im[start + k] = uim + vim;
-                    re[start + k + half] = ure - vre;
-                    im[start + k + half] = uim - vim;
-                }
-            }
-            len *= 2;
-        }
-    }
-
     /// Convenience: forward transform of a real signal, allocating the
     /// complex buffer.
     ///
@@ -266,42 +173,6 @@ impl<T: Scalar> Fft<T> {
         out.clear();
         out.extend(x.iter().map(|&v| Complex::from_real(v)));
         self.forward(out);
-    }
-
-    /// Convenience: inverse transform returning only real parts (valid when
-    /// the spectrum is conjugate-symmetric, as in BCM inference).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `spectrum.len()` differs from the plan size.
-    pub fn inverse_real(&self, spectrum: &[Complex<T>]) -> Vec<T> {
-        let mut out = vec![T::ZERO; self.n];
-        self.inverse_real_into(spectrum, &mut out);
-        out
-    }
-
-    /// Inverse transform writing real parts into a caller-provided slice,
-    /// using a pooled scratch buffer instead of copying the spectrum into a
-    /// fresh allocation per call.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `spectrum.len()` or `out.len()` differs from the plan size.
-    pub fn inverse_real_into(&self, spectrum: &[Complex<T>], out: &mut [T]) {
-        assert_eq!(
-            out.len(),
-            self.n,
-            "output length {} does not match FFT size {}",
-            out.len(),
-            self.n
-        );
-        crate::workspace::with_scratch::<T, _>(|buf| {
-            buf.extend_from_slice(spectrum);
-            self.inverse(buf);
-            for (o, z) in out.iter_mut().zip(buf.iter()) {
-                *o = z.re;
-            }
-        });
     }
 }
 
@@ -406,21 +277,6 @@ mod tests {
     }
 
     #[test]
-    fn inverse_unscaled_differs_by_n() {
-        let n = 8;
-        let plan = Fft::<f64>::new(n);
-        let x: Vec<Complex<f64>> = (0..n).map(|i| Complex::new(i as f64, 0.0)).collect();
-        let mut a = x.clone();
-        plan.forward(&mut a);
-        let mut b = a.clone();
-        plan.inverse(&mut a);
-        plan.inverse_unscaled(&mut b);
-        for (u, v) in a.iter().zip(&b) {
-            assert!(close(v.scale(1.0 / n as f64), *u, 1e-10));
-        }
-    }
-
-    #[test]
     fn size_one_is_identity() {
         let plan = Fft::<f64>::new(1);
         let mut x = vec![Complex::new(5.0, -2.0)];
@@ -455,57 +311,6 @@ mod tests {
         for (a, b) in y.iter().zip(&x) {
             assert!((a.re - b.re).abs() < 1e-4);
         }
-    }
-
-    #[test]
-    fn split_transforms_are_bit_identical_to_interleaved() {
-        for &n in &[1usize, 2, 4, 8, 32, 64] {
-            let plan = Fft::<f64>::new(n);
-            let x: Vec<Complex<f64>> = (0..n)
-                .map(|i| Complex::new((i as f64 * 1.3).sin(), (i as f64 * 0.7).cos() - 0.25))
-                .collect();
-            let mut aos = x.clone();
-            let mut re: Vec<f64> = x.iter().map(|z| z.re).collect();
-            let mut im: Vec<f64> = x.iter().map(|z| z.im).collect();
-            plan.forward(&mut aos);
-            plan.forward_split(&mut re, &mut im);
-            for k in 0..n {
-                assert_eq!(aos[k].re.to_bits(), re[k].to_bits(), "fwd n={n} bin {k}");
-                assert_eq!(aos[k].im.to_bits(), im[k].to_bits(), "fwd n={n} bin {k}");
-            }
-            plan.inverse(&mut aos);
-            plan.inverse_split(&mut re, &mut im);
-            for k in 0..n {
-                assert_eq!(aos[k].re.to_bits(), re[k].to_bits(), "inv n={n} bin {k}");
-                assert_eq!(aos[k].im.to_bits(), im[k].to_bits(), "inv n={n} bin {k}");
-            }
-        }
-    }
-
-    #[test]
-    fn split_transforms_are_bit_identical_for_f32() {
-        let n = 16;
-        let plan = Fft::<f32>::new(n);
-        let mut aos: Vec<Complex<f32>> = (0..n)
-            .map(|i| Complex::new(i as f32 * 0.37 - 1.0, (i as f32).cos()))
-            .collect();
-        let mut re: Vec<f32> = aos.iter().map(|z| z.re).collect();
-        let mut im: Vec<f32> = aos.iter().map(|z| z.im).collect();
-        plan.forward(&mut aos);
-        plan.forward_split(&mut re, &mut im);
-        for k in 0..n {
-            assert_eq!(aos[k].re.to_bits(), re[k].to_bits());
-            assert_eq!(aos[k].im.to_bits(), im[k].to_bits());
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "does not match FFT size")]
-    fn split_rejects_wrong_plane_length() {
-        let plan = Fft::<f64>::new(8);
-        let mut re = vec![0.0f64; 8];
-        let mut im = vec![0.0f64; 4];
-        plan.forward_split(&mut re, &mut im);
     }
 
     #[test]

@@ -7,12 +7,17 @@
 //!
 //! - [`Complex`]: a minimal complex number over `f32`/`f64`;
 //! - [`Fft`]: an iterative radix-2 Cooley–Tukey transform with a precomputed
-//!   twiddle table (the software analogue of the accelerator's twiddle ROM);
+//!   twiddle table (the software analogue of the accelerator's twiddle ROM).
+//!   Its interleaved `Complex<T>` butterfly is the crate's one float
+//!   transform, as the paper's accelerator has one FFT PE design;
 //! - [`real`]: the packed real-input FFT exposing the conjugate-symmetric
 //!   half-spectrum — the reason an eMAC PE only needs `BS/2 + 1` MACs
 //!   (paper §IV-B);
-//! - [`conv`]: circular convolution/correlation, plus naive O(n²) reference
-//!   implementations that anchor the property tests.
+//! - [`conv`]: circular convolution, plus naive O(n²) convolution and
+//!   correlation references that anchor the property tests;
+//! - [`plan`] and [`workspace`]: the thread-local plan cache and the one
+//!   thread-local scratch arena every float spectral kernel borrows its
+//!   complex buffers from.
 //!
 //! # Example
 //!

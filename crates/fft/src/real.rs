@@ -46,21 +46,6 @@ impl<T: Scalar> HalfSpectrum<T> {
         HalfSpectrum { n, bins }
     }
 
-    /// Wraps precomputed bins.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `bins.len() != n/2 + 1` or `n` is not a power of two.
-    pub fn from_bins(n: usize, bins: Vec<Complex<T>>) -> Self {
-        assert!(crate::is_power_of_two(n), "signal length must be 2^k");
-        assert_eq!(
-            bins.len(),
-            n / 2 + 1,
-            "half spectrum of n={n} needs n/2+1 bins"
-        );
-        HalfSpectrum { n, bins }
-    }
-
     /// Length of the underlying real signal.
     pub fn signal_len(&self) -> usize {
         self.n
@@ -71,29 +56,10 @@ impl<T: Scalar> HalfSpectrum<T> {
         &self.bins
     }
 
-    /// Mutable access to the independent bins.
-    pub fn bins_mut(&mut self) -> &mut [Complex<T>] {
-        &mut self.bins
-    }
-
     /// The number of complex MACs an eMAC PE spends multiplying two such
     /// spectra: `n/2 + 1`.
     pub fn mac_count(&self) -> usize {
         self.n / 2 + 1
-    }
-
-    /// Expands to the full conjugate-symmetric spectrum.
-    pub fn expand(&self) -> Vec<Complex<T>> {
-        let mut full = Vec::new();
-        self.expand_into(&mut full);
-        full
-    }
-
-    /// Expands into a caller-provided buffer (cleared and resized to `n`) —
-    /// the allocation-free variant of [`HalfSpectrum::expand`] for use with
-    /// [`crate::workspace`] arenas.
-    pub fn expand_into(&self, full: &mut Vec<Complex<T>>) {
-        expand_half_into(self.n, &self.bins, full);
     }
 
     /// Element-wise product with another half-spectrum — the eMAC step of
@@ -162,101 +128,32 @@ impl<T: Scalar> HalfSpectrum<T> {
     }
 }
 
-/// Expands raw half-spectrum bins into the full conjugate-symmetric
-/// spectrum in a caller-provided buffer (cleared and resized to `n`).
-///
-/// This is the borrowed-bins twin of [`HalfSpectrum::expand_into`] for hot
-/// paths that accumulate into a scratch bin slice without wrapping it in a
-/// [`HalfSpectrum`].
-///
-/// # Panics
-///
-/// Panics if `bins.len() != n/2 + 1`.
-pub fn expand_half_into<T: Scalar>(n: usize, bins: &[Complex<T>], full: &mut Vec<Complex<T>>) {
-    assert_eq!(
-        bins.len(),
-        n / 2 + 1,
-        "half spectrum of n={n} needs n/2+1 bins"
-    );
-    full.clear();
-    full.resize(n, Complex::zero());
-    full[..=n / 2].copy_from_slice(bins);
-    for k in 1..n / 2 {
-        full[n - k] = bins[k].conj();
-    }
-}
-
 /// Inverse-transforms raw half-spectrum bins into a caller-provided real
-/// slice, expanding through a pooled scratch buffer — zero allocations
-/// once the thread's arena is warm.
+/// slice: the bins are expanded to the full conjugate-symmetric spectrum
+/// in a pooled scratch buffer and inverse-transformed there — zero
+/// allocations once the thread's arena is warm.
 ///
 /// # Panics
 ///
 /// Panics if `bins.len() != n/2 + 1`, `out.len() != n`, or `n` is not a
 /// power of two.
 pub fn inverse_half_into<T: Scalar>(n: usize, bins: &[Complex<T>], out: &mut [T]) {
+    assert_eq!(
+        bins.len(),
+        n / 2 + 1,
+        "half spectrum of n={n} needs n/2+1 bins"
+    );
     assert_eq!(out.len(), n, "inverse of n={n} needs an n-length output");
     crate::workspace::with_scratch::<T, _>(|full| {
-        expand_half_into(n, bins, full);
+        full.resize(n, Complex::zero());
+        full[..=n / 2].copy_from_slice(bins);
+        for k in 1..n / 2 {
+            full[n - k] = bins[k].conj();
+        }
         crate::plan::with_plan::<T, _>(n, |plan| plan.inverse(full));
         for (o, z) in out.iter_mut().zip(full.iter()) {
             *o = z.re;
         }
-    });
-}
-
-/// Expands raw split-plane half-spectrum bins (`bre`/`bim`, `n/2 + 1`
-/// entries each) into full conjugate-symmetric split planes — the
-/// structure-of-arrays twin of [`expand_half_into`], bit-identical per
-/// element.
-///
-/// # Panics
-///
-/// Panics if `bre.len()` or `bim.len()` differs from `n/2 + 1`.
-pub fn expand_half_split_into<T: Scalar>(
-    n: usize,
-    bre: &[T],
-    bim: &[T],
-    fre: &mut Vec<T>,
-    fim: &mut Vec<T>,
-) {
-    assert_eq!(
-        bre.len(),
-        n / 2 + 1,
-        "half spectrum of n={n} needs n/2+1 bins"
-    );
-    assert_eq!(
-        bim.len(),
-        n / 2 + 1,
-        "half spectrum of n={n} needs n/2+1 bins"
-    );
-    fre.clear();
-    fre.resize(n, T::ZERO);
-    fim.clear();
-    fim.resize(n, T::ZERO);
-    fre[..=n / 2].copy_from_slice(bre);
-    fim[..=n / 2].copy_from_slice(bim);
-    for k in 1..n / 2 {
-        fre[n - k] = bre[k];
-        fim[n - k] = -bim[k];
-    }
-}
-
-/// Inverse-transforms raw split-plane half-spectrum bins into a
-/// caller-provided real slice, expanding through pooled split scratch
-/// planes — the structure-of-arrays twin of [`inverse_half_into`].
-/// Bit-identical to the AoS path for the same bins.
-///
-/// # Panics
-///
-/// Panics if the bin planes are not `n/2 + 1` long, `out.len() != n`, or
-/// `n` is not a power of two.
-pub fn inverse_half_split_into<T: Scalar>(n: usize, bre: &[T], bim: &[T], out: &mut [T]) {
-    assert_eq!(out.len(), n, "inverse of n={n} needs an n-length output");
-    crate::workspace::with_split_scratch::<T, _>(|fre, fim| {
-        expand_half_split_into(n, bre, bim, fre, fim);
-        crate::plan::with_plan::<T, _>(n, |plan| plan.inverse_split(fre, fim));
-        out.copy_from_slice(fre);
     });
 }
 
@@ -275,16 +172,6 @@ mod tests {
         let back = h.inverse();
         for (a, b) in back.iter().zip(&x) {
             assert!((a - b).abs() < 1e-10);
-        }
-    }
-
-    #[test]
-    fn expand_matches_full_fft() {
-        let x: Vec<f64> = (0..8).map(|i| i as f64 - 3.5).collect();
-        let h = HalfSpectrum::forward(&x);
-        let full_direct = Fft::new(8).forward_real(&x);
-        for (a, b) in h.expand().iter().zip(&full_direct) {
-            assert!((a.re - b.re).abs() < 1e-10 && (a.im - b.im).abs() < 1e-10);
         }
     }
 
@@ -337,48 +224,5 @@ mod tests {
         assert_eq!(h.mac_count(), 5);
         let h32 = HalfSpectrum::<f64>::zeros(32);
         assert_eq!(h32.mac_count(), 17);
-    }
-
-    #[test]
-    #[should_panic(expected = "n/2+1")]
-    fn from_bins_validates_count() {
-        HalfSpectrum::from_bins(8, vec![Complex::<f64>::zero(); 4]);
-    }
-
-    #[test]
-    fn split_inverse_is_bit_identical_to_aos() {
-        for &n in &[2usize, 4, 8, 16, 32] {
-            let x: Vec<f64> = (0..n)
-                .map(|i| (i as f64 * 0.51).sin() * 2.0 - 0.3)
-                .collect();
-            let w: Vec<f64> = (0..n).map(|i| 0.4 - 0.07 * i as f64).collect();
-            let prod = HalfSpectrum::forward(&x).emac(&HalfSpectrum::forward(&w));
-            let bre: Vec<f64> = prod.bins().iter().map(|z| z.re).collect();
-            let bim: Vec<f64> = prod.bins().iter().map(|z| z.im).collect();
-
-            let mut aos = vec![0.0f64; n];
-            inverse_half_into(n, prod.bins(), &mut aos);
-            let mut soa = vec![0.0f64; n];
-            inverse_half_split_into(n, &bre, &bim, &mut soa);
-            for k in 0..n {
-                assert_eq!(aos[k].to_bits(), soa[k].to_bits(), "n={n} sample {k}");
-            }
-        }
-    }
-
-    #[test]
-    fn split_expand_matches_aos_expand() {
-        let x: Vec<f64> = (0..16).map(|i| (i as f64).cos() * 1.7).collect();
-        let h = HalfSpectrum::forward(&x);
-        let bre: Vec<f64> = h.bins().iter().map(|z| z.re).collect();
-        let bim: Vec<f64> = h.bins().iter().map(|z| z.im).collect();
-        let mut full = Vec::new();
-        h.expand_into(&mut full);
-        let (mut fre, mut fim) = (Vec::new(), Vec::new());
-        expand_half_split_into(16, &bre, &bim, &mut fre, &mut fim);
-        for k in 0..16 {
-            assert_eq!(full[k].re.to_bits(), fre[k].to_bits());
-            assert_eq!(full[k].im.to_bits(), fim[k].to_bits());
-        }
     }
 }

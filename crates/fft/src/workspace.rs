@@ -9,6 +9,11 @@
 //! allocations (the vectors grow once to the largest transform size seen
 //! and are then recycled).
 //!
+//! This is the crate's one scratch arena: every float spectral kernel —
+//! the real transforms, the half-spectrum inverse and the
+//! `BlockCirculant` lane kernel's per-row IFFT — borrows its complex
+//! buffers here.
+//!
 //! Like the plan cache in [`crate::plan`], the pool is thread-local:
 //! workers spawned by `tensor::parallel` each warm their own arena and
 //! then hit it without synchronization. Nested `with_scratch` calls are
@@ -22,8 +27,9 @@ use std::collections::HashMap;
 use tensor::Scalar;
 
 /// Per-thread, per-scalar-type bound on pooled buffers. The deepest
-/// nesting on the current hot paths is two (`expand` inside an inverse),
-/// so the bound is generous; it exists to keep pathological nesting from
+/// nesting on the current hot paths is two (a lane kernel's row buffer
+/// around the inverse transform's expansion buffer), so the bound is
+/// generous; it exists to keep pathological nesting from
 /// retaining buffers without limit.
 pub const MAX_POOLED_BUFFERS: usize = 8;
 
@@ -80,73 +86,6 @@ pub fn with_scratch<T: Scalar, R>(f: impl FnOnce(&mut Vec<Complex<T>>) -> R) -> 
             stack.push(Box::new(buf));
         }
     });
-    out
-}
-
-/// Key marker for split-plane (`Vec<T>`) pool entries, kept distinct from
-/// the `Vec<Complex<T>>` entries that [`with_scratch`] pools under
-/// `TypeId::of::<T>()` so the two kinds never alias a stack.
-struct SplitPlane<T>(std::marker::PhantomData<T>);
-
-fn pop_plane<T: Scalar>() -> Vec<T> {
-    let popped: Option<Box<dyn Any>> = POOL.with(|pool| {
-        pool.borrow_mut()
-            .get_mut(&TypeId::of::<SplitPlane<T>>())
-            .and_then(Vec::pop)
-    });
-    match popped {
-        Some(any) => {
-            SCRATCH_HITS.inc();
-            *any.downcast::<Vec<T>>()
-                .expect("pool entry type matches key")
-        }
-        None => {
-            SCRATCH_MISSES.inc();
-            Vec::new()
-        }
-    }
-}
-
-fn push_plane<T: Scalar>(plane: Vec<T>) {
-    POOL.with(|pool| {
-        let mut pool = pool.borrow_mut();
-        let stack = pool.entry(TypeId::of::<SplitPlane<T>>()).or_default();
-        if stack.len() < MAX_POOLED_BUFFERS {
-            stack.push(Box::new(plane));
-        }
-    });
-}
-
-/// Runs `f` with a pair of cleared scalar scratch vectors (split re/im
-/// planes) borrowed from the thread's pool, returning both afterwards.
-///
-/// This is the structure-of-arrays counterpart of [`with_scratch`]: the
-/// lane-form spectral kernels keep real and imaginary parts in separate
-/// flat planes so inner loops autovectorize, and lease both planes here so
-/// steady-state split-plane work performs zero allocations. The planes are
-/// pooled under their own key, so they never alias the `Vec<Complex<T>>`
-/// stacks used by [`with_scratch`] and the two arenas coexist per thread.
-///
-/// # Example
-///
-/// ```
-/// use fft::workspace::with_split_scratch;
-///
-/// let sum = with_split_scratch::<f64, _>(|re, im| {
-///     re.resize(4, 1.5);
-///     im.resize(4, 0.5);
-///     re.iter().chain(im.iter()).sum::<f64>()
-/// });
-/// assert_eq!(sum, 8.0);
-/// ```
-pub fn with_split_scratch<T: Scalar, R>(f: impl FnOnce(&mut Vec<T>, &mut Vec<T>) -> R) -> R {
-    let mut re = pop_plane::<T>();
-    let mut im = pop_plane::<T>();
-    re.clear();
-    im.clear();
-    let out = f(&mut re, &mut im);
-    push_plane(re);
-    push_plane(im);
     out
 }
 
@@ -221,43 +160,6 @@ mod tests {
         }
         nest(MAX_POOLED_BUFFERS + 3);
         assert!(pooled_buffer_count() <= MAX_POOLED_BUFFERS);
-    }
-
-    #[test]
-    fn split_scratch_is_recycled_and_distinct_from_complex_pool() {
-        clear_scratch();
-        with_scratch::<f64, _>(|buf| buf.resize(8, Complex::one()));
-        with_split_scratch::<f64, _>(|re, im| {
-            re.resize(16, 1.0);
-            im.resize(16, -1.0);
-        });
-        // One complex buffer + two split planes pooled.
-        assert_eq!(pooled_buffer_count(), 3);
-        // The split planes come back cleared, with capacity retained.
-        with_split_scratch::<f64, _>(|re, im| {
-            assert_eq!((re.len(), im.len()), (0, 0));
-            assert!(re.capacity() >= 16);
-            assert!(im.capacity() >= 16);
-        });
-        // The complex pool was not consumed by the split-plane calls.
-        with_scratch::<f64, _>(|buf| assert!(buf.capacity() >= 8));
-    }
-
-    #[test]
-    fn nested_split_calls_get_distinct_planes() {
-        clear_scratch();
-        with_split_scratch::<f64, _>(|re, im| {
-            re.resize(4, 2.0);
-            im.resize(4, 3.0);
-            with_split_scratch::<f64, _>(|ire, iim| {
-                ire.resize(2, 0.0);
-                iim.resize(2, 0.0);
-            });
-            assert_eq!(re.len(), 4);
-            assert_eq!(re[0], 2.0);
-            assert_eq!(im[0], 3.0);
-        });
-        assert_eq!(pooled_buffer_count(), 4);
     }
 
     #[test]

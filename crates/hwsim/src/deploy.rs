@@ -12,6 +12,7 @@
 
 use crate::fixed::ComplexFx;
 use crate::inference::FxWeights;
+use rpbcm::skipindex;
 use std::fmt;
 
 /// Magic bytes prefixing every package ("RPBM").
@@ -52,7 +53,8 @@ impl fmt::Display for DecodeError {
 impl std::error::Error for DecodeError {}
 
 /// Appends one layer record: name, geometry, the bit-packed skip index
-/// (LSB first) and the interleaved `(re, im)` words of the weight stream.
+/// (LSB first, [`skipindex::pack_bits`]) and the interleaved `(re, im)`
+/// words of the weight stream.
 #[allow(clippy::too_many_arguments)]
 fn put_layer(
     out: &mut Vec<u8>,
@@ -71,13 +73,7 @@ fn put_layer(
     out.extend_from_slice(&out_blocks.to_le_bytes());
     out.extend_from_slice(&in_blocks.to_le_bytes());
     out.extend_from_slice(&(skip.len() as u32).to_le_bytes());
-    for byte in skip.chunks(8) {
-        out.push(
-            byte.iter()
-                .rev()
-                .fold(0u8, |acc, &b| acc << 1 | u8::from(b)),
-        );
-    }
+    skipindex::pack_bits(out, skip);
     out.extend_from_slice(&((bins.len() * 2) as u32).to_le_bytes());
     for c in bins {
         out.extend_from_slice(&c.re.to_le_bytes());
@@ -147,10 +143,7 @@ impl DeployedNetwork {
             let in_blocks = u32::from_le_bytes(take(&mut pos, 4)?.try_into().expect("4 bytes"));
             let skip_len =
                 u32::from_le_bytes(take(&mut pos, 4)?.try_into().expect("4 bytes")) as usize;
-            let skip_bytes = take(&mut pos, skip_len.div_ceil(8))?;
-            let skip: Vec<bool> = (0..skip_len)
-                .map(|i| (skip_bytes[i / 8] >> (i % 8)) & 1 == 1)
-                .collect();
+            let skip = skipindex::unpack_bits(take(&mut pos, skip_len.div_ceil(8))?, skip_len);
             let n_words =
                 u32::from_le_bytes(take(&mut pos, 4)?.try_into().expect("4 bytes")) as usize;
             let raw = take(&mut pos, n_words * 2)?;

@@ -54,6 +54,7 @@ use crate::layers::{
     GlobalAvgPool, Layer, Linear, MaxPool2d, Network, ReLU, ResidualBlock,
 };
 use circulant::{BlockCirculant, ConvBlockCirculant};
+use rpbcm::skipindex;
 
 /// File magic for `.rpbcm` checkpoints.
 pub const MAGIC: [u8; 4] = *b"RPCK";
@@ -393,20 +394,15 @@ fn put_str(out: &mut Vec<u8>, s: &str) {
 }
 
 /// Writes a stack's skip index — `u32` bit count, then the bits packed
-/// LSB-first (bit set = live), matching the hwsim skip-index packing —
-/// followed by the live blocks' defining vectors (pruned ones are
-/// omitted). The stack's dimensions belong to its layer's header.
+/// LSB-first (bit set = live) by [`skipindex::pack_bits`], as the hwsim
+/// deployment package stores it — followed by the live blocks' defining
+/// vectors (pruned ones are omitted). The stack's dimensions belong to its
+/// layer's header.
 fn put_stack(out: &mut Vec<u8>, stack: &StackSnapshot) {
     let (live, bs) = (&stack.live, stack.bs);
     assert_eq!(stack.vecs.len(), live.len() * bs, "defining-vector layout");
     put_u32(out, live.len());
-    for chunk in live.chunks(8) {
-        let byte = chunk
-            .iter()
-            .enumerate()
-            .fold(0u8, |b, (i, &l)| b | (u8::from(l) << i));
-        out.push(byte);
-    }
+    skipindex::pack_bits(out, live);
     for (blk, &l) in live.iter().enumerate() {
         if l {
             put_f32s(out, &stack.vecs[blk * bs..(blk + 1) * bs]);
@@ -623,8 +619,7 @@ impl<'a> Cursor<'a> {
                 "skip index covers {n} blocks, stack has {want}"
             )));
         }
-        let bits = self.take(n.div_ceil(8))?;
-        let live: Vec<bool> = (0..n).map(|i| bits[i / 8] >> (i % 8) & 1 == 1).collect();
+        let live = skipindex::unpack_bits(self.take(n.div_ceil(8))?, n);
         let mut vecs = vec![0.0f32; dim_product(&[n, bs])?];
         for (blk, &l) in live.iter().enumerate() {
             if l {

@@ -1,8 +1,8 @@
 //! The dynamic micro-batching scheduler — one instance per shard.
 //!
 //! Requests enter a bounded queue; the shard's batch worker thread
-//! groups same-entry, same-mode neighbours into batches and runs them
-//! through the engine. A batch dispatches as soon as either
+//! groups same-entry, same-payload-kind neighbours into batches and runs
+//! them through the engine. A batch dispatches as soon as either
 //!
 //! - it is **full** — `batch_size` compatible requests are queued, or
 //! - it is **stale** — `max_wait` has elapsed since its oldest request
@@ -31,6 +31,7 @@
 //! dropped.
 
 use std::collections::VecDeque;
+use std::mem::{self, Discriminant};
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::mpsc;
 use std::sync::{Arc, Condvar, Mutex};
@@ -45,7 +46,7 @@ use crate::conn::ConnShared;
 use crate::metrics;
 use crate::protocol::{self, Payload, Response};
 use crate::quota::QuotaGuard;
-use crate::registry::{Mode, ModelEntry};
+use crate::registry::ModelEntry;
 
 /// Why a request was not admitted.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -118,7 +119,7 @@ pub(crate) fn encode_for_wire(resp: &Response, json: bool) -> Vec<u8> {
 /// A queued request.
 pub(crate) struct Pending {
     pub(crate) entry: Arc<ModelEntry>,
-    pub(crate) mode: Mode,
+    /// The sample; its variant selects the engine path.
     pub(crate) input: Payload,
     pub(crate) sink: ReplySink,
     /// Held until the reply is delivered; releases the tenant's slot.
@@ -129,9 +130,10 @@ pub(crate) struct Pending {
     pub(crate) trace: Option<FlightRecord>,
 }
 
-/// Batch compatibility key: the *entry identity* (pointer) and mode.
-fn key(p: &Pending) -> (usize, Mode) {
-    (Arc::as_ptr(&p.entry) as usize, p.mode)
+/// Batch compatibility key: the *entry identity* (pointer) and payload
+/// kind, so a batch never mixes the float and fixed-point paths.
+fn key(p: &Pending) -> (usize, Discriminant<Payload>) {
+    (Arc::as_ptr(&p.entry) as usize, mem::discriminant(&p.input))
 }
 
 /// Publish the queue-depth gauges once per this many admissions. The
@@ -204,11 +206,10 @@ impl Batcher {
     pub fn submit(
         &self,
         entry: Arc<ModelEntry>,
-        mode: Mode,
         input: Payload,
     ) -> Result<mpsc::Receiver<Payload>, SubmitError> {
         let (tx, rx) = mpsc::channel();
-        self.submit_sink(entry, mode, input, ReplySink::Channel(tx), None, None)?;
+        self.submit_sink(entry, input, ReplySink::Channel(tx), None, None)?;
         Ok(rx)
     }
 
@@ -217,7 +218,6 @@ impl Batcher {
     pub(crate) fn submit_sink(
         &self,
         entry: Arc<ModelEntry>,
-        mode: Mode,
         input: Payload,
         sink: ReplySink,
         quota: Option<QuotaGuard>,
@@ -236,7 +236,6 @@ impl Batcher {
         }
         st.queue.push_back(Pending {
             entry,
-            mode,
             input,
             sink,
             quota,
@@ -301,8 +300,8 @@ impl Drop for Batcher {
 }
 
 /// Takes up to `cap` requests compatible with the queue front's
-/// (entry, mode) key, preserving arrival order and leaving incompatible
-/// requests queued.
+/// (entry, payload kind) key, preserving arrival order and leaving
+/// incompatible requests queued.
 fn take_batch(queue: &mut VecDeque<Pending>, cap: usize) -> Vec<Pending> {
     let Some(front) = queue.front() else {
         return Vec::new();
@@ -320,7 +319,8 @@ fn take_batch(queue: &mut VecDeque<Pending>, cap: usize) -> Vec<Pending> {
     batch
 }
 
-/// Counts queued requests matching the queue front's (entry, mode) key.
+/// Counts queued requests matching the queue front's (entry, payload kind)
+/// key.
 fn matching_front(queue: &VecDeque<Pending>) -> usize {
     match queue.front() {
         None => 0,
@@ -388,13 +388,14 @@ pub(crate) fn execute(mut batch: Vec<Pending>) {
         }
     }
     let start = Instant::now();
-    let outputs: Vec<Payload> = match batch[0].mode {
-        Mode::F32 => {
+    // The batch key gives every member the front's payload kind.
+    let outputs: Vec<Payload> = match batch[0].input {
+        Payload::F32(_) => {
             let samples: Vec<Vec<f32>> = batch
                 .iter()
                 .map(|p| match &p.input {
                     Payload::F32(v) => v.clone(),
-                    Payload::Fx(_) => unreachable!("mode/payload mismatch"),
+                    Payload::Fx(_) => unreachable!("batch mixes payload kinds"),
                 })
                 .collect();
             entry
@@ -403,7 +404,7 @@ pub(crate) fn execute(mut batch: Vec<Pending>) {
                 .map(Payload::F32)
                 .collect()
         }
-        Mode::Fx => {
+        Payload::Fx(_) => {
             // Flatten the payloads straight into the packed container —
             // no per-sample row clones; the i16 lanes ride the FxBatch
             // through every layer and only split back into rows for the
@@ -414,7 +415,7 @@ pub(crate) fn execute(mut batch: Vec<Pending>) {
             for p in &batch {
                 match &p.input {
                     Payload::Fx(v) => flat.extend_from_slice(v),
-                    Payload::F32(_) => unreachable!("mode/payload mismatch"),
+                    Payload::F32(_) => unreachable!("batch mixes payload kinds"),
                 }
             }
             let packed = hwsim::FxBatch::from_flat(q, batch.len(), sample_len, flat);
@@ -483,7 +484,6 @@ mod tests {
                 batcher
                     .submit(
                         Arc::clone(&entry),
-                        Mode::F32,
                         Payload::F32(vec![i as f32 * 0.1; input_len]),
                     )
                     .unwrap()
@@ -511,11 +511,7 @@ mod tests {
         let mut shed = 0;
         let mut rxs = Vec::new();
         for _ in 0..64 {
-            match batcher.submit(
-                Arc::clone(&entry),
-                Mode::F32,
-                Payload::F32(vec![0.5; input_len]),
-            ) {
+            match batcher.submit(Arc::clone(&entry), Payload::F32(vec![0.5; input_len])) {
                 Ok(rx) => rxs.push(rx),
                 Err(SubmitError::Overloaded) => shed += 1,
                 Err(SubmitError::ShuttingDown) => unreachable!(),
@@ -542,11 +538,7 @@ mod tests {
         let rxs: Vec<_> = (0..7)
             .map(|_| {
                 batcher
-                    .submit(
-                        Arc::clone(&entry),
-                        Mode::F32,
-                        Payload::F32(vec![0.25; input_len]),
-                    )
+                    .submit(Arc::clone(&entry), Payload::F32(vec![0.25; input_len]))
                     .unwrap()
             })
             .collect();
@@ -555,7 +547,7 @@ mod tests {
             rx.recv().expect("shutdown drains in-flight requests");
         }
         assert!(matches!(
-            batcher.submit(entry, Mode::F32, Payload::F32(vec![0.0; input_len])),
+            batcher.submit(entry, Payload::F32(vec![0.0; input_len])),
             Err(SubmitError::ShuttingDown)
         ));
     }
@@ -571,7 +563,7 @@ mod tests {
         };
         let batcher = Batcher::start(cfg);
         let rx = batcher
-            .submit(entry, Mode::F32, Payload::F32(vec![0.1; input_len]))
+            .submit(entry, Payload::F32(vec![0.1; input_len]))
             .unwrap();
         // A single request must complete despite never filling the batch.
         let out = rx
@@ -583,16 +575,24 @@ mod tests {
 
     #[test]
     fn batches_never_mix_entry_versions() {
-        // Two versions of the same name: jobs group by entry identity.
+        // Two versions of the same name: jobs group by entry identity, and
+        // within one entry by payload kind.
         let (v1, input_len, _) = tiny_entry(5);
         let (v2, _, _) = tiny_entry(6);
         let mut queue: VecDeque<Pending> = VecDeque::new();
-        for entry in [&v1, &v2, &v1, &v2] {
+        let f32_job = || Payload::F32(vec![0.0; input_len]);
+        let fx_job = || Payload::Fx(vec![0; input_len]);
+        for (entry, input) in [
+            (&v1, f32_job()),
+            (&v2, f32_job()),
+            (&v1, fx_job()),
+            (&v1, f32_job()),
+            (&v2, f32_job()),
+        ] {
             let (tx, _rx) = mpsc::channel();
             queue.push_back(Pending {
                 entry: Arc::clone(entry),
-                mode: Mode::F32,
-                input: Payload::F32(vec![0.0; input_len]),
+                input,
                 sink: ReplySink::Channel(tx),
                 quota: None,
                 enqueued: Instant::now(),
@@ -600,12 +600,14 @@ mod tests {
             });
         }
         let batch = take_batch(&mut queue, 8);
-        assert_eq!(batch.len(), 2, "only same-version jobs batch together");
+        assert_eq!(batch.len(), 2, "only same-version, same-kind jobs batch");
         assert!(
-            batch.iter().all(|p| Arc::ptr_eq(&p.entry, &v1)),
+            batch
+                .iter()
+                .all(|p| Arc::ptr_eq(&p.entry, &v1) && matches!(p.input, Payload::F32(_))),
             "front key wins"
         );
-        assert_eq!(queue.len(), 2);
+        assert_eq!(queue.len(), 3);
     }
 
     #[test]
@@ -629,11 +631,7 @@ mod tests {
         let rxs: Vec<_> = (0..depth)
             .map(|_| {
                 batcher
-                    .submit(
-                        Arc::clone(&entry),
-                        Mode::F32,
-                        Payload::F32(vec![0.5; input_len]),
-                    )
+                    .submit(Arc::clone(&entry), Payload::F32(vec![0.5; input_len]))
                     .unwrap()
             })
             .collect();

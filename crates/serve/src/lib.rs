@@ -113,6 +113,6 @@ pub use client::{Client, ClientError};
 pub use config::ServeConfig;
 pub use protocol::{Payload, Request, Response, Status};
 pub use quota::{QuotaGuard, QuotaTable};
-pub use registry::{FxModel, Mode, Model, ModelEntry, ModelInfo, Registry};
+pub use registry::{FxModel, Model, ModelEntry, ModelInfo, Registry};
 pub use server::Server;
 pub use session::{FxSeqRunner, FxSeqRunnerBatch, SeqModel};

@@ -45,17 +45,6 @@ use tensor::Tensor;
 
 use crate::session::SeqModel;
 
-/// Which engine path a request wants.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum Mode {
-    /// Float path (`Network::forward`, train = false): BCM convolutions
-    /// run the dense im2col GEMM over each stack's cached expansion; BCM
-    /// linear, recurrent and attention layers run the spectral `matmat`.
-    F32,
-    /// hwsim 16-bit fixed-point datapath.
-    Fx,
-}
-
 /// One stage of the fixed-point mirror of a conv stack.
 enum FxStage {
     /// A folded BCM convolution, spectra pre-quantized.

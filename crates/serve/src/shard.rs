@@ -44,7 +44,6 @@ use crate::metrics;
 use crate::protocol::{self, Payload, Request, Response, Status, HANDSHAKE, MAX_FRAME};
 use crate::quota::QuotaGuard;
 use crate::reactor::{self, Event, Interest, Poller, WAKER_TOKEN};
-use crate::registry::Mode;
 use crate::server::ServerShared;
 use crate::session::{FxSeqRunner, FxSeqRunnerBatch};
 
@@ -655,9 +654,9 @@ fn process_request(
                 let resp = Response::Error(Status::UnknownModel, format!("no model {model:?}"));
                 return reply_now(conn, seq, &resp, json);
             };
-            let (mode, expect) = match &input {
-                Payload::F32(_) => (Mode::F32, Some(entry.input_len())),
-                Payload::Fx(_) => (Mode::Fx, entry.fx().map(|fx| fx.input_len())),
+            let expect = match &input {
+                Payload::F32(_) => Some(entry.input_len()),
+                Payload::Fx(_) => entry.fx().map(|fx| fx.input_len()),
             };
             let Some(expect) = expect else {
                 metrics::REJECTED.add(1);
@@ -699,7 +698,7 @@ fn process_request(
             };
             match handle
                 .batcher
-                .submit_sink(entry, mode, input, sink, Some(guard), trace)
+                .submit_sink(entry, input, sink, Some(guard), trace)
             {
                 Ok(()) => {} // the batch worker owes the reply
                 Err(SubmitError::Overloaded) => reply_now(

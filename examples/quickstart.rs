@@ -8,8 +8,8 @@
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use rpbcm_repro::circulant::{BlockCirculant, ConvBlockCirculant};
-use rpbcm_repro::rpbcm::hadabcm::HadaBcmGrid;
+use rpbcm_repro::circulant::ConvBlockCirculant;
+use rpbcm_repro::nn::layers::{BcmConv2d, BcmLayer};
 use rpbcm_repro::rpbcm::pruning::prune_indices;
 use rpbcm_repro::rpbcm::SkipIndexBuffer;
 use rpbcm_repro::tensor::{init, ops, Tensor};
@@ -44,24 +44,22 @@ fn main() {
     println!("FFT path vs dense path: max |diff| = {diff:.2e}");
 
     // hadaBCM: every block becomes A ⊙ B during training; folding back is
-    // free and exact.
+    // free and exact. A 1x1 hadaBCM conv with the same channel grid
+    // (16 -> 32 channels) stands in for the tap above.
     let (rb, cb) = grid.grid_dims();
-    let hada = HadaBcmGrid::<f64>::random(&mut rng, bs, rb, cb, 0.05);
-    let folded: BlockCirculant<f64> = hada.fold();
+    let mut hada = BcmConv2d::new_hada(&mut rng, cb * bs, rb * bs, 1, 1, 0, bs);
     println!(
         "hadaBCM grid: {} training params fold to {} inference params",
-        hada.train_param_count(),
-        folded.param_count()
+        hada.trained_param_count(),
+        hada.folded_param_count()
     );
 
     // BCM-wise pruning: rank blocks by ℓ₂ norm, drop the weakest 50 %.
     let norms = hada.importances();
     let victims = prune_indices(&norms, 0.5);
-    let mut pruned = hada.clone();
-    for &v in &victims {
-        pruned.pair_mut(v / cb, v % cb).prune();
-    }
-    let skip = SkipIndexBuffer::from_grid(&pruned.fold());
+    hada.eliminate(&victims);
+    let pruned = hada.folded();
+    let skip = SkipIndexBuffer::from_conv(&pruned);
     println!(
         "pruned {} of {} blocks; skip-index buffer: {} bits ({} live)",
         victims.len(),
@@ -71,12 +69,13 @@ fn main() {
     );
 
     // The pruned grid still multiplies correctly (skipped blocks are zero).
-    let y = pruned.fold().matvec(&x);
+    let x32: Vec<f32> = x.iter().map(|&v| v as f32).collect();
+    let y = pruned.grid(0, 0).matvec(&x32);
     println!(
         "pruned-layer output norm: {:.4}",
         ops::dot(
-            &y.iter().copied().collect::<Tensor<f64>>(),
-            &y.iter().copied().collect::<Tensor<f64>>()
+            &y.iter().copied().collect::<Tensor<f32>>(),
+            &y.iter().copied().collect::<Tensor<f32>>()
         )
         .sqrt()
     );

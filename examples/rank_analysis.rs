@@ -8,7 +8,6 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use rpbcm_repro::circulant::rank::{hadamard_spectrum_support_bound, DecayFit};
 use rpbcm_repro::circulant::CirculantMatrix;
-use rpbcm_repro::rpbcm::HadaBcm;
 use rpbcm_repro::tensor::svd::{normalized_spectrum, singular_values, PoorRankCriterion};
 use rpbcm_repro::tensor::{init, Tensor};
 
@@ -57,8 +56,7 @@ fn main() {
             .map(|t| 1.0 + 0.05 * (std::f64::consts::TAU * 3.0 * t as f64 / n as f64).sin())
             .collect(),
     );
-    let hada = HadaBcm::new(smooth.clone(), smooth2.clone());
-    let folded = hada.fold();
+    let folded = smooth.hadamard(&smooth2);
     show("hadaBCM of two smooth", &folded.singular_values());
     println!(
         "  rank(A) = {}, rank(B) = {}, rank(A⊙B) = {} ≤ bound {}",
@@ -69,7 +67,18 @@ fn main() {
     );
 
     // And the Eq. (1) gradient coupling that balances the factor ranks:
-    let (ga, gb) = hada.gradients(&vec![1.0; n]);
+    // ∂L/∂A = ∂L/∂W ⊙ B and ∂L/∂B = ∂L/∂W ⊙ A, here for ∂L/∂W = 1.
+    let grad_w = vec![1.0; n];
+    let ga: Vec<f64> = grad_w
+        .iter()
+        .zip(smooth2.defining_vector())
+        .map(|(g, b)| g * b)
+        .collect();
+    let gb: Vec<f64> = grad_w
+        .iter()
+        .zip(smooth.defining_vector())
+        .map(|(g, a)| g * a)
+        .collect();
     println!(
         "\nEq. (1) coupling: ∂L/∂A is B-weighted (‖gA‖ = {:.3}), ∂L/∂B is A-weighted (‖gB‖ = {:.3})",
         ga.iter().map(|v| v * v).sum::<f64>().sqrt(),

@@ -30,9 +30,11 @@ RPBCM_THREADS=1 cargo test -q --test properties
 
 echo "== checkpoint and deployment-package codecs under release arithmetic =="
 # The test profile traps integer overflow; release wraps silently. The
-# decoders' rejection tests on crafted records must hold in both.
+# decoders' rejection tests on crafted records must hold in both. Both
+# codecs store the skip index through rpbcm::skipindex's byte codec.
 cargo test --release -q -p nn --lib layers::checkpoint::
 cargo test --release -q -p hwsim --lib deploy::
+cargo test --release -q -p rpbcm-core --lib skipindex::
 
 echo "== serve tests with telemetry enabled (flight tracing live) =="
 # Re-runs the serve suite with the metrics registry and per-request

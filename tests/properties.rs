@@ -8,7 +8,7 @@ use rpbcm_repro::hwsim::inference::{conv_forward_fx, FxWeights};
 use rpbcm_repro::hwsim::pe::PeBankConfig;
 use rpbcm_repro::hwsim::tiling::tiled_conv_forward_fx;
 use rpbcm_repro::rpbcm::pruning::{prune_indices, prune_threshold};
-use rpbcm_repro::rpbcm::{HadaBcm, SkipIndexBuffer};
+use rpbcm_repro::rpbcm::SkipIndexBuffer;
 use rpbcm_repro::tensor::{parallel, svd};
 
 /// Random block-circulant conv weight from a proptest value vector.
@@ -44,8 +44,9 @@ proptest! {
         }
     }
 
-    /// Folding a hadaBCM pair then expanding equals the Hadamard product
-    /// of the factors' dense expansions.
+    /// Folding a hadaBCM pair (the Hadamard product of its two circulant
+    /// factors) then expanding equals the Hadamard product of the factors'
+    /// dense expansions.
     #[test]
     fn hadabcm_fold_commutes_with_expansion(
         a in proptest::collection::vec(-2.0_f64..2.0, 8),
@@ -53,7 +54,7 @@ proptest! {
     ) {
         let ca = CirculantMatrix::new(a);
         let cb = CirculantMatrix::new(b);
-        let folded_dense = HadaBcm::new(ca.clone(), cb.clone()).fold().to_dense();
+        let folded_dense = ca.hadamard(&cb).to_dense();
         let dense_product = ca.to_dense().hadamard(&cb.to_dense());
         prop_assert_eq!(folded_dense, dense_product);
     }
