@@ -39,9 +39,9 @@
 //! Two engine-level records time kernels outside the server loop, with
 //! outputs asserted bit-identical before any timing is trusted:
 //!
-//! - `engine_fx_lane` — the demo model's fx stack: the scalar-scheduled
-//!   batch oracle ([`serve::FxModel::forward_batch_scalar`]) against the
-//!   packed SoA lane path the batcher dispatches
+//! - `engine_fx_lane` — the demo model's fx stack: the scalar oracle
+//!   run once per sample ([`serve::FxModel::forward_batch_scalar`])
+//!   against the packed SoA lane path the batcher dispatches
 //!   ([`serve::FxModel::forward_batch_packed`]).
 //! - `session_lane` — the streaming demo stepped by 8 concurrent
 //!   sessions through a join/leave schedule, once one session at a time
@@ -1028,9 +1028,9 @@ fn run_open_10k(quick: bool) -> TenKMeasurement {
     }
 }
 
-/// Times the demo model's fx stack directly: the scalar-scheduled batch
-/// oracle vs the packed SoA lane path the batcher dispatches, on a full
-/// batch of 8. Asserts bit-identity before trusting either timing.
+/// Times the demo model's fx stack directly: the scalar oracle run once
+/// per sample vs the packed SoA lane path the batcher dispatches, on a
+/// full batch of 8. Asserts bit-identity before trusting either timing.
 fn measure_engine(reps: usize) -> EngineMeasurement {
     let (net, meta) = demo_model(42);
     let model = Model::from_network("demo", net, meta);

@@ -18,11 +18,11 @@
 //!    PYNQ-Z2 clock (cycles × 10 ns at 100 MHz), not host time, and they
 //!    populate the `hwsim.cycles.*`, `hwsim.pipeline.*` and `hwsim.skip.*`
 //!    telemetry counters when run with `RPBCM_TELEMETRY=1`.
-//! 5. Batched fixed-point conv inference: the scalar-scheduled batch
-//!    oracle (`conv_forward_fx_batch_scalar`) vs the vectorized SoA lane
-//!    kernel (`conv_forward_fx_batch_packed`) on the same layer as workload 3
-//!    with a batch of 8 — the packed-i16 serving fast path. Outputs are
-//!    asserted bit-identical before timing is trusted.
+//! 5. Batched fixed-point conv inference: the scalar oracle
+//!    (`conv_forward_fx`) called once per sample vs the vectorized SoA
+//!    lane kernel (`conv_forward_fx_batch_packed`) on the same layer as
+//!    workload 3 with a batch of 8 — the packed-i16 serving path. Outputs
+//!    are asserted bit-identical before timing is trusted.
 //!
 //! Writes `results/BENCH_speedup.json` with one record per configuration:
 //! `{config, wall_ns, speedup_vs_seed}`. With `RPBCM_TELEMETRY=1` the
@@ -34,9 +34,7 @@ use fft::real::HalfSpectrum;
 use hwsim::dataflow::{DataflowConfig, LayerShape};
 use hwsim::fixed::{ComplexAcc, ComplexFx, FxBatch, QFormat};
 use hwsim::fxfft::FxFftPe;
-use hwsim::inference::{
-    conv_forward_fx, conv_forward_fx_batch_packed, conv_forward_fx_batch_scalar, FxWeights,
-};
+use hwsim::inference::{conv_forward_fx, conv_forward_fx_batch_packed, FxWeights};
 use hwsim::timeline::simulate_pipeline;
 use nn::layers::BcmLinear;
 use nn::Layer;
@@ -446,13 +444,13 @@ pub fn run() -> SpeedupResult {
     });
 
     // --- workload 5: batched fixed-point conv, scalar oracle vs lanes -----
-    // The serving fast path in the paper's target regime: a highly-pruned
+    // The serving path in the paper's target regime: a highly-pruned
     // layer (1 live block in 8, BS = 16) where the FFT front and the
     // IFFT/narrow finish dominate over the pruned eMAC stage. The scalar
-    // row batches at the dispatch level (plans and weight streams
-    // amortized) but schedules samples one at a time; the lane row runs
-    // the SoA kernel with the sample dimension innermost. Both rows are
-    // asserted bit-identical before timing is trusted.
+    // row calls the oracle once per sample (each call pays its own FFT
+    // plan and worker fan-out); the lane row runs the SoA kernel with the
+    // sample dimension innermost. Both rows are asserted bit-identical
+    // before timing is trusted.
     let (sbs, sob, sib, n) = (16usize, 2usize, 2usize, 8usize);
     let sparse = bench_conv_pruned(17, sbs, sob, sib, k, 8);
     let sparse_w = FxWeights::from_folded(q, &sparse);
@@ -462,9 +460,14 @@ pub fn run() -> SpeedupResult {
         .iter()
         .map(|&v| q.from_f32(v))
         .collect();
+    let scalar = || -> Vec<i16> {
+        xb.chunks_exact(sib * sbs * h * w)
+            .flat_map(|x| conv_forward_fx(q, &sparse_w, x, h, w))
+            .collect()
+    };
     let batch_scalar_ns = median_ns(
         || {
-            std::hint::black_box(conv_forward_fx_batch_scalar(q, &sparse_w, &xb, n, h, w));
+            std::hint::black_box(scalar());
         },
         reps,
     );
@@ -477,7 +480,7 @@ pub fn run() -> SpeedupResult {
     );
     assert_eq!(
         conv_forward_fx_batch_packed(&sparse_w, &packed, h, w).as_flat(),
-        conv_forward_fx_batch_scalar(q, &sparse_w, &xb, n, h, w),
+        scalar(),
         "vectorized batch path diverged from the scalar oracle"
     );
     measurements.push(Measurement {

@@ -503,8 +503,10 @@ impl<T: Scalar> BlockCirculant<T> {
     /// the weight spectra, lane `s`'s product written to `outs[s]`.
     ///
     /// Layout mirrors the fixed-point lane kernels in `hwsim`: each lane's
-    /// input chunks are forward-FFT'd with the scalar real transform and
-    /// scattered into `[col_block][bin][lane]` split re/im planes; the
+    /// input chunks are forward-FFT'd with the scalar real transform
+    /// ([`fft::real::forward_half_into`], which [`HalfSpectrum::forward`]
+    /// also runs) into one reused bin buffer and scattered into
+    /// `[col_block][bin][lane]` split re/im planes; the
     /// eMAC accumulate then runs bin-outer / lane-inner over `[bin][lane]`
     /// accumulator planes, so one weight-bin load serves every lane and
     /// the inner loop is a contiguous stream the autovectorizer widens.
@@ -520,14 +522,16 @@ impl<T: Scalar> BlockCirculant<T> {
         let n = xs.len();
         let bs = self.block_size;
         let bins = bs / 2 + 1;
-        // Per-lane scalar forward FFTs, scattered into lane planes.
+        // Per-lane scalar forward FFTs into one reused bin buffer,
+        // scattered into lane planes.
         let mut xre = vec![T::ZERO; self.col_blocks * bins * n];
         let mut xim = vec![T::ZERO; self.col_blocks * bins * n];
+        let mut spec = vec![Complex::zero(); bins];
         for (s, x) in xs.iter().enumerate() {
             assert_eq!(x.len(), cols, "matvec dimension mismatch");
             for bj in 0..self.col_blocks {
-                let spec = HalfSpectrum::forward(&x[bj * bs..(bj + 1) * bs]);
-                for (k, z) in spec.bins().iter().enumerate() {
+                fft::real::forward_half_into(&x[bj * bs..(bj + 1) * bs], &mut spec);
+                for (k, z) in spec.iter().enumerate() {
                     xre[(bj * bins + k) * n + s] = z.re;
                     xim[(bj * bins + k) * n + s] = z.im;
                 }

@@ -39,10 +39,8 @@ impl<T: Scalar> HalfSpectrum<T> {
     /// Panics if `x.len()` is not a power of two.
     pub fn forward(x: &[T]) -> Self {
         let n = x.len();
-        let bins = crate::workspace::with_scratch::<T, _>(|full| {
-            crate::plan::with_plan::<T, _>(n, |plan| plan.forward_real_into(x, full));
-            full[..=n / 2].to_vec()
-        });
+        let mut bins = vec![Complex::zero(); n / 2 + 1];
+        forward_half_into(x, &mut bins);
         HalfSpectrum { n, bins }
     }
 
@@ -126,6 +124,29 @@ impl<T: Scalar> HalfSpectrum<T> {
             bins: vec![Complex::zero(); n / 2 + 1],
         }
     }
+}
+
+/// Forward-transforms a real signal into caller-provided half-spectrum
+/// bins `0 ..= n/2`: the full spectrum is computed in a pooled scratch
+/// buffer and only the independent bins are copied out — zero
+/// allocations once the thread's arena is warm. The inverse of
+/// [`inverse_half_into`].
+///
+/// # Panics
+///
+/// Panics if `x.len()` is not a power of two or
+/// `bins.len() != x.len()/2 + 1`.
+pub fn forward_half_into<T: Scalar>(x: &[T], bins: &mut [Complex<T>]) {
+    let n = x.len();
+    assert_eq!(
+        bins.len(),
+        n / 2 + 1,
+        "half spectrum of n={n} needs n/2+1 bins"
+    );
+    crate::workspace::with_scratch::<T, _>(|full| {
+        crate::plan::with_plan::<T, _>(n, |plan| plan.forward_real_into(x, full));
+        bins.copy_from_slice(&full[..=n / 2]);
+    });
 }
 
 /// Inverse-transforms raw half-spectrum bins into a caller-provided real

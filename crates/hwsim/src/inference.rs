@@ -15,15 +15,13 @@
 //!
 //! Each schedule of the datapath is one function:
 //!
-//! - [`conv_forward_fx_batch_scalar`] is the scalar oracle, element at a
-//!   time over complex words and kept unoptimized. It is the only scalar
-//!   conv body: [`conv_forward_fx`] is the oracle at batch width 1, and
-//!   `1×1` fully-connected layers run through its general path.
-//! - [`conv_forward_fx_batch_packed`] is the one lane entry point: a
-//!   packed [`FxBatch`] in, a packed batch out, samples innermost. It
-//!   sends `1×1` fully-connected layers to a lane FC fast path, because
-//!   the general lane path is bit-identical but measurably slower on
-//!   them (see `fc_forward_fx_batch`).
+//! - [`conv_forward_fx`] is the scalar oracle: one sample, element at a
+//!   time over complex words, kept plain. It is the only scalar conv
+//!   body; a batch oracle is this function per sample.
+//! - [`conv_forward_fx_batch_packed`] is the one lane kernel: a packed
+//!   [`FxBatch`] in, a packed batch out, samples innermost. One body
+//!   serves every shape: a `1×1` fully-connected layer is one row of one
+//!   pixel, and border pixels clip each entry's column range.
 //! - [`conv_forward_fx_scaled`] runs per-block-scaled narrow weights
 //!   ([`ScaledFxWeights`]) on one sample.
 
@@ -283,20 +281,6 @@ impl FxWeights {
     }
 }
 
-/// Runs one folded BCM conv layer (stride 1, symmetric zero padding
-/// `(k−1)/2`) on a quantized single-sample input `[c_in, h, w]` through
-/// the fixed-point datapath, returning `[c_out, h, w]` words.
-///
-/// This is the scalar oracle [`conv_forward_fx_batch_scalar`] at batch
-/// width 1.
-///
-/// # Panics
-///
-/// Panics if the input length disagrees with the layer dimensions.
-pub fn conv_forward_fx(q: QFormat, weights: &FxWeights, x: &[i16], h: usize, w: usize) -> Vec<i16> {
-    conv_forward_fx_batch_scalar(q, weights, x, 1, h, w)
-}
-
 /// Narrows one pixel's accumulators, expands the conjugate-symmetric
 /// spectrum, runs the IFFT with the shift divider, and writes the real
 /// outputs — the tail every output pixel shares.
@@ -323,148 +307,58 @@ fn finish_pixel(
     }
 }
 
-/// The **scalar oracle** of the fixed-point conv datapath: runs `n`
-/// samples (`xs` is `[n, c_in, h, w]` row-major, the result
-/// `[n, c_out, h, w]`) element at a time over
-/// [`ComplexFx`]/[`ComplexAcc`] words, reading the layer's prebuilt eMAC
-/// entry lists and weight stream.
+/// The **scalar oracle** of the fixed-point conv datapath: runs one
+/// folded BCM conv layer (stride 1, symmetric zero padding `(k−1)/2`) on
+/// a quantized single-sample input `[c_in, h, w]`, returning
+/// `[c_out, h, w]` words.
 ///
-/// This is the only scalar conv body. [`conv_forward_fx`] is this
-/// function at `n = 1`, and `1×1` fully-connected layers run through the
-/// same general path. It is kept unoptimized on purpose: it is the
-/// specification the lane kernel [`conv_forward_fx_batch_packed`] must
-/// match word for word. It stays in the build (not test-gated) so the
-/// `exp_speedup`/`exp_serve` benchmarks can time scalar-vs-lane on the
-/// same prebuilt weights and the proptest suite can assert bit-identity;
+/// It is the plain specification, element at a time over
+/// [`ComplexFx`]/[`ComplexAcc`] words: the input spectra once, then per
+/// output block and pixel the block's eMAC entries in list order (taps
+/// that land in the zero padding skipped), then the narrow/IFFT finish. The
+/// lane kernel [`conv_forward_fx_batch_packed`] must match it word for
+/// word on every sample; samples are independent, so a batch oracle is
+/// this function per sample. `1×1` fully-connected layers (`k = 1`) are
+/// the one-pixel case. It stays in the build (not test-gated) so
+/// `exp_speedup` and `exp_serve` can time it against the lane kernel;
 /// production callers use the lane kernel.
-///
-/// Per (sample, pixel, bin) the accumulation order over live entries and
-/// every fixed-point operation are those of a batch of one; only
-/// cross-sample scheduling differs. An empty batch (`n = 0`) returns no
-/// words, as the lane kernel does.
 ///
 /// # Panics
 ///
-/// Panics if `xs.len() != n * c_in * h * w`.
-pub fn conv_forward_fx_batch_scalar(
-    q: QFormat,
-    weights: &FxWeights,
-    xs: &[i16],
-    n: usize,
-    h: usize,
-    w: usize,
-) -> Vec<i16> {
+/// Panics if the input length disagrees with the layer dimensions.
+pub fn conv_forward_fx(q: QFormat, weights: &FxWeights, x: &[i16], h: usize, w: usize) -> Vec<i16> {
     let bs = weights.bs;
-    let c_in = weights.in_blocks * bs;
-    let c_out = weights.out_blocks * bs;
-    assert_eq!(xs.len(), n * c_in * h * w, "batch input length mismatch");
-    if n == 0 {
-        return Vec::new();
-    }
-    let pad = weights.k / 2;
+    assert_eq!(
+        x.len(),
+        weights.in_blocks * bs * h * w,
+        "input length mismatch"
+    );
     let pe = FxFftPe::new(bs, q);
     let bins = bs / 2 + 1;
-
-    // Per-sample input spectra, concatenated: sample `s` starts at
-    // `s · in_blocks · h · w · bins` and uses the same `[bi][pix][bins]`
-    // layout the entries index into.
-    let stride = weights.in_blocks * h * w * bins;
-    let spectra: Vec<ComplexFx> = xs
-        .chunks_exact(c_in * h * w)
-        .flat_map(|x| input_spectra(&pe, x, weights.in_blocks, h, w))
-        .collect();
-
-    for _ in 0..n {
-        record_fx_layer(weights, h, w);
-    }
-
-    // Block-major staging `[bo][s][bs·h·w]` keeps each out-block's batch
-    // slab contiguous for the worker pool; scattered back to sample-major
-    // at the end.
-    let slab = bs * h * w;
-    let mut staged = vec![0i16; weights.out_blocks * n * slab];
-    parallel::par_chunk_map(&mut staged[..], n * slab, |bo, bo_slab| {
+    let spectra = input_spectra(&pe, x, weights.in_blocks, h, w);
+    record_fx_layer(weights, h, w);
+    let mut out = vec![0i16; weights.out_blocks * bs * h * w];
+    parallel::par_chunk_map(&mut out[..], bs * h * w, |bo, out_block| {
         let _lat = FX_PLAN_EXEC_NS.span();
-        let _trace = telemetry::trace_span("emac_plan_batch", "hwsim.fx");
-        let entries = &weights.entries[bo];
+        let _trace = telemetry::trace_span("emac_plan", "hwsim.fx");
         let mut acc = vec![ComplexAcc::zero(); bins];
         let mut full = vec![ComplexFx::zero(); bs];
-        // Interior column range [x0, x1): every horizontal tap in bounds.
-        let x0 = pad.min(w);
-        let x1 = w.saturating_sub(pad).max(x0);
-        let row = (x1 - x0) * bins;
-        let mut row_acc = vec![ComplexAcc::zero(); n * row];
         for y in 0..h {
-            let y_interior = y >= pad && y + pad < h;
-            if y_interior && x0 < x1 {
-                row_acc.fill(ComplexAcc::zero());
-                // Entry-major over the whole batch: one weight load per
-                // entry row serves all samples. Per sample the entry
-                // order is the tap-major, then in-block list order.
-                for e in entries {
-                    let ws = weights.entry_bins(e);
-                    let rel = e.input_pixel(y, x0, h, w).expect("interior tap") * bins;
-                    for (s, racc) in row_acc.chunks_exact_mut(row).enumerate() {
-                        let xs_row = &spectra[s * stride + rel..s * stride + rel + row];
-                        for (acc_pix, xs_pix) in
-                            racc.chunks_exact_mut(bins).zip(xs_row.chunks_exact(bins))
-                        {
-                            for (a, (xv, wv)) in acc_pix.iter_mut().zip(xs_pix.iter().zip(ws)) {
-                                a.mac(q, *xv, *wv);
-                            }
-                        }
+            for xx in 0..w {
+                acc.fill(ComplexAcc::zero());
+                for e in &weights.entries[bo] {
+                    let Some(pix) = e.input_pixel(y, xx, h, w) else {
+                        continue;
+                    };
+                    let xs = &spectra[pix * bins..][..bins];
+                    for (a, (xv, wv)) in acc.iter_mut().zip(xs.iter().zip(weights.entry_bins(e))) {
+                        a.mac(q, *xv, *wv);
                     }
                 }
-                for (s, racc) in row_acc.chunks_exact(row).enumerate() {
-                    let out_block = &mut bo_slab[s * slab..][..slab];
-                    for xx in x0..x1 {
-                        finish_pixel(
-                            &pe,
-                            q,
-                            &racc[(xx - x0) * bins..][..bins],
-                            &mut full,
-                            out_block,
-                            h * w,
-                            y * w + xx,
-                        );
-                    }
-                }
-            }
-            // Border pixels (edge rows, or edge columns of interior rows)
-            // take the bounds-checked per-pixel path.
-            let border: Vec<usize> = if y_interior && x0 < x1 {
-                (0..x0).chain(x1..w).collect()
-            } else {
-                (0..w).collect()
-            };
-            for s in 0..n {
-                let sp = &spectra[s * stride..][..stride];
-                let out_block = &mut bo_slab[s * slab..][..slab];
-                for &xx in &border {
-                    acc.fill(ComplexAcc::zero());
-                    for e in entries {
-                        let Some(pix) = e.input_pixel(y, xx, h, w) else {
-                            continue;
-                        };
-                        let xv = &sp[pix * bins..][..bins];
-                        for (a, (x, wv)) in acc.iter_mut().zip(xv.iter().zip(weights.entry_bins(e)))
-                        {
-                            a.mac(q, *x, *wv);
-                        }
-                    }
-                    finish_pixel(&pe, q, &acc, &mut full, out_block, h * w, y * w + xx);
-                }
+                finish_pixel(&pe, q, &acc, &mut full, out_block, h * w, y * w + xx);
             }
         }
     });
-
-    let mut out = vec![0i16; n * c_out * h * w];
-    for bo in 0..weights.out_blocks {
-        for s in 0..n {
-            let src = &staged[(bo * n + s) * slab..][..slab];
-            out[s * c_out * h * w + bo * slab..][..slab].copy_from_slice(src);
-        }
-    }
     out
 }
 
@@ -554,27 +448,31 @@ fn finish_pixels_lanes(
 }
 
 /// The fixed-point conv datapath in fixed-width SoA lane form — the one
-/// lane entry point, and the one the serving fast path dispatches: a
-/// packed [`FxBatch`] of `n` samples (`[n, c_in, h, w]`, the batch's
-/// format as `q`) in, `[n, c_out, h, w]` words out, no per-element float
-/// round-trips. The **sample dimension is innermost** everywhere — input
-/// spectra, `i32` eMAC accumulators, and IFFT buffers all live in flat
-/// split re/im planes whose inner loops the autovectorizer widens
-/// (`n = 8` fills a 128-bit vector of i16 lanes end to end).
+/// lane kernel, for every layer shape, and the one the serving paths
+/// dispatch: a packed [`FxBatch`] of `n` samples (`[n, c_in, h, w]`, the
+/// batch's format as `q`) in, `[n, c_out, h, w]` words out, no
+/// per-element float round-trips. The **sample dimension is innermost**
+/// everywhere — input spectra, `i32` eMAC accumulators, and IFFT buffers
+/// all live in flat split re/im planes whose inner loops the
+/// autovectorizer widens (`n = 8` fills a 128-bit vector of i16 lanes
+/// end to end).
 ///
-/// The eMAC entry lists and the weight stream are built once with the
-/// weights, and the interior fast path runs entry-major across the whole
-/// batch, so each live block's weight bins are loaded once per row
-/// for all `n` samples — the software analogue of the accelerator's
-/// parallel PE lanes sharing one weight stream (§IV-C). Fully-connected
-/// layers (`k = 1` on a `1×1` map) take the lane FC fast path, which
-/// skips the spatial bookkeeping.
+/// Per output block and output row it walks the block's eMAC entry list
+/// in order. An entry whose input row falls in the zero padding is
+/// skipped; otherwise its output columns are clipped to
+/// `[max(0, −dx), min(w, w − dx))`, where every horizontal tap is in
+/// bounds, and each of those pixels accumulates the entry with
+/// [`crate::pe::emac_block_lanes`] into `[px][bin][n]` row planes — one
+/// weight stream shared by all `n` samples, the software analogue of the
+/// accelerator's parallel PE lanes (§IV-C). Then every pixel of the row
+/// is narrowed and inverse-transformed. A fully-connected layer (`k = 1`
+/// on a `1×1` map) is one row of one pixel.
 ///
 /// Every sample's output is **bit-identical** to the scalar oracle
-/// [`conv_forward_fx_batch_scalar`] (and so to [`conv_forward_fx`] on
-/// that sample): per (sample, pixel, bin) the accumulation order over
-/// live entries and every fixed-point operation are unchanged; only
-/// cross-sample scheduling differs.
+/// [`conv_forward_fx`] on that sample: per (sample, pixel, bin) the
+/// accumulation order over in-bounds entries and every fixed-point
+/// operation are the oracle's; only the schedule differs. An empty batch
+/// (`n = 0`) returns no words.
 ///
 /// # Panics
 ///
@@ -593,12 +491,8 @@ pub fn conv_forward_fx_batch_packed(
     if n == 0 {
         return FxBatch::from_flat(q, 0, c_out * h * w, Vec::new());
     }
-    if h == 1 && w == 1 && weights.k == 1 {
-        return FxBatch::from_flat(q, n, c_out, fc_forward_fx_batch(q, weights, xs, n));
-    }
-    let pad = weights.k / 2;
     let pe = FxFftPe::new(bs, q);
-    let bins = bs / 2 + 1;
+    let lane_bins = (bs / 2 + 1) * n;
     let hw = h * w;
 
     let (sre, sim) = input_spectra_lanes(&pe, xs, n, weights.in_blocks, h, w);
@@ -607,108 +501,58 @@ pub fn conv_forward_fx_batch_packed(
         record_fx_layer(weights, h, w);
     }
 
-    // Block-major staging `[bo][s][bs·h·w]`, scattered back to
-    // sample-major at the end (same scheme as the scalar oracle).
+    // Block-major staging `[bo][s][bs·h·w]` keeps each out-block's batch
+    // slab contiguous for the worker pool; scattered back to sample-major
+    // at the end.
     let slab = bs * hw;
     let mut staged = vec![0i16; weights.out_blocks * n * slab];
     parallel::par_chunk_map(&mut staged[..], n * slab, |bo, bo_slab| {
         let _lat = FX_PLAN_EXEC_NS.span();
         let _trace = telemetry::trace_span("emac_plan_batch_lanes", "hwsim.fx");
-        let entries = &weights.entries[bo];
-        let x0 = pad.min(w);
-        let x1 = w.saturating_sub(pad).max(x0);
-        let row = (x1 - x0) * bins;
-        let mut racc_re = vec![0i32; row * n];
-        let mut racc_im = vec![0i32; row * n];
-        let mut acc_re = vec![0i32; bins * n];
-        let mut acc_im = vec![0i32; bins * n];
+        let mut acc_re = vec![0i32; w * lane_bins];
+        let mut acc_im = vec![0i32; w * lane_bins];
         let mut fre = vec![0i16; bs * n];
         let mut fim = vec![0i16; bs * n];
         for y in 0..h {
-            let y_interior = y >= pad && y + pad < h;
-            if y_interior && x0 < x1 {
-                racc_re.fill(0);
-                racc_im.fill(0);
-                // Entry-major over the whole batch: one weight load per
-                // entry bin serves all samples and all interior pixels.
-                for e in entries {
-                    let ws = weights.entry_bins(e);
-                    let base = e.input_pixel(y, x0, h, w).expect("interior tap");
-                    for px in 0..x1 - x0 {
-                        let xoff = (base + px) * bins * n;
-                        let aoff = px * bins * n;
-                        let ar = &mut racc_re[aoff..aoff + bins * n];
-                        let ai = &mut racc_im[aoff..aoff + bins * n];
-                        let xr = &sre[xoff..xoff + bins * n];
-                        let xi = &sim[xoff..xoff + bins * n];
-                        for (k, wv) in ws.iter().enumerate() {
-                            let (wre, wim) = (i32::from(wv.re), i32::from(wv.im));
-                            let arr = &mut ar[k * n..(k + 1) * n];
-                            let aii = &mut ai[k * n..(k + 1) * n];
-                            let xrr = &xr[k * n..(k + 1) * n];
-                            let xii = &xi[k * n..(k + 1) * n];
-                            for s in 0..n {
-                                // [`ComplexAcc::mac`] unrolled, per lane.
-                                let re = i32::from(xrr[s]);
-                                let im = i32::from(xii[s]);
-                                arr[s] = arr[s].saturating_add(re * wre).saturating_sub(im * wim);
-                                aii[s] = aii[s].saturating_add(re * wim).saturating_add(im * wre);
-                            }
-                        }
-                    }
-                }
-                for px in 0..x1 - x0 {
-                    finish_pixels_lanes(
-                        &pe,
-                        q,
-                        &racc_re[px * bins * n..][..bins * n],
-                        &racc_im[px * bins * n..][..bins * n],
-                        &mut fre,
-                        &mut fim,
-                        n,
-                        bo_slab,
-                        slab,
-                        hw,
-                        y * w + x0 + px,
-                    );
-                }
-            }
-            let border: Vec<usize> = if y_interior && x0 < x1 {
-                (0..x0).chain(x1..w).collect()
-            } else {
-                (0..w).collect()
-            };
-            for &xx in &border {
-                acc_re.fill(0);
-                acc_im.fill(0);
-                for e in entries {
-                    let Some(pix) = e.input_pixel(y, xx, h, w) else {
-                        continue;
-                    };
-                    let idx = pix * bins * n;
+            acc_re.fill(0);
+            acc_im.fill(0);
+            for e in &weights.entries[bo] {
+                let Some(iy) = y.checked_add_signed(e.dy).filter(|&iy| iy < h) else {
+                    continue;
+                };
+                // Output columns whose tap is in bounds:
+                // [max(0, −dx), min(w, w − dx)), possibly empty.
+                let x0 = e.dx.min(0).unsigned_abs();
+                let x1 = w.saturating_sub(e.dx.max(0).unsigned_abs());
+                let row = (e.bi * h + iy) * w;
+                for px in x0..x1 {
+                    let src = (row + px).wrapping_add_signed(e.dx) * lane_bins;
+                    let acc = px * lane_bins..(px + 1) * lane_bins;
                     crate::pe::emac_block_lanes(
                         q,
                         bs,
                         weights.entry_bins(e),
-                        &sre[idx..idx + bins * n],
-                        &sim[idx..idx + bins * n],
-                        &mut acc_re,
-                        &mut acc_im,
+                        &sre[src..src + lane_bins],
+                        &sim[src..src + lane_bins],
+                        &mut acc_re[acc.clone()],
+                        &mut acc_im[acc],
                         n,
                     );
                 }
+            }
+            for px in 0..w {
                 finish_pixels_lanes(
                     &pe,
                     q,
-                    &acc_re,
-                    &acc_im,
+                    &acc_re[px * lane_bins..][..lane_bins],
+                    &acc_im[px * lane_bins..][..lane_bins],
                     &mut fre,
                     &mut fim,
                     n,
                     bo_slab,
                     slab,
                     hw,
-                    y * w + xx,
+                    y * w + px,
                 );
             }
         }
@@ -722,92 +566,6 @@ pub fn conv_forward_fx_batch_packed(
         }
     }
     FxBatch::from_flat(q, n, c_out * hw, out)
-}
-
-/// The fully-connected (`k = 1`, `1×1` feature map) fast path of
-/// [`conv_forward_fx_batch_packed`], fully in lane form: lane FFTs over
-/// the batch at ingress, the shared-weight `[bin][sample]` eMAC
-/// ([`crate::pe::emac_block_lanes`]), and lane IFFTs at egress. Outputs
-/// are bit-identical to the general path of the scalar oracle
-/// [`conv_forward_fx_batch_scalar`].
-///
-/// It is kept because it is faster, not because it computes anything
-/// else. Sending `1×1` layers through the general lane path instead is
-/// bit-identical but slower on the 512-wide, 1-in-8-live layer of the
-/// perfbench `fx_infer` demo model, even with both paths reading the
-/// prebuilt entry lists: at one worker, 1.13–1.15× the time at batch 1
-/// and 1.04–1.11× at batch 8; at two workers, 1.14× and 1.08× (medians
-/// of 1000 calls in the quiet passes of seven interleaved ones on a
-/// 2-vCPU x86-64 host; the noisy passes swung both ways).
-fn fc_forward_fx_batch(q: QFormat, weights: &FxWeights, xs: &[i16], n: usize) -> Vec<i16> {
-    let bs = weights.bs;
-    let bins = bs / 2 + 1;
-    let ib = weights.in_blocks;
-    let ob = weights.out_blocks;
-    let c_in = ib * bs;
-    let c_out = ob * bs;
-    let pe = FxFftPe::new(bs, q);
-
-    // Lane FFTs per in-block: gather `[ci][sample]`, one wide transform,
-    // bins land directly in the `[bi][bin][sample]` planes the eMAC reads.
-    let mut xre = vec![0i16; ib * bins * n];
-    let mut xim = vec![0i16; ib * bins * n];
-    let mut bre = vec![0i16; bs * n];
-    let mut bim = vec![0i16; bs * n];
-    for bi in 0..ib {
-        for ci in 0..bs {
-            let row = &mut bre[ci * n..(ci + 1) * n];
-            for (s, slot) in row.iter_mut().enumerate() {
-                *slot = xs[s * c_in + bi * bs + ci];
-            }
-        }
-        bim.fill(0);
-        pe.forward_lanes(&mut bre, &mut bim, n);
-        xre[bi * bins * n..][..bins * n].copy_from_slice(&bre[..bins * n]);
-        xim[bi * bins * n..][..bins * n].copy_from_slice(&bim[..bins * n]);
-    }
-    if telemetry::enabled() {
-        FX_INPUT_FFTS.add((n * ib) as u64);
-        FX_OUTPUT_IFFTS.add((n * ob) as u64);
-    }
-
-    // Block-major staging `[bo][s][bs]`, scattered to `[s][c_out]` below.
-    let mut staged = vec![0i16; ob * n * bs];
-    parallel::par_chunk_map(&mut staged[..], n * bs, |bo, bo_slab| {
-        let _lat = FX_PLAN_EXEC_NS.span();
-        let _trace = telemetry::trace_span("emac_fc_batch_lanes", "hwsim.fx");
-        let mut acc_re = vec![0i32; bins * n];
-        let mut acc_im = vec![0i32; bins * n];
-        let mut fre = vec![0i16; bs * n];
-        let mut fim = vec![0i16; bs * n];
-        let entries = &weights.entries[bo];
-        for e in entries {
-            crate::pe::emac_block_lanes(
-                q,
-                bs,
-                weights.entry_bins(e),
-                &xre[e.bi * bins * n..][..bins * n],
-                &xim[e.bi * bins * n..][..bins * n],
-                &mut acc_re,
-                &mut acc_im,
-                n,
-            );
-        }
-        if telemetry::enabled() {
-            FX_EMAC_BLOCKS.add((entries.len() * n) as u64);
-        }
-        finish_pixels_lanes(
-            &pe, q, &acc_re, &acc_im, &mut fre, &mut fim, n, bo_slab, bs, 1, 0,
-        );
-    });
-
-    let mut out = vec![0i16; n * c_out];
-    for bo in 0..ob {
-        for s in 0..n {
-            out[s * c_out + bo * bs..][..bs].copy_from_slice(&staged[(bo * n + s) * bs..][..bs]);
-        }
-    }
-    out
 }
 
 /// Per-block-scaled narrow weight spectra — the "fine-grained
@@ -1130,7 +888,6 @@ mod tests {
                 .iter()
                 .map(|&v| q.from_f32(v))
                 .collect();
-            let scalar = conv_forward_fx_batch_scalar(q, &weights, &xs, n, h, w);
             let packed = conv_forward_fx_batch_packed(
                 &weights,
                 &FxBatch::from_flat(q, n, c_in * h * w, xs.clone()),
@@ -1139,10 +896,6 @@ mod tests {
             );
             assert_eq!((packed.len(), packed.sample_len()), (n, ob * bs * h * w));
             let batched = packed.as_flat();
-            assert_eq!(
-                batched, scalar,
-                "lane batch diverged from the scalar oracle (seed {seed})"
-            );
             for s in 0..n {
                 let single =
                     conv_forward_fx(q, &weights, &xs[s * c_in * h * w..][..c_in * h * w], h, w);
@@ -1162,7 +915,6 @@ mod tests {
         let weights = FxWeights::from_folded(q, &conv);
         let empty = FxBatch::from_flat(q, 0, 4 * 3 * 3, Vec::new());
         assert!(conv_forward_fx_batch_packed(&weights, &empty, 3, 3).is_empty());
-        assert!(conv_forward_fx_batch_scalar(q, &weights, &[], 0, 3, 3).is_empty());
     }
 
     #[test]

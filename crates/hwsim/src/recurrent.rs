@@ -1,10 +1,10 @@
 //! Fixed-point recurrent cells over the eMAC datapath.
 //!
 //! A BCM recurrent layer folds to a 1×1-kernel block-circulant grid, so a
-//! cell step *is* a 1×1 convolution: the same FFT→eMAC→IFFT lanes
-//! ([`conv_forward_fx_batch_packed`]) that serve conv and FC layers also
-//! serve the gate stacks — the paper's point that one PE array covers
-//! every layer type.
+//! cell step *is* a 1×1 convolution: the one FFT→eMAC→IFFT lane kernel
+//! ([`conv_forward_fx_batch_packed`]) that serves conv and FC layers also
+//! serves the gate stacks, as one row of one pixel — the paper's point
+//! that one PE array covers every layer type.
 //!
 //! A cell ([`FxLstmCell`], [`FxGruCell`]) is immutable weights: its
 //! grids, bias, shape and Q-format. The state of each sequence (`[h; c]`

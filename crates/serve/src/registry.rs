@@ -37,7 +37,7 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
-use hwsim::inference::{conv_forward_fx_batch_packed, conv_forward_fx_batch_scalar, FxWeights};
+use hwsim::inference::{conv_forward_fx, conv_forward_fx_batch_packed, FxWeights};
 use hwsim::{FxBatch, QFormat};
 use nn::layers::checkpoint::LayerSnapshot;
 use nn::{CheckpointError, CheckpointMeta, Network};
@@ -166,33 +166,25 @@ impl FxModel {
         cur
     }
 
-    /// Reference batch execution on the **scalar oracle** kernel
-    /// ([`conv_forward_fx_batch_scalar`]). Bit-identical to
-    /// [`FxModel::forward_batch_packed`]; kept callable (not test-gated) so
-    /// `exp_serve` can measure the engine-level scalar-vs-lane speedup at
-    /// runtime.
+    /// Reference batch execution on the **scalar oracle** kernel: folds
+    /// [`conv_forward_fx`] and the ReLUs over the stages, one sample at a
+    /// time. Bit-identical to [`FxModel::forward_batch_packed`]; kept
+    /// callable (not test-gated) so `exp_serve` can measure the
+    /// engine-level scalar-vs-lane speedup at runtime.
     pub fn forward_batch_scalar(&self, samples: &[Vec<i16>]) -> Vec<Vec<i16>> {
-        let n = samples.len();
-        assert!(n > 0, "empty fx batch");
-        let mut cur = Vec::with_capacity(n * self.input_len);
-        for s in samples {
-            assert_eq!(s.len(), self.input_len, "fx sample length");
-            cur.extend_from_slice(s);
-        }
-        for stage in &self.stages {
-            match stage {
-                FxStage::Conv(wts) => {
-                    cur = conv_forward_fx_batch_scalar(self.q, wts, &cur, n, self.h, self.w);
-                }
-                FxStage::Relu => {
-                    for v in &mut cur {
-                        *v = (*v).max(0);
-                    }
-                }
-            }
-        }
-        let row = cur.len() / n;
-        cur.chunks_exact(row).map(<[i16]>::to_vec).collect()
+        assert!(!samples.is_empty(), "empty fx batch");
+        samples
+            .iter()
+            .map(|s| {
+                assert_eq!(s.len(), self.input_len, "fx sample length");
+                self.stages
+                    .iter()
+                    .fold(s.clone(), |cur, stage| match stage {
+                        FxStage::Conv(wts) => conv_forward_fx(self.q, wts, &cur, self.h, self.w),
+                        FxStage::Relu => cur.into_iter().map(|v| v.max(0)).collect(),
+                    })
+            })
+            .collect()
     }
 }
 
@@ -492,7 +484,6 @@ impl Registry {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hwsim::inference::conv_forward_fx;
     use nn::layers::{BcmConv2d, Flatten, Linear, ReLU};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -601,20 +592,6 @@ mod tests {
         }
     }
 
-    /// Direct hwsim reference: the scalar oracle kernel
-    /// [`conv_forward_fx`] folded over the model's stages, one sample at
-    /// a time.
-    fn hwsim_fold(fx: &FxModel, sample: &[i16]) -> Vec<i16> {
-        let mut cur = sample.to_vec();
-        for stage in &fx.stages {
-            match stage {
-                FxStage::Conv(wts) => cur = conv_forward_fx(fx.q, wts, &cur, fx.h, fx.w),
-                FxStage::Relu => cur.iter_mut().for_each(|v| *v = (*v).max(0)),
-            }
-        }
-        cur
-    }
-
     #[test]
     fn fx_batches_match_direct_hwsim_inference() {
         let (net, meta) = conv_stack(6);
@@ -633,7 +610,7 @@ mod tests {
             .forward_fx_batch_packed(FxBatch::from_rows(fx.qformat(), &samples))
             .into_rows();
         for (s, b) in samples.iter().zip(&batched) {
-            let want = hwsim_fold(fx, s);
+            let want = fx.forward_batch_scalar(std::slice::from_ref(s)).remove(0);
             assert_eq!(&want, b);
             assert_eq!(fx.forward(s), want);
         }

@@ -117,8 +117,8 @@ impl FxSeqStack {
 }
 
 /// The fixed-point streaming stepper: the "FPGA mode" twin of
-/// [`SeqRunner`], running every gate matvec through the same packed eMAC
-/// lane kernels ([`hwsim::inference::conv_forward_fx_batch_packed`]) as
+/// [`SeqRunner`], running every gate matvec through the one packed eMAC
+/// lane kernel ([`hwsim::inference::conv_forward_fx_batch_packed`]) of
 /// batch fx inference. It is the model version's shared fx stack plus
 /// this sequence's state, one word vector per cell (`[h; c]` for LSTM,
 /// `h` for GRU); cloning it copies the `Arc` and the state, never the

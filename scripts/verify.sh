@@ -17,8 +17,10 @@ echo "== lane/gang bit-identity suites on one worker =="
 # The lane kernels, the session gang steppers and BCM training (the
 # golden weight-store fingerprints) must be bit-identical across any
 # worker count. The workspace run above uses the host default; this
-# re-runs the referees with the serial path forced.
-RPBCM_THREADS=1 cargo test -q -p hwsim --test fx_lane_bitident
+# re-runs the referees with the serial path forced. The fx lane suite
+# runs 512 cases here (proptest's default is 256) because the one lane
+# body's clipped border loop is the case space it covers.
+RPBCM_THREADS=1 PROPTEST_CASES=512 cargo test -q -p hwsim --test fx_lane_bitident
 RPBCM_THREADS=1 cargo test -q -p serve --test seq_gang_bitident
 RPBCM_THREADS=1 cargo test -q -p serve --test sessions
 RPBCM_THREADS=1 cargo test -q -p nn --lib seq::
