@@ -281,23 +281,18 @@ impl FxWeights {
     }
 }
 
-/// Narrows one pixel's accumulators, expands the conjugate-symmetric
-/// spectrum, runs the IFFT with the shift divider, and writes the real
-/// outputs — the tail every output pixel shares.
+/// Expands one pixel's narrowed half-spectrum (`full[..=BS/2]`) to the
+/// conjugate-symmetric full spectrum, runs the IFFT with the shift
+/// divider, and writes the real outputs — the datapath finish every
+/// output pixel of both scalar bodies shares.
 fn finish_pixel(
     pe: &FxFftPe,
-    q: QFormat,
-    acc: &[ComplexAcc],
     full: &mut [ComplexFx],
     out_block: &mut [i16],
     hw: usize,
     pix: usize,
 ) {
     let bs = full.len();
-    let bins = acc.len();
-    for k in 0..bins {
-        full[k] = acc[k].narrow(q);
-    }
     for k in 1..bs / 2 {
         full[bs - k] = full[k].conj();
     }
@@ -355,7 +350,10 @@ pub fn conv_forward_fx(q: QFormat, weights: &FxWeights, x: &[i16], h: usize, w: 
                         a.mac(q, *xv, *wv);
                     }
                 }
-                finish_pixel(&pe, q, &acc, &mut full, out_block, h * w, y * w + xx);
+                for (f, a) in full.iter_mut().zip(&acc) {
+                    *f = a.narrow(q);
+                }
+                finish_pixel(&pe, &mut full, out_block, h * w, y * w + xx);
             }
         }
     });
@@ -404,8 +402,8 @@ fn input_spectra_lanes(
 
 /// Narrows one pixel's `[bin][n]` accumulator planes, closes conjugate
 /// symmetry, runs the lane IFFT, and scatters each lane's real parts into
-/// its sample's out-block — [`finish_pixel`] for all `n` samples at once,
-/// bit-identical per lane.
+/// its sample's out-block — the scalar oracle's narrowing and
+/// [`finish_pixel`] for all `n` samples at once, bit-identical per lane.
 #[allow(clippy::too_many_arguments)]
 fn finish_pixels_lanes(
     pe: &FxFftPe,
@@ -686,13 +684,7 @@ pub fn conv_forward_fx_scaled(
                     };
                     full[k] = ComplexFx::new(narrow(acc_re[k]), narrow(acc_im[k]));
                 }
-                for k in 1..bs / 2 {
-                    full[bs - k] = full[k].conj();
-                }
-                pe.inverse(&mut full);
-                for oi in 0..bs {
-                    out_block[oi * h * w + y * w + xx] = full[oi].re;
-                }
+                finish_pixel(&pe, &mut full, out_block, h * w, y * w + xx);
             }
         }
     });

@@ -103,9 +103,9 @@ impl CheckpointMeta {
 /// layer's weight store (paper §III-A, §IV-B).
 ///
 /// Blocks are indexed tap-major, then output-block, then input-block.
-/// `vecs` holds the defining vectors of **all** blocks, flat
-/// `[block_count, bs]`, with zeros at pruned blocks; the codec writes only
-/// the live ones. Every BCM layer's record holds its weights as stacks.
+/// `vecs` holds the defining vectors of the **live** blocks only, in skip
+/// order — the form the codec writes. Every BCM layer's record holds its
+/// weights as stacks.
 #[derive(Debug, Clone, PartialEq)]
 pub struct StackSnapshot {
     /// Input channels (features).
@@ -118,13 +118,14 @@ pub struct StackSnapshot {
     pub bs: usize,
     /// Skip index: `true` per block when live.
     pub live: Vec<bool>,
-    /// Defining vectors for all blocks, flat `[block_count, bs]`.
+    /// Defining vectors of the live blocks, in skip order, flat
+    /// `[live, bs]`.
     pub vecs: Vec<f32>,
 }
 
 impl StackSnapshot {
-    /// The record of a stack with `layout`, (folded) defining vectors
-    /// `vecs` and per-block pruning mask `pruned`.
+    /// The record of a stack with `layout`, live (folded) defining
+    /// vectors `vecs` and per-block pruning mask `pruned`.
     pub(crate) fn new(layout: &BcmLayout, vecs: Vec<f32>, pruned: &[bool]) -> Self {
         StackSnapshot {
             c_in: layout.c_in,
@@ -159,8 +160,7 @@ impl StackSnapshot {
     ///
     /// Panics if `k != 1` or the fields are inconsistent.
     pub fn folded_grid(&self) -> BlockCirculant<f32> {
-        assert_eq!(self.k, 1, "folded_grid is for 1-tap stacks");
-        self.layout().tap_grid(&self.vecs, &self.pruned(), 0, 0)
+        self.layout().grid(&self.vecs, &self.pruned())
     }
 }
 
@@ -399,15 +399,12 @@ fn put_str(out: &mut Vec<u8>, s: &str) {
 /// vectors (pruned ones are omitted). The stack's dimensions belong to its
 /// layer's header.
 fn put_stack(out: &mut Vec<u8>, stack: &StackSnapshot) {
-    let (live, bs) = (&stack.live, stack.bs);
-    assert_eq!(stack.vecs.len(), live.len() * bs, "defining-vector layout");
+    let live = &stack.live;
+    let count = live.iter().filter(|&&l| l).count();
+    assert_eq!(stack.vecs.len(), count * stack.bs, "defining-vector layout");
     put_u32(out, live.len());
     skipindex::pack_bits(out, live);
-    for (blk, &l) in live.iter().enumerate() {
-        if l {
-            put_f32s(out, &stack.vecs[blk * bs..(blk + 1) * bs]);
-        }
-    }
+    put_f32s(out, &stack.vecs);
 }
 
 fn encode_snapshot(out: &mut Vec<u8>, snap: &LayerSnapshot) {
@@ -620,12 +617,9 @@ impl<'a> Cursor<'a> {
             )));
         }
         let live = skipindex::unpack_bits(self.take(n.div_ceil(8))?, n);
-        let mut vecs = vec![0.0f32; dim_product(&[n, bs])?];
-        for (blk, &l) in live.iter().enumerate() {
-            if l {
-                vecs[blk * bs..(blk + 1) * bs].copy_from_slice(&self.f32s(bs)?);
-            }
-        }
+        // Sized by the bytes present, not by the header: the live count is
+        // at most n, and n·bs is within the dense bound above.
+        let vecs = self.f32s(live.iter().filter(|&&l| l).count() * bs)?;
         Ok(StackSnapshot {
             c_in,
             c_out,
@@ -1315,6 +1309,48 @@ mod tests {
                 "{what}"
             );
         }
+    }
+
+    /// A one-layer record: a 1×1 `BcmConv2d` of `c` channels at block
+    /// size `bs` with the skip index `skip` (packed bytes) followed by
+    /// `payload` defining-vector words.
+    fn bcm_conv_record(c: u32, bs: u32, skip: &[u8], payload: &[f32]) -> Vec<u8> {
+        let mut out = one_layer_header(8);
+        out.push(TAG_BCM_CONV);
+        for d in [c, c, 1, 1, 0, bs, (c / bs) * (c / bs)] {
+            out.extend_from_slice(&d.to_le_bytes());
+        }
+        out.extend_from_slice(skip);
+        put_f32s(&mut out, payload);
+        out
+    }
+
+    /// Stored words of every trainable parameter (value, gradient and
+    /// momentum are each this long).
+    fn stored_words(net: &Network) -> usize {
+        net.params().iter().map(|p| p.len()).sum()
+    }
+
+    #[test]
+    fn decoded_stacks_store_live_blocks_only() {
+        // Fully pruned 16384 → 16384 at BS 64: 65536 blocks, an 8 KiB skip
+        // index and no vectors, at the 2^28 dense-weight cap. It decodes to
+        // a layer that stores no weight word at all.
+        let bytes = bcm_conv_record(1 << 14, 64, &[0; 1 << 13], &[]);
+        let (net, meta) = from_bytes(&bytes).unwrap();
+        let bcm = net.bcm_layers()[0];
+        assert_eq!((bcm.block_count(), bcm.live_blocks()), (1 << 16, 0));
+        assert_eq!(stored_words(&net), 0);
+        assert_eq!(to_bytes(&net, &meta).unwrap(), bytes);
+        // Half live: 8 of 16 blocks at BS 4 store exactly 8·4 words, in
+        // skip order, and re-encode to the same bytes.
+        let payload: Vec<f32> = (1..=32).map(|v| v as f32).collect();
+        let bytes = bcm_conv_record(16, 4, &[0x55, 0x55], &payload);
+        let (net, meta) = from_bytes(&bytes).unwrap();
+        assert_eq!(net.bcm_layers()[0].live_blocks(), 8);
+        assert_eq!(stored_words(&net), 8 * 4);
+        assert_eq!(net.params()[0].value.as_slice(), &payload[..]);
+        assert_eq!(to_bytes(&net, &meta).unwrap(), bytes);
     }
 
     #[test]

@@ -17,13 +17,22 @@
 //! vectors; everything that trains walks the factors, and the Eq. (1)
 //! gradient split lives in [`GateStack::accumulate_grad`] alone.
 //!
+//! **Storage form.** A pruned stack is its skip index plus the vectors of
+//! its live blocks in skip order — the form the checkpoint record and the
+//! fixed-point weights use (paper §IV-B: O(BS) per *live* block). Each
+//! factor's value, gradient and momentum are `[live, BS]`;
+//! [`GateStack::eliminate`] drops the eliminated rows and keeps the live
+//! rows' momentum, and [`BcmLayout`] walks live ordinals in block order.
+//! A pruned block has no stored word, so nothing has to keep it at zero.
+//!
 //! **Cache rule.** A stack owns two derived caches: the dense expansion
-//! shared by forward and backward, and the folded grid with prepared
-//! spectra for 1-tap inference. The factors are private, and every path
-//! that can change them — [`GateStack::step`], [`GateStack::eliminate`] and
-//! the single mutable accessor [`GateStack::params_mut`] that each layer's
-//! `params_mut` (and so `Network::sync_params_from`) goes through — drops
-//! both. A stale expansion is therefore unrepresentable.
+//! shared by forward and backward (zero at pruned blocks), and the folded
+//! grid with prepared spectra for 1-tap inference. The factors are
+//! private, and every path that can change them — [`GateStack::step`],
+//! [`GateStack::eliminate`] and the single mutable accessor
+//! [`GateStack::params_mut`] that each layer's `params_mut` (and so
+//! `Network::sync_params_from`) goes through — drops both. A stale
+//! expansion is therefore unrepresentable.
 
 use crate::layers::checkpoint::StackSnapshot;
 use crate::layers::Param;
@@ -77,148 +86,124 @@ impl BcmLayout {
         self.c_out * self.c_in * self.k * self.k
     }
 
-    fn block_index(&self, p: usize, q: usize, bo: usize, bi: usize) -> usize {
-        ((p * self.k + q) * self.out_blocks + bo) * self.in_blocks + bi
-    }
-
-    /// Expands per-block defining vectors (`[block_count, bs]` flat) into a
-    /// `[c_out, c_in·k·k]` im2col weight matrix (`[c_out, c_in]` at `k = 1`).
-    pub(crate) fn expand(&self, vecs: &[f32]) -> Tensor<f32> {
-        let mut w = Tensor::zeros(&[self.c_out, self.c_in * self.k * self.k]);
-        let ws = w.as_mut_slice();
-        let row_len = self.c_in * self.k * self.k;
-        for p in 0..self.k {
-            for q in 0..self.k {
-                for bo in 0..self.out_blocks {
-                    for bi in 0..self.in_blocks {
-                        let blk = self.block_index(p, q, bo, bi);
-                        let v = &vecs[blk * self.bs..(blk + 1) * self.bs];
-                        for oi in 0..self.bs {
-                            let o = bo * self.bs + oi;
-                            for ii in 0..self.bs {
-                                let i = bi * self.bs + ii;
-                                let col = (i * self.k + p) * self.k + q;
-                                ws[o * row_len + col] = v[(oi + self.bs - ii) % self.bs];
-                            }
-                        }
-                    }
+    /// Walks every live block's `BS × BS` entries in block order, calling
+    /// `f(v, d)` with `v` the entry's word in a live-only `[live, bs]`
+    /// vector buffer (`W[o][i] = w[(o−i) mod BS]`) and `d` its index in
+    /// the `[c_out, c_in·k·k]` im2col matrix.
+    fn for_each_entry(&self, pruned: &[bool], mut f: impl FnMut(usize, usize)) {
+        let (bs, k, grid) = (self.bs, self.k, self.out_blocks * self.in_blocks);
+        let row_len = self.c_in * k * k;
+        let live = pruned.iter().enumerate().filter(|&(_, &p)| !p);
+        for (row, (blk, _)) in live.enumerate() {
+            let (p, q) = (blk / grid / k, blk / grid % k);
+            let (bo, bi) = (blk % grid / self.in_blocks, blk % self.in_blocks);
+            for oi in 0..bs {
+                let o = bo * bs + oi;
+                for ii in 0..bs {
+                    let col = ((bi * bs + ii) * k + p) * k + q;
+                    f(row * bs + (oi + bs - ii) % bs, o * row_len + col);
                 }
             }
         }
+    }
+
+    /// Expands live-only defining vectors (`[live, bs]` flat, in skip
+    /// order) into a `[c_out, c_in·k·k]` im2col weight matrix
+    /// (`[c_out, c_in]` at `k = 1`), zero at pruned blocks.
+    pub(crate) fn expand(&self, vecs: &[f32], pruned: &[bool]) -> Tensor<f32> {
+        let mut w = Tensor::zeros(&[self.c_out, self.c_in * self.k * self.k]);
+        let ws = w.as_mut_slice();
+        self.for_each_entry(pruned, |v, d| ws[d] = vecs[v]);
         w
     }
 
     /// Adjoint of [`BcmLayout::expand`]: accumulates a dense weight-matrix
-    /// gradient onto the defining-vector gradient buffer,
-    /// `dvec[(o−i) mod BS] += dW[o][i]` within each block. Pruned blocks
-    /// are skipped, so eliminated weights stay frozen.
+    /// gradient onto the live-only defining-vector gradient buffer,
+    /// `dvec[(o−i) mod BS] += dW[o][i]` within each live block.
     pub(crate) fn project_grad(&self, dw_mat: &Tensor<f32>, pruned: &[bool], dvecs: &mut [f32]) {
         let row_len = self.c_in * self.k * self.k;
         assert_eq!(dw_mat.dims(), &[self.c_out, row_len], "gradient shape");
         let ds = dw_mat.as_slice();
-        for p in 0..self.k {
-            for q in 0..self.k {
-                for bo in 0..self.out_blocks {
-                    for bi in 0..self.in_blocks {
-                        let blk = self.block_index(p, q, bo, bi);
-                        if pruned[blk] {
-                            continue;
-                        }
-                        let dv = &mut dvecs[blk * self.bs..(blk + 1) * self.bs];
-                        for oi in 0..self.bs {
-                            let o = bo * self.bs + oi;
-                            for ii in 0..self.bs {
-                                let i = bi * self.bs + ii;
-                                let col = (i * self.k + p) * self.k + q;
-                                dv[(oi + self.bs - ii) % self.bs] += ds[o * row_len + col];
-                            }
-                        }
-                    }
-                }
-            }
-        }
+        self.for_each_entry(pruned, |v, d| dvecs[v] += ds[d]);
     }
 
-    /// The folded grid of tap `(p, q)`: zero circulants at pruned blocks.
-    pub(crate) fn tap_grid(
+    /// Each block's defining vector in block order, `None` when pruned.
+    fn blocks<'a>(
         &self,
-        vecs: &[f32],
-        pruned: &[bool],
-        p: usize,
-        q: usize,
-    ) -> BlockCirculant<f32> {
-        let blocks = (0..self.out_blocks * self.in_blocks)
-            .map(|g| {
-                let (bo, bi) = (g / self.in_blocks, g % self.in_blocks);
-                let blk = self.block_index(p, q, bo, bi);
-                if pruned[blk] {
-                    CirculantMatrix::zeros(self.bs)
-                } else {
-                    CirculantMatrix::new(vecs[blk * self.bs..(blk + 1) * self.bs].to_vec())
-                }
-            })
-            .collect();
-        BlockCirculant::from_blocks(self.bs, self.out_blocks, self.in_blocks, blocks)
+        vecs: &'a [f32],
+        pruned: &'a [bool],
+    ) -> impl Iterator<Item = Option<&'a [f32]>> + 'a {
+        let mut rows = vecs.chunks_exact(self.bs);
+        pruned
+            .iter()
+            .map(move |&p| (!p).then(|| rows.next().expect("one vector per live block")))
+    }
+
+    /// The folded grids, one per tap: zero circulants at pruned blocks.
+    fn grids<'a>(
+        &self,
+        vecs: &'a [f32],
+        pruned: &'a [bool],
+    ) -> impl Iterator<Item = BlockCirculant<f32>> + 'a {
+        let (bs, rows, cols) = (self.bs, self.out_blocks, self.in_blocks);
+        let mut blocks = self.blocks(vecs, pruned).map(move |v| {
+            v.map_or_else(
+                || CirculantMatrix::zeros(bs),
+                |v| CirculantMatrix::new(v.to_vec()),
+            )
+        });
+        (0..self.k * self.k).map(move |_| {
+            let grid = blocks.by_ref().take(rows * cols).collect();
+            BlockCirculant::from_blocks(bs, rows, cols, grid)
+        })
+    }
+
+    /// The folded grid of a 1-tap stack.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `k != 1`.
+    pub(crate) fn grid(&self, vecs: &[f32], pruned: &[bool]) -> BlockCirculant<f32> {
+        assert_eq!(self.k, 1, "a single grid is for 1-tap stacks");
+        self.grids(vecs, pruned).next().expect("one tap")
     }
 
     /// The folded weights: one grid per tap.
     pub(crate) fn folded_from(&self, vecs: &[f32], pruned: &[bool]) -> ConvBlockCirculant<f32> {
-        let grids = (0..self.k * self.k)
-            .map(|tap| self.tap_grid(vecs, pruned, tap / self.k, tap % self.k))
-            .collect();
-        ConvBlockCirculant::from_grids(self.k, self.k, grids)
+        ConvBlockCirculant::from_grids(self.k, self.k, self.grids(vecs, pruned).collect())
     }
 
-    /// ℓ₂ norm of each block's defining vector, in block order.
-    pub(crate) fn importances(&self, vecs: &[f32]) -> Vec<f64> {
-        vecs.chunks_exact(self.bs)
+    /// ℓ₂ norm of each block's defining vector, in block order: exactly
+    /// `0.0` at pruned blocks.
+    pub(crate) fn importances(&self, vecs: &[f32], pruned: &[bool]) -> Vec<f64> {
+        self.blocks(vecs, pruned)
             .map(|v| {
-                v.iter()
-                    .map(|&x| f64::from(x) * f64::from(x))
-                    .sum::<f64>()
-                    .sqrt()
+                v.map_or(0.0, |v| {
+                    v.iter()
+                        .map(|&x| f64::from(x) * f64::from(x))
+                        .sum::<f64>()
+                        .sqrt()
+                })
             })
             .collect()
     }
 }
 
-/// A stack's trained parameters.
-#[derive(Debug, Clone)]
-enum Factors {
-    /// Plain BCM: the defining vectors, flat `[block_count, bs]`.
-    Plain(Param),
-    /// hadaBCM: factors `[a, b]`, each flat `[block_count, bs]`.
-    Hada([Param; 2]),
-}
-
-impl Factors {
-    fn as_slice(&self) -> &[Param] {
-        match self {
-            Factors::Plain(vecs) => std::slice::from_ref(vecs),
-            Factors::Hada(ab) => ab,
-        }
-    }
-
-    fn as_mut_slice(&mut self) -> &mut [Param] {
-        match self {
-            Factors::Plain(vecs) => std::slice::from_mut(vecs),
-            Factors::Hada(ab) => ab,
-        }
-    }
-
-    /// The folded defining vectors: `vecs`, or `a ⊙ b` for hadaBCM.
-    fn folded(&self) -> Cow<'_, [f32]> {
-        match self {
-            Factors::Plain(vecs) => Cow::Borrowed(vecs.value.as_slice()),
-            Factors::Hada([a, b]) => Cow::Owned(
-                a.value
-                    .as_slice()
-                    .iter()
-                    .zip(b.value.as_slice())
-                    .map(|(&x, &y)| x * y)
-                    .collect(),
-            ),
-        }
+/// The folded defining vectors of `factors`: `[vecs]` as is, or `a ⊙ b`
+/// for hadaBCM's `[a, b]`; empty once every block is pruned.
+fn folded(factors: &[Param]) -> Cow<'_, [f32]> {
+    match factors {
+        [] => Cow::Borrowed(&[]),
+        [vecs] => Cow::Borrowed(vecs.value.as_slice()),
+        [a, b] => Cow::Owned(
+            a.value
+                .as_slice()
+                .iter()
+                .zip(b.value.as_slice())
+                .map(|(&x, &y)| x * y)
+                .collect(),
+        ),
+        _ => unreachable!("a stack trains one or two factors"),
     }
 }
 
@@ -228,7 +213,10 @@ impl Factors {
 #[derive(Debug, Clone)]
 pub(crate) struct GateStack {
     layout: BcmLayout,
-    factors: Factors,
+    /// The trained factors — `[vecs]` for plain BCM, `[a, b]` for
+    /// hadaBCM — each `[live, bs]`, live blocks in skip order. Empty once
+    /// every block is pruned (tensors are never zero-sized).
+    factors: Vec<Param>,
     pruned: Vec<bool>,
     /// Dense im2col expansion shared by forward and backward.
     dense: Option<Tensor<f32>>,
@@ -248,7 +236,7 @@ impl GateStack {
         let (layout, std) = Self::kaiming(c_in, c_out, k, bs);
         let vecs = init::gaussian(rng, &[layout.block_count(), bs], 0.0, std);
         let pruned = vec![false; layout.block_count()];
-        Self::with_factors(layout, Factors::Plain(Param::new(vecs)), pruned)
+        Self::with_factors(layout, vec![Param::new(vecs)], pruned)
     }
 
     /// hadaBCM stack whose *folded* vectors have the plain stack's Kaiming
@@ -269,7 +257,7 @@ impl GateStack {
         let a = Param::new(init::gaussian(rng, &shape, 0.0, std.sqrt()));
         let b = Param::new(init::gaussian(rng, &shape, 0.0, std.sqrt()));
         let pruned = vec![false; layout.block_count()];
-        Self::with_factors(layout, Factors::Hada([a, b]), pruned)
+        Self::with_factors(layout, vec![a, b], pruned)
     }
 
     fn kaiming(c_in: usize, c_out: usize, k: usize, bs: usize) -> (BcmLayout, f64) {
@@ -277,7 +265,7 @@ impl GateStack {
         (layout, (2.0 / (c_in * k * k) as f64).sqrt())
     }
 
-    fn with_factors(layout: BcmLayout, factors: Factors, pruned: Vec<bool>) -> Self {
+    fn with_factors(layout: BcmLayout, factors: Vec<Param>, pruned: Vec<bool>) -> Self {
         GateStack {
             layout,
             factors,
@@ -291,14 +279,18 @@ impl GateStack {
     ///
     /// # Panics
     ///
-    /// As [`BcmLayout::new`], or if the skip index or vectors do not
-    /// cover the layout's blocks.
+    /// As [`BcmLayout::new`], or if the skip index does not cover the
+    /// layout's blocks or the vectors its live ones.
     pub(crate) fn from_snapshot(snap: StackSnapshot) -> Self {
         let layout = snap.layout();
         assert_eq!(snap.live.len(), layout.block_count(), "skip index length");
         let pruned = snap.pruned();
-        let vecs = Tensor::from_vec(snap.vecs, &[layout.block_count(), layout.bs]);
-        Self::with_factors(layout, Factors::Plain(Param::new(vecs)), pruned)
+        let live = snap.live.iter().filter(|&&l| l).count();
+        let factors = (live > 0)
+            .then(|| Param::new(Tensor::from_vec(snap.vecs, &[live, layout.bs])))
+            .into_iter()
+            .collect();
+        Self::with_factors(layout, factors, pruned)
     }
 
     /// The stack's checkpoint record: the folded vectors, so a hadaBCM
@@ -306,7 +298,7 @@ impl GateStack {
     pub(crate) fn snapshot(&self) -> StackSnapshot {
         StackSnapshot::new(
             &self.layout,
-            self.factors.folded().into_owned(),
+            folded(&self.factors).into_owned(),
             &self.pruned,
         )
     }
@@ -315,16 +307,17 @@ impl GateStack {
         &self.layout
     }
 
-    /// The trained factors: `[vecs]`, or `[a, b]` for hadaBCM.
+    /// The trained factors: `[vecs]`, or `[a, b]` for hadaBCM; none once
+    /// every block is pruned.
     pub(crate) fn params(&self) -> &[Param] {
-        self.factors.as_slice()
+        &self.factors
     }
 
     /// The only mutable path to the factors: drops both caches, since the
     /// caller may rewrite the values.
     pub(crate) fn params_mut(&mut self) -> &mut [Param] {
         self.drop_caches();
-        self.factors.as_mut_slice()
+        &mut self.factors
     }
 
     fn drop_caches(&mut self) {
@@ -335,34 +328,34 @@ impl GateStack {
     /// The dense `[c_out, c_in·k·k]` expansion of the folded vectors,
     /// built on first use after any change to the factors.
     pub(crate) fn dense(&mut self) -> &Tensor<f32> {
-        let (layout, factors) = (&self.layout, &self.factors);
+        let (layout, factors, pruned) = (&self.layout, &self.factors, &self.pruned);
         self.dense
-            .get_or_insert_with(|| layout.expand(&factors.folded()))
+            .get_or_insert_with(|| layout.expand(&folded(factors), pruned))
     }
 
     /// The folded grid with prepared spectra — the batched
     /// "FFT → eMAC → IFFT" inference path of a 1-tap stack.
     pub(crate) fn grid(&mut self) -> &BlockCirculant<f32> {
-        assert_eq!(self.layout.k, 1, "spectral path is for 1-tap stacks");
         let (layout, factors, pruned) = (&self.layout, &self.factors, &self.pruned);
         self.spectra.get_or_insert_with(|| {
-            let grid = layout.tap_grid(&factors.folded(), pruned, 0, 0);
+            let grid = layout.grid(&folded(factors), pruned);
             grid.prepare_spectra();
             grid
         })
     }
 
     /// Accumulates a dense `[c_out, c_in·k·k]` weight gradient onto the
-    /// factors' gradients (pruned blocks stay at zero). For hadaBCM the
+    /// factors' (live-block) gradients. For hadaBCM the
     /// folded-vector gradient splits by Eq. (1):
     /// `∂L/∂A = ∂L/∂W ⊙ B`, `∂L/∂B = ∂L/∂W ⊙ A`.
     pub(crate) fn accumulate_grad(&mut self, dw: &Tensor<f32>) {
-        match &mut self.factors {
-            Factors::Plain(vecs) => {
+        match self.factors.as_mut_slice() {
+            [] => {}
+            [vecs] => {
                 self.layout
                     .project_grad(dw, &self.pruned, vecs.grad.as_mut_slice());
             }
-            Factors::Hada([a, b]) => {
+            [a, b] => {
                 let mut dfold = vec![0.0f32; a.len()];
                 self.layout.project_grad(dw, &self.pruned, &mut dfold);
                 let (av, ga) = (a.value.as_slice(), a.grad.as_mut_slice());
@@ -372,41 +365,49 @@ impl GateStack {
                     gb[k] += d * av[k];
                 }
             }
+            _ => unreachable!("a stack trains one or two factors"),
         }
     }
 
-    /// Applies one SGD update to every factor, drops the caches, and
-    /// re-zeroes pruned regions for exactness against momentum drift.
+    /// Applies one SGD update to every factor and drops the caches.
     pub(crate) fn step(&mut self, update: &SgdUpdate) {
         self.drop_caches();
-        let bs = self.layout.bs;
-        for factor in self.factors.as_mut_slice() {
+        for factor in &mut self.factors {
             factor.step(update);
-            for (blk, &p) in self.pruned.iter().enumerate() {
-                if p {
-                    factor.reset_region(blk * bs..(blk + 1) * bs);
-                }
-            }
         }
     }
 
-    /// Eliminates blocks by index: marks them pruned and zeroes every
-    /// factor's value, gradient and momentum there.
+    /// Eliminates blocks by index (idempotent): marks them pruned and drops
+    /// their rows from every factor's value, gradient and momentum; the
+    /// live rows keep theirs.
     pub(crate) fn eliminate(&mut self, indices: &[usize]) {
         self.drop_caches();
-        let bs = self.layout.bs;
+        let mut cut = vec![false; self.pruned.len()];
         for &blk in indices {
-            assert!(blk < self.pruned.len(), "block index out of range");
-            self.pruned[blk] = true;
-            for factor in self.factors.as_mut_slice() {
-                factor.reset_region(blk * bs..(blk + 1) * bs);
+            assert!(blk < cut.len(), "block index out of range");
+            cut[blk] = true;
+        }
+        let keep: Vec<bool> = (self.pruned.iter().zip(&cut))
+            .filter(|&(&p, _)| !p)
+            .map(|(_, &c)| !c)
+            .collect();
+        if keep.contains(&true) {
+            for factor in &mut self.factors {
+                factor.retain_rows(&keep);
             }
+        } else {
+            self.factors.clear();
+        }
+        for (p, c) in self.pruned.iter_mut().zip(cut) {
+            *p |= c;
         }
     }
 
-    /// ℓ₂ norm of each block's folded vector, in block order.
+    /// ℓ₂ norm of each block's folded vector, in block order (`0.0` at
+    /// pruned blocks).
     pub(crate) fn importances(&self) -> Vec<f64> {
-        self.layout.importances(&self.factors.folded())
+        self.layout
+            .importances(&folded(&self.factors), &self.pruned)
     }
 
     pub(crate) fn block_count(&self) -> usize {
@@ -426,9 +427,9 @@ impl GateStack {
         self.live_blocks() * self.layout.bs
     }
 
-    /// Trainable parameters: `live · BS` per factor.
+    /// Trainable parameters: `live · BS` per factor, as stored.
     pub(crate) fn param_count(&self) -> usize {
-        self.params().len() * self.folded_param_count()
+        self.factors.iter().map(Param::len).sum()
     }
 
     /// Whether the dense and spectral caches are currently built.

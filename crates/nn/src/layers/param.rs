@@ -44,7 +44,7 @@ impl Param {
         self.value.len()
     }
 
-    /// `true` for zero-element parameters (never constructed here).
+    /// `true` for zero-element parameters (a fully pruned BCM stack).
     pub fn is_empty(&self) -> bool {
         self.value.is_empty()
     }
@@ -71,13 +71,19 @@ impl Param {
         }
     }
 
-    /// Zeroes value, gradient and momentum (used when a BCM block is
-    /// eliminated: the weight must stay exactly zero afterwards).
-    pub fn reset_region(&mut self, range: std::ops::Range<usize>) {
-        for i in range {
-            self.value.as_mut_slice()[i] = 0.0;
-            self.grad.as_mut_slice()[i] = 0.0;
-            self.velocity.as_mut_slice()[i] = 0.0;
+    /// Keeps the rows of a `[rows, width]` parameter where `keep` is
+    /// set — value, gradient and momentum alike, in order. A BCM stack
+    /// drops an eliminated block's row this way.
+    pub(crate) fn retain_rows(&mut self, keep: &[bool]) {
+        let width = self.value.dims()[1];
+        let rows = keep.iter().filter(|&&k| k).count();
+        for t in [&mut self.value, &mut self.grad, &mut self.velocity] {
+            let kept = (t.as_slice().chunks_exact(width).zip(keep))
+                .filter(|&(_, &k)| k)
+                .flat_map(|(row, _)| row)
+                .copied()
+                .collect();
+            *t = Tensor::from_vec(kept, &[rows, width]);
         }
     }
 }
@@ -114,19 +120,27 @@ mod tests {
     }
 
     #[test]
-    fn reset_region_freezes_weights() {
-        let mut p = Param::new(Tensor::from_vec(vec![1.0_f32, 2.0, 3.0], &[3]));
-        p.grad.as_mut_slice().copy_from_slice(&[1.0, 1.0, 1.0]);
-        p.reset_region(1..2);
-        assert_eq!(p.value.as_slice(), &[1.0, 0.0, 3.0]);
-        assert_eq!(p.grad.as_slice(), &[1.0, 0.0, 1.0]);
+    fn retain_rows_keeps_live_rows_and_their_momentum() {
+        let mut p = Param::new(Tensor::from_vec(
+            vec![1.0_f32, 2.0, 3.0, 4.0, 5.0, 6.0],
+            &[3, 2],
+        ));
         let u = SgdUpdate {
             lr: 1.0,
-            momentum: 0.9,
+            momentum: 0.5,
             weight_decay: 0.0,
         };
-        p.step(&u);
-        // The reset element had zero grad and velocity → stays zero.
-        assert_eq!(p.value.as_slice()[1], 0.0);
+        p.grad.as_mut_slice().fill(1.0);
+        p.step(&u); // v = 1 everywhere, w -= 1
+        p.grad
+            .as_mut_slice()
+            .copy_from_slice(&[7.0, 7.0, 8.0, 8.0, 9.0, 9.0]);
+        p.retain_rows(&[true, false, true]);
+        assert_eq!(p.value.dims(), &[2, 2]);
+        assert_eq!(p.value.as_slice(), &[0.0, 1.0, 4.0, 5.0]);
+        assert_eq!(p.grad.as_slice(), &[7.0, 7.0, 9.0, 9.0]);
+        p.grad.as_mut_slice().fill(0.0);
+        p.step(&u); // v = 0.5: the kept momentum moves the kept rows
+        assert_eq!(p.value.as_slice(), &[-0.5, 0.5, 3.5, 4.5]);
     }
 }

@@ -803,12 +803,16 @@ mod tests {
             let _ = lstm.backward(&Tensor::ones(y.dims()));
             lstm.step(&update());
         }
-        let vs = lstm.gates.params()[0].value.as_slice();
-        for blk in [0usize, 5, 31] {
-            assert!(
-                vs[blk * 2..(blk + 1) * 2].iter().all(|&v| v == 0.0),
-                "pruned block {blk} drifted"
-            );
+        // The gate grid folds pruned blocks to exact zero circulants and
+        // every live block to a trained, nonzero one.
+        let folded = lstm.folded();
+        let skip = lstm.skip_index();
+        assert_eq!(folded.block_count(), skip.len());
+        for (blk, (block, &live)) in folded.grid(0, 0).iter().zip(&skip).enumerate() {
+            assert_eq!(block.is_zero(), !live, "block {blk}");
+            if !live {
+                assert!(block.defining_vector().iter().all(|v| v.to_bits() == 0));
+            }
         }
         assert_eq!(lstm.folded_param_count(), (total - 3) * 2);
     }

@@ -6,15 +6,19 @@
 //!   clone of the master.
 //! - **Golden training fingerprint:** a few seeded forward/backward/step
 //!   rounds with an Algorithm 1 elimination midway, hashed bit for bit
-//!   (every parameter word plus the train- and inference-mode outputs).
+//!   (every round's output and input gradient, the trained network's
+//!   checkpoint bytes, and the final train- and inference-mode outputs).
 //!   The constants pin the training arithmetic of every BCM layer kind, so
 //!   a refactor of the weight store that changes a single bit fails here.
 //!   They were recorded on x86_64 Linux; the recurrent and attention cells
 //!   call `exp`/`tanh`, whose last bit may differ on another libm.
+//! - **Live-only storage:** a pruned stack stores its live blocks' words
+//!   and nothing for pruned ones.
 
-use nn::layers::{BcmAttention, BcmConv2d, BcmGru, BcmLinear, BcmLstm, Layer};
+use nn::layers::{checkpoint, BcmAttention, BcmConv2d, BcmGru, BcmLinear, BcmLstm, Layer};
+use nn::models::vgg_tiny;
 use nn::optim::SgdUpdate;
-use nn::Network;
+use nn::{CheckpointMeta, ConvMode, Network};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use telemetry::fnv::Fnv1a;
@@ -56,10 +60,11 @@ fn upstream(out: &Tensor<f32>, seed: u64) -> Tensor<f32> {
     init::gaussian(&mut StdRng::seed_from_u64(seed), out.dims(), 0.0, 1.0)
 }
 
-fn train_round(net: &mut Network, x: &Tensor<f32>, seed: u64) -> Tensor<f32> {
+/// One forward/backward round; returns the output and the input gradient.
+fn train_round(net: &mut Network, x: &Tensor<f32>, seed: u64) -> (Tensor<f32>, Tensor<f32>) {
     let out = net.forward(x, true);
-    net.backward(&upstream(&out, seed));
-    out
+    let dx = net.backward(&upstream(&out, seed));
+    (out, dx)
 }
 
 fn assert_bits_eq(got: &Tensor<f32>, want: &Tensor<f32>, what: &str) {
@@ -80,8 +85,8 @@ fn check_replica_sync(kind: &str) {
     master.step(&UPDATE);
     replica.sync_params_from(&master);
     let mut fresh = master.clone();
-    let got = train_round(&mut replica, &x, 14);
-    let want = train_round(&mut fresh, &x, 14);
+    let (got, _) = train_round(&mut replica, &x, 14);
+    let (want, _) = train_round(&mut fresh, &x, 14);
     assert_bits_eq(&got, &want, &format!("{kind} train forward"));
     for (pi, (a, b)) in replica.params().iter().zip(fresh.params()).enumerate() {
         assert_bits_eq(&a.grad, &b.grad, &format!("{kind} param {pi} grad"));
@@ -122,10 +127,17 @@ fn bcmattn_replica_matches_fresh_clone_after_sync() {
 }
 
 /// Four seeded training rounds, a quarter of the blocks eliminated after
-/// the second, then a hash of every round's output, every parameter's
-/// value and gradient bits, and the final train/inference outputs.
+/// the second, then a hash of every round's output and input gradient,
+/// the checkpoint bytes of the trained network, and the final
+/// train/inference outputs. The checkpoint holds the (folded) weights and
+/// biases without the in-memory storage layout, so the hash pins the
+/// arithmetic, not how the weight store arranges its words.
 fn training_fingerprint(kind: &str) -> u64 {
     let (mut net, x) = build(kind, 21);
+    let meta = CheckpointMeta {
+        input_dims: x.dims()[1..].to_vec(),
+        frac_bits: 8,
+    };
     let mut h = Fnv1a::new();
     let feed = |h: &mut Fnv1a, t: &Tensor<f32>| {
         for v in t.as_slice() {
@@ -138,14 +150,12 @@ fn training_fingerprint(kind: &str) -> u64 {
             let victims: Vec<usize> = (0..blocks).step_by(4).collect();
             net.bcm_eliminate(&victims);
         }
-        let out = train_round(&mut net, &x, 30 + round);
+        let (out, dx) = train_round(&mut net, &x, 30 + round);
         feed(&mut h, &out);
+        feed(&mut h, &dx);
         net.step(&UPDATE);
     }
-    for p in net.params() {
-        feed(&mut h, &p.value);
-        feed(&mut h, &p.grad);
-    }
+    h.write(&checkpoint::to_bytes(&net, &meta).expect("every BCM kind checkpoints"));
     feed(&mut h, &net.forward(&x, true));
     feed(&mut h, &net.forward(&x, false));
     h.finish()
@@ -154,12 +164,12 @@ fn training_fingerprint(kind: &str) -> u64 {
 #[test]
 fn training_fingerprint_is_pinned_for_every_bcm_layer_kind() {
     const GOLDEN: [(&str, u64); 6] = [
-        ("bcmconv", 0xae6b_9b86_d641_1a86),
-        ("hadabcmconv", 0xa60f_0521_1c0e_dedf),
-        ("bcmlinear", 0x63ec_1826_3a8d_3d84),
-        ("bcmlstm", 0x126b_d69e_4af6_0830),
-        ("bcmgru", 0x8d05_fc94_4573_855a),
-        ("bcmattn", 0xf17e_fe12_2643_ec91),
+        ("bcmconv", 0xbfbb_7eac_0ffa_9a1c),
+        ("hadabcmconv", 0x5157_4cdd_6dcc_606c),
+        ("bcmlinear", 0x8108_794d_6ac9_93e9),
+        ("bcmlstm", 0x2b02_c439_2f2a_3ff8),
+        ("bcmgru", 0xb5da_3139_79dd_714a),
+        ("bcmattn", 0x434c_b912_ac53_6a35),
     ];
     let got: Vec<(&str, u64)> = GOLDEN
         .iter()
@@ -167,5 +177,44 @@ fn training_fingerprint_is_pinned_for_every_bcm_layer_kind() {
         .collect();
     for (&(kind, want), &(_, fp)) in GOLDEN.iter().zip(&got) {
         assert_eq!(fp, want, "{kind}: fingerprint {fp:#018x}; all: {got:x?}");
+    }
+}
+
+/// A `vgg_tiny` with the least important half of its blocks eliminated,
+/// as the float serving benchmark builds it.
+fn half_pruned_vgg_tiny(mode: ConvMode) -> Network {
+    let mut net = vgg_tiny(mode, 10, 3);
+    let importances = net.bcm_importances();
+    let mut order: Vec<usize> = (0..importances.len()).collect();
+    order.sort_by(|&a, &b| importances[a].total_cmp(&importances[b]));
+    net.bcm_eliminate(&order[..importances.len() / 2]);
+    net
+}
+
+#[test]
+fn pruned_stacks_hold_weight_state_for_live_blocks_only() {
+    for mode in [
+        ConvMode::Bcm { block_size: 8 },
+        ConvMode::HadaBcm { block_size: 8 },
+    ] {
+        let net = half_pruned_vgg_tiny(mode);
+        assert!(net.bcm_sparsity() >= 0.5, "{mode:?}");
+        let mut bcm_layers = 0;
+        for layer in net.layers() {
+            let [bcm] = layer.bcm_layers()[..] else {
+                continue;
+            };
+            bcm_layers += 1;
+            let factors = layer.params();
+            let live = bcm.skip_index().iter().filter(|&&l| l).count();
+            assert_eq!(live, bcm.live_blocks());
+            // Value, gradient and momentum are each `p.len()` words.
+            let state: usize = factors.iter().map(|p| 3 * p.len()).sum();
+            let bound = 3 * bcm.block_size() * live * factors.len();
+            assert!(state <= bound, "{}: {state} words > {bound}", layer.name());
+        }
+        assert_eq!(bcm_layers, 6, "{mode:?}");
+        let stored: usize = net.params().iter().map(|p| p.len()).sum();
+        assert_eq!(stored, net.param_count(), "{mode:?}");
     }
 }
