@@ -1,4 +1,5 @@
-//! Per-layer accelerator pipeline analysis for ResNet-18.
+//! Per-layer accelerator pipeline analysis for ResNet-18, then the measured
+//! float BCM conv forward on the `vgg_tiny` conv shapes.
 //! Run: `cargo run -p bench --release --bin exp_layers [-- <alpha>]`.
 fn main() {
     let raw = std::env::args().nth(1);
@@ -15,5 +16,8 @@ fn main() {
     };
     let result = bench::experiments::layers::run(alpha);
     bench::experiments::layers::print(&result);
+    println!();
+    let float = bench::experiments::layers::measure_float(31);
+    bench::experiments::layers::print_float(&float);
     bench::write_telemetry("layers");
 }

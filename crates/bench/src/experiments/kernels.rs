@@ -2,7 +2,7 @@
 //! against their scalar references, plus a deterministic fixed-point
 //! fingerprint.
 //!
-//! Three kernels, each timed in both schedules over identical words:
+//! Four kernels, each timed in both schedules over identical words:
 //!
 //! 1. **Butterfly** — the fixed-point FFT PE: per-sample
 //!    [`FxFftPe::forward`] vs the batch-of-8 SoA lane transform
@@ -12,9 +12,13 @@
 //!    ([`hwsim::pe::emac_block_lanes`]).
 //! 3. **Quantize/dequantize** — batch ingress/egress: per-row
 //!    [`QFormat`] slice conversion vs the packed [`FxBatch`] container.
+//! 4. **Float conv** — the `f32` instance of the one conv schedule
+//!    ([`SpectralConv::forward`], a half-pruned 3×3 BCM conv): one width-1
+//!    call per sample vs one 8-lane call.
 //!
-//! Every lane measurement is validated word-for-word against its scalar
-//! column before timing is trusted (`bit_identical` in the artifact).
+//! Every lane measurement is validated word-for-word (for the float conv,
+//! bit for bit) against its scalar column before timing is trusted
+//! (`bit_identical` in the artifact).
 //!
 //! The `fx_fingerprint` record hashes the output of an integer-only
 //! batched conv (synthesized i16 spectra, LCG inputs — no float FFT
@@ -28,6 +32,7 @@
 //! the fingerprint record.
 
 use crate::table::Table;
+use circulant::schedule::{ConvShape, SpectralConv};
 use hwsim::fixed::{ComplexAcc, ComplexFx, QFormat};
 use hwsim::fxfft::FxFftPe;
 use hwsim::inference::{conv_forward_fx_batch_packed, FxWeights};
@@ -319,6 +324,64 @@ fn bench_quantize(rows: usize, row_len: usize, reps: usize) -> KernelMeasurement
     }
 }
 
+/// Float conv schedule: [`LANES`] width-1 calls of the `f32` instance vs
+/// one [`LANES`]-wide call on the same samples, a half-pruned 3×3,
+/// `c → c` BS-8 conv on a `side × side` map. Every lane must keep the
+/// bits of its width-1 call.
+fn bench_f32_conv(c: usize, side: usize, reps: usize) -> KernelMeasurement {
+    let (bs, k) = (8, 3);
+    let to_f32 =
+        |words: Vec<i16>| -> Vec<f32> { words.iter().map(|&v| f32::from(v) / 32768.0).collect() };
+    let skip: Vec<bool> = (0..k * k * (c / bs) * (c / bs))
+        .map(|i| i % 2 == 0)
+        .collect();
+    let live = skip.iter().filter(|&&l| l).count();
+    let vecs = to_f32(lcg_words(11, live * bs));
+    let conv = SpectralConv::new(bs, k, c / bs, c / bs, &skip, &vecs);
+    let shape = ConvShape {
+        h: side,
+        w: side,
+        stride: 1,
+        pad: 1,
+    };
+    let len = c * side * side;
+    let xs = to_f32(lcg_words(12, LANES * len));
+
+    let mut singles = Vec::new();
+    let scalar_ns = median_ns(
+        || {
+            singles = xs
+                .chunks(len)
+                .flat_map(|x| conv.forward(x, 1, shape))
+                .collect();
+            std::hint::black_box(&singles);
+        },
+        reps,
+    );
+    let mut lanes = Vec::new();
+    let lane_ns = median_ns(
+        || {
+            lanes = conv.forward(&xs, LANES, shape);
+            std::hint::black_box(&lanes);
+        },
+        reps,
+    );
+    let bit_identical = singles.len() == lanes.len()
+        && singles
+            .iter()
+            .zip(&lanes)
+            .all(|(a, b)| a.to_bits() == b.to_bits());
+
+    KernelMeasurement {
+        config: format!("f32_conv_c{c}_{side}x{side}_b{LANES}"),
+        elems: (LANES * len) as u64,
+        scalar_ns,
+        lane_ns,
+        speedup: scalar_ns as f64 / lane_ns.max(1) as f64,
+        bit_identical,
+    }
+}
+
 /// Integer-only datapath fingerprint: a pruned batched conv on
 /// synthesized i16 spectra and LCG inputs, FNV-1a over the output words.
 /// No float ever enters the pipeline, so the value is exact on every
@@ -353,6 +416,7 @@ pub fn run(quick: bool) -> KernelsResult {
         bench_emac(8, 512 * scale, reps),
         bench_emac(16, 256 * scale, reps),
         bench_quantize(8, 512 * scale, reps),
+        bench_f32_conv(32, if quick { 8 } else { 16 }, reps),
     ];
     KernelsResult {
         measurements,

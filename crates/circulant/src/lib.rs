@@ -16,7 +16,8 @@
 //!
 //! [`CirculantMatrix`] is the single block; [`BlockCirculant`] partitions a
 //! full weight matrix into a grid of blocks; [`rank`] hosts the
-//! rank-condition analysis.
+//! rank-condition analysis; [`schedule`] is the one conv schedule
+//! ("FFT → eMAC → IFFT" over live blocks) both numeric modes run.
 //!
 //! # Example
 //!
@@ -45,6 +46,7 @@ mod block;
 mod circulant;
 
 pub mod rank;
+pub mod schedule;
 
 pub use block::{BlockCirculant, ConvBlockCirculant};
 pub use circulant::CirculantMatrix;

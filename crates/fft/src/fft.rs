@@ -124,28 +124,27 @@ impl<T: Scalar> Fft<T> {
             self.n
         );
         // Bit-reversal permutation.
-        for i in 0..self.n {
-            let j = self.rev[i];
+        for (i, &j) in self.rev.iter().enumerate() {
             if i < j {
                 x.swap(i, j);
             }
         }
-        // Butterfly stages.
-        let mut len = 2;
-        while len <= self.n {
-            let half = len / 2;
-            let step = self.n / len;
-            for start in (0..self.n).step_by(len) {
-                for k in 0..half {
+        // Butterfly stages: each `2·half` run pairs its halves.
+        let mut half = 1;
+        while half < self.n {
+            let step = self.n / (2 * half);
+            for run in x.chunks_exact_mut(2 * half) {
+                let (lo, hi) = run.split_at_mut(half);
+                for (k, (a, b)) in lo.iter_mut().zip(hi.iter_mut()).enumerate() {
                     let tw = self.twiddles[k * step];
                     let tw = if inverse { tw.conj() } else { tw };
-                    let u = x[start + k];
-                    let v = x[start + k + half] * tw;
-                    x[start + k] = u + v;
-                    x[start + k + half] = u - v;
+                    let u = *a;
+                    let v = *b * tw;
+                    *a = u + v;
+                    *b = u - v;
                 }
             }
-            len *= 2;
+            half *= 2;
         }
     }
 

@@ -19,14 +19,17 @@
 //!   time over complex words, kept plain. It is the only scalar conv
 //!   body; a batch oracle is this function per sample.
 //! - [`conv_forward_fx_batch_packed`] is the one lane kernel: a packed
-//!   [`FxBatch`] in, a packed batch out, samples innermost. One body
-//!   serves every shape: a `1×1` fully-connected layer is one row of one
-//!   pixel, and border pixels clip each entry's column range.
+//!   [`FxBatch`] in, a packed batch out, samples innermost. It is the
+//!   16-bit instance of `circulant::schedule`'s one conv schedule, whose
+//!   `f32` instance serves float convs. One body serves every shape: a
+//!   `1×1` fully-connected layer is one row of one pixel, and border
+//!   pixels clip each entry's column range.
 //! - [`conv_forward_fx_scaled`] runs per-block-scaled narrow weights
 //!   ([`ScaledFxWeights`]) on one sample.
 
 use crate::fixed::{ComplexAcc, ComplexFx, FxBatch, QFormat};
 use crate::fxfft::FxFftPe;
+use circulant::schedule::{self, ConvShape, EmacEntry, EntryLists, LaneMode};
 use circulant::ConvBlockCirculant;
 use fft::real::HalfSpectrum;
 use fft::Complex;
@@ -50,8 +53,8 @@ fn record_fx_layer(weights: &FxWeights, h: usize, w: usize) {
         return;
     }
     let pixels = (h * w) as u64;
-    FX_INPUT_FFTS.add(weights.in_blocks as u64 * pixels);
-    FX_OUTPUT_IFFTS.add(weights.out_blocks as u64 * pixels);
+    FX_INPUT_FFTS.add(weights.in_blocks() as u64 * pixels);
+    FX_OUTPUT_IFFTS.add(weights.out_blocks() as u64 * pixels);
     FX_EMAC_BLOCKS.add(weights.live_count() as u64 * pixels);
 }
 
@@ -78,32 +81,6 @@ fn input_spectra(pe: &FxFftPe, x: &[i16], in_blocks: usize, h: usize, w: usize) 
     spectra
 }
 
-/// One live eMAC operand of an output block: the kernel tap, the input
-/// block whose spectrum it reads, and where its weight bins start in
-/// [`FxWeights`]' flat bins. It does not depend on the feature-map size;
-/// kernels derive spectrum offsets from `(h, w)` inline.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct EmacEntry {
-    /// Kernel tap offsets relative to the output pixel (`dy = p − pad`).
-    dy: isize,
-    dx: isize,
-    /// Input channel block.
-    bi: usize,
-    /// Start of the entry's `BS/2+1` bins in the layer's flat bins.
-    w_off: usize,
-}
-
-impl EmacEntry {
-    /// Flat input-pixel index `(bi · h + iy) · w + ix` this entry reads
-    /// for output pixel `(y, x)` of an `h × w` map, or `None` when the
-    /// tap lands in the zero padding.
-    fn input_pixel(&self, y: usize, x: usize, h: usize, w: usize) -> Option<usize> {
-        let iy = y.checked_add_signed(self.dy).filter(|&iy| iy < h)?;
-        let ix = x.checked_add_signed(self.dx).filter(|&ix| ix < w)?;
-        Some((self.bi * h + iy) * w + ix)
-    }
-}
-
 /// The quantized weights of one folded BCM conv layer, in the one form
 /// both the kernels and the deployment package use.
 ///
@@ -119,13 +96,9 @@ impl EmacEntry {
 /// which keeps an `h × w` map `h × w` only for odd `k`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FxWeights {
-    bs: usize,
-    k: usize,
-    out_blocks: usize,
-    in_blocks: usize,
     skip: Vec<bool>,
     bins: Vec<ComplexFx>,
-    entries: Vec<Vec<EmacEntry>>,
+    entries: EntryLists,
 }
 
 impl FxWeights {
@@ -208,27 +181,13 @@ impl FxWeights {
         bins: Vec<ComplexFx>,
     ) -> Self {
         assert!(k % 2 == 1, "fx conv needs an odd kernel size, got {k}");
-        assert_eq!(skip.len(), k * k * out_blocks * in_blocks, "skip length");
-        let per_block = bs / 2 + 1;
-        let live = skip.iter().filter(|&&b| b).count();
-        assert_eq!(bins.len(), live * per_block, "spectra length");
-        let pad = (k / 2) as isize;
-        let mut entries = vec![Vec::new(); out_blocks];
-        let live_blocks = skip.iter().enumerate().filter(|&(_, &b)| b);
-        for (ordinal, (blk, _)) in live_blocks.enumerate() {
-            let tap = blk / (out_blocks * in_blocks);
-            entries[blk / in_blocks % out_blocks].push(EmacEntry {
-                dy: (tap / k) as isize - pad,
-                dx: (tap % k) as isize - pad,
-                bi: blk % in_blocks,
-                w_off: ordinal * per_block,
-            });
-        }
+        let entries = EntryLists::new(bs, k, out_blocks, in_blocks, &skip);
+        assert_eq!(
+            bins.len(),
+            entries.live_count() * (bs / 2 + 1),
+            "spectra length"
+        );
         FxWeights {
-            bs,
-            k,
-            out_blocks,
-            in_blocks,
             skip,
             bins,
             entries,
@@ -237,7 +196,7 @@ impl FxWeights {
 
     /// Number of live blocks.
     pub fn live_count(&self) -> usize {
-        self.bins.len() / (self.bs / 2 + 1)
+        self.entries.live_count()
     }
 
     /// On-chip weight footprint in bytes (complex 16-bit pairs).
@@ -247,22 +206,33 @@ impl FxWeights {
 
     /// Block size `BS`.
     pub fn block_size(&self) -> usize {
-        self.bs
+        self.entries.block_size()
     }
 
     /// Input channel-block count (`c_in / BS`).
     pub fn in_blocks(&self) -> usize {
-        self.in_blocks
+        self.entries.in_blocks()
     }
 
     /// Output channel-block count (`c_out / BS`).
     pub fn out_blocks(&self) -> usize {
-        self.out_blocks
+        self.entries.out_blocks()
     }
 
     /// Square kernel size.
     pub fn kernel(&self) -> usize {
-        self.k
+        self.entries.kernel()
+    }
+
+    /// The datapath's window on an `h × w` map: stride 1, padding
+    /// `(k−1)/2`.
+    fn shape(&self, h: usize, w: usize) -> ConvShape {
+        ConvShape {
+            h,
+            w,
+            stride: 1,
+            pad: self.kernel() / 2,
+        }
     }
 
     /// The skip index, one liveness bit per block in weight-stream order.
@@ -277,7 +247,8 @@ impl FxWeights {
 
     /// One live block's `BS/2+1` bins.
     fn entry_bins(&self, e: &EmacEntry) -> &[ComplexFx] {
-        &self.bins[e.w_off..e.w_off + self.bs / 2 + 1]
+        let per_block = self.block_size() / 2 + 1;
+        &self.bins[e.live * per_block..][..per_block]
     }
 }
 
@@ -322,17 +293,18 @@ fn finish_pixel(
 ///
 /// Panics if the input length disagrees with the layer dimensions.
 pub fn conv_forward_fx(q: QFormat, weights: &FxWeights, x: &[i16], h: usize, w: usize) -> Vec<i16> {
-    let bs = weights.bs;
+    let bs = weights.block_size();
     assert_eq!(
         x.len(),
-        weights.in_blocks * bs * h * w,
+        weights.in_blocks() * bs * h * w,
         "input length mismatch"
     );
     let pe = FxFftPe::new(bs, q);
     let bins = bs / 2 + 1;
-    let spectra = input_spectra(&pe, x, weights.in_blocks, h, w);
+    let spectra = input_spectra(&pe, x, weights.in_blocks(), h, w);
     record_fx_layer(weights, h, w);
-    let mut out = vec![0i16; weights.out_blocks * bs * h * w];
+    let shape = weights.shape(h, w);
+    let mut out = vec![0i16; weights.out_blocks() * bs * h * w];
     parallel::par_chunk_map(&mut out[..], bs * h * w, |bo, out_block| {
         let _lat = FX_PLAN_EXEC_NS.span();
         let _trace = telemetry::trace_span("emac_plan", "hwsim.fx");
@@ -341,8 +313,8 @@ pub fn conv_forward_fx(q: QFormat, weights: &FxWeights, x: &[i16], h: usize, w: 
         for y in 0..h {
             for xx in 0..w {
                 acc.fill(ComplexAcc::zero());
-                for e in &weights.entries[bo] {
-                    let Some(pix) = e.input_pixel(y, xx, h, w) else {
+                for e in weights.entries.block(bo) {
+                    let Some(pix) = e.input_pixel(y, xx, shape) else {
                         continue;
                     };
                     let xs = &spectra[pix * bins..][..bins];
@@ -360,88 +332,96 @@ pub fn conv_forward_fx(q: QFormat, weights: &FxWeights, x: &[i16], h: usize, w: 
     out
 }
 
-/// Computes every (sample, channel-block, pixel) input spectrum with the
-/// lane FFT, writing split re/im planes in
-/// `((bi·h + y)·w + x)·bins + k` bin order with the **sample lane
-/// innermost** (`[.. ][n]`). Per sample the arithmetic is exactly
-/// [`input_spectra`]'s (quantized words through [`FxFftPe::forward`]), so
-/// bins are bit-identical; the batch dimension just rides in SIMD lanes.
-fn input_spectra_lanes(
-    pe: &FxFftPe,
-    xs: &[i16],
-    n: usize,
-    in_blocks: usize,
-    h: usize,
-    w: usize,
-) -> (Vec<i16>, Vec<i16>) {
-    let bs = pe.block_size();
-    let bins = bs / 2 + 1;
-    let hw = h * w;
-    let chw = in_blocks * bs * hw;
-    let mut sre = vec![0i16; in_blocks * hw * bins * n];
-    let mut sim = vec![0i16; in_blocks * hw * bins * n];
-    let mut bre = vec![0i16; bs * n];
-    let mut bim = vec![0i16; bs * n];
-    for bi in 0..in_blocks {
-        for pix in 0..hw {
-            for ci in 0..bs {
-                let row = &mut bre[ci * n..(ci + 1) * n];
-                for (s, slot) in row.iter_mut().enumerate() {
-                    *slot = xs[s * chw + (bi * bs + ci) * hw + pix];
-                }
-            }
-            bim.fill(0);
-            pe.forward_lanes(&mut bre, &mut bim, n);
-            let base = (bi * hw + pix) * bins * n;
-            sre[base..base + bins * n].copy_from_slice(&bre[..bins * n]);
-            sim[base..base + bins * n].copy_from_slice(&bim[..bins * n]);
-        }
-    }
-    (sre, sim)
+/// The fixed-point instance of the one conv schedule: the layer's weights
+/// in format `q` with its FFT PE.
+struct FxLanes<'a> {
+    weights: &'a FxWeights,
+    pe: FxFftPe,
+    q: QFormat,
 }
 
-/// Narrows one pixel's `[bin][n]` accumulator planes, closes conjugate
-/// symmetry, runs the lane IFFT, and scatters each lane's real parts into
-/// its sample's out-block — the scalar oracle's narrowing and
-/// [`finish_pixel`] for all `n` samples at once, bit-identical per lane.
-#[allow(clippy::too_many_arguments)]
-fn finish_pixels_lanes(
-    pe: &FxFftPe,
-    q: QFormat,
-    acc_re: &[i32],
-    acc_im: &[i32],
-    fre: &mut [i16],
-    fim: &mut [i16],
-    n: usize,
-    bo_slab: &mut [i16],
-    slab: usize,
-    hw: usize,
-    pix: usize,
-) {
-    let bs = fre.len() / n;
-    let bins = acc_re.len() / n;
-    for k in 0..bins {
-        let ar = &acc_re[k * n..(k + 1) * n];
-        let ai = &acc_im[k * n..(k + 1) * n];
-        let rr = &mut fre[k * n..(k + 1) * n];
-        let ri = &mut fim[k * n..(k + 1) * n];
-        for s in 0..n {
-            rr[s] = q.narrow(ar[s]);
-            ri[s] = q.narrow(ai[s]);
+impl LaneMode for FxLanes<'_> {
+    type Word = i16;
+    type Acc = i32;
+    /// The imaginary `[BS][n]` plane of the lane transforms (the real
+    /// plane is the block being transformed).
+    type Scratch = Vec<i16>;
+
+    fn entries(&self) -> &EntryLists {
+        &self.weights.entries
+    }
+
+    fn scratch(&self, n: usize) -> Vec<i16> {
+        vec![0; self.weights.block_size() * n]
+    }
+
+    /// The lane FFT ([`FxFftPe::forward_lanes`]): per lane exactly
+    /// [`input_spectra`]'s words.
+    fn fft(
+        &self,
+        block: &mut [i16],
+        re: &mut [i16],
+        im: &mut [i16],
+        bin_stride: usize,
+        n: usize,
+        bim: &mut Vec<i16>,
+    ) {
+        bim.fill(0);
+        self.pe.forward_lanes(block, bim, n);
+        for k in 0..=self.weights.block_size() / 2 {
+            re[k * bin_stride..][..n].copy_from_slice(&block[k * n..][..n]);
+            im[k * bin_stride..][..n].copy_from_slice(&bim[k * n..][..n]);
         }
     }
-    for k in 1..bs / 2 {
-        for s in 0..n {
-            fre[(bs - k) * n + s] = fre[k * n + s];
-            fim[(bs - k) * n + s] = fim[k * n + s].saturating_neg();
+
+    fn mac(
+        &self,
+        live: usize,
+        xre: &[i16],
+        xim: &[i16],
+        x_stride: usize,
+        are: &mut [i32],
+        aim: &mut [i32],
+        acc_stride: usize,
+        len: usize,
+    ) {
+        let per_block = self.weights.block_size() / 2 + 1;
+        let bins = &self.weights.bins[live * per_block..][..per_block];
+        for (k, &w) in bins.iter().enumerate() {
+            let (x, a) = (k * x_stride, k * acc_stride);
+            let (xr, xi) = (&xre[x..][..len], &xim[x..][..len]);
+            crate::pe::mac_lanes(w, xr, xi, &mut are[a..][..len], &mut aim[a..][..len]);
         }
     }
-    pe.inverse_lanes(fre, fim, n);
-    for oi in 0..bs {
-        let row = &fre[oi * n..(oi + 1) * n];
-        for (s, &v) in row.iter().enumerate() {
-            bo_slab[s * slab + oi * hw + pix] = v;
+
+    /// Narrows the accumulators, closes conjugate symmetry and runs the
+    /// lane IFFT — the scalar oracle's narrowing and [`finish_pixel`] for
+    /// all `n` lanes at once, bit-identical per lane.
+    fn finish(
+        &self,
+        are: &[i32],
+        aim: &[i32],
+        bin_stride: usize,
+        out: &mut [i16],
+        n: usize,
+        fim: &mut Vec<i16>,
+    ) {
+        let bs = self.weights.block_size();
+        for k in 0..=bs / 2 {
+            let (ar, ai) = (&are[k * bin_stride..][..n], &aim[k * bin_stride..][..n]);
+            let (rr, ri) = (&mut out[k * n..][..n], &mut fim[k * n..][..n]);
+            for s in 0..n {
+                rr[s] = self.q.narrow(ar[s]);
+                ri[s] = self.q.narrow(ai[s]);
+            }
         }
+        for k in 1..bs / 2 {
+            for s in 0..n {
+                out[(bs - k) * n + s] = out[k * n + s];
+                fim[(bs - k) * n + s] = fim[k * n + s].saturating_neg();
+            }
+        }
+        self.pe.inverse_lanes(out, fim, n);
     }
 }
 
@@ -449,22 +429,17 @@ fn finish_pixels_lanes(
 /// lane kernel, for every layer shape, and the one the serving paths
 /// dispatch: a packed [`FxBatch`] of `n` samples (`[n, c_in, h, w]`, the
 /// batch's format as `q`) in, `[n, c_out, h, w]` words out, no
-/// per-element float round-trips. The **sample dimension is innermost**
-/// everywhere — input spectra, `i32` eMAC accumulators, and IFFT buffers
-/// all live in flat split re/im planes whose inner loops the
-/// autovectorizer widens (`n = 8` fills a 128-bit vector of i16 lanes
-/// end to end).
+/// per-element float round-trips.
 ///
-/// Per output block and output row it walks the block's eMAC entry list
-/// in order. An entry whose input row falls in the zero padding is
-/// skipped; otherwise its output columns are clipped to
-/// `[max(0, −dx), min(w, w − dx))`, where every horizontal tap is in
-/// bounds, and each of those pixels accumulates the entry with
-/// [`crate::pe::emac_block_lanes`] into `[px][bin][n]` row planes — one
-/// weight stream shared by all `n` samples, the software analogue of the
-/// accelerator's parallel PE lanes (§IV-C). Then every pixel of the row
-/// is narrowed and inverse-transformed. A fully-connected layer (`k = 1`
-/// on a `1×1` map) is one row of one pixel.
+/// It is the fixed-point instance of [`schedule::conv_lanes`], the one
+/// conv schedule: input spectra, `i32` eMAC accumulators and IFFT buffers
+/// live in flat split re/im planes with the **sample dimension
+/// innermost**, whose inner loops the autovectorizer widens; one weight
+/// stream is shared by all `n` samples, the software analogue of the
+/// accelerator's parallel PE lanes (§IV-C). The mode supplies the lane FFT
+/// ([`FxFftPe::forward_lanes`]), the wide eMAC ([`crate::pe::mac_lanes`])
+/// and the narrow → conjugate fill → lane IFFT finish. A fully-connected
+/// layer (`k = 1` on a `1×1` map) is one row of one pixel.
 ///
 /// Every sample's output is **bit-identical** to the scalar oracle
 /// [`conv_forward_fx`] on that sample: per (sample, pixel, bin) the
@@ -481,89 +456,18 @@ pub fn conv_forward_fx_batch_packed(
     h: usize,
     w: usize,
 ) -> FxBatch {
-    let (q, xs, n) = (batch.format(), batch.as_flat(), batch.len());
-    let bs = weights.bs;
-    let c_in = weights.in_blocks * bs;
-    let c_out = weights.out_blocks * bs;
-    assert_eq!(xs.len(), n * c_in * h * w, "batch input length mismatch");
-    if n == 0 {
-        return FxBatch::from_flat(q, 0, c_out * h * w, Vec::new());
-    }
-    let pe = FxFftPe::new(bs, q);
-    let lane_bins = (bs / 2 + 1) * n;
-    let hw = h * w;
-
-    let (sre, sim) = input_spectra_lanes(&pe, xs, n, weights.in_blocks, h, w);
-
+    let (q, n) = (batch.format(), batch.len());
+    let mode = FxLanes {
+        weights,
+        pe: FxFftPe::new(weights.block_size(), q),
+        q,
+    };
+    let out = schedule::conv_lanes(&mode, batch.as_flat(), n, weights.shape(h, w));
     for _ in 0..n {
         record_fx_layer(weights, h, w);
     }
-
-    // Block-major staging `[bo][s][bs·h·w]` keeps each out-block's batch
-    // slab contiguous for the worker pool; scattered back to sample-major
-    // at the end.
-    let slab = bs * hw;
-    let mut staged = vec![0i16; weights.out_blocks * n * slab];
-    parallel::par_chunk_map(&mut staged[..], n * slab, |bo, bo_slab| {
-        let _lat = FX_PLAN_EXEC_NS.span();
-        let _trace = telemetry::trace_span("emac_plan_batch_lanes", "hwsim.fx");
-        let mut acc_re = vec![0i32; w * lane_bins];
-        let mut acc_im = vec![0i32; w * lane_bins];
-        let mut fre = vec![0i16; bs * n];
-        let mut fim = vec![0i16; bs * n];
-        for y in 0..h {
-            acc_re.fill(0);
-            acc_im.fill(0);
-            for e in &weights.entries[bo] {
-                let Some(iy) = y.checked_add_signed(e.dy).filter(|&iy| iy < h) else {
-                    continue;
-                };
-                // Output columns whose tap is in bounds:
-                // [max(0, −dx), min(w, w − dx)), possibly empty.
-                let x0 = e.dx.min(0).unsigned_abs();
-                let x1 = w.saturating_sub(e.dx.max(0).unsigned_abs());
-                let row = (e.bi * h + iy) * w;
-                for px in x0..x1 {
-                    let src = (row + px).wrapping_add_signed(e.dx) * lane_bins;
-                    let acc = px * lane_bins..(px + 1) * lane_bins;
-                    crate::pe::emac_block_lanes(
-                        q,
-                        bs,
-                        weights.entry_bins(e),
-                        &sre[src..src + lane_bins],
-                        &sim[src..src + lane_bins],
-                        &mut acc_re[acc.clone()],
-                        &mut acc_im[acc],
-                        n,
-                    );
-                }
-            }
-            for px in 0..w {
-                finish_pixels_lanes(
-                    &pe,
-                    q,
-                    &acc_re[px * lane_bins..][..lane_bins],
-                    &acc_im[px * lane_bins..][..lane_bins],
-                    &mut fre,
-                    &mut fim,
-                    n,
-                    bo_slab,
-                    slab,
-                    hw,
-                    y * w + px,
-                );
-            }
-        }
-    });
-
-    let mut out = vec![0i16; n * c_out * hw];
-    for bo in 0..weights.out_blocks {
-        for s in 0..n {
-            let src = &staged[(bo * n + s) * slab..][..slab];
-            out[s * c_out * hw + bo * slab..][..slab].copy_from_slice(src);
-        }
-    }
-    FxBatch::from_flat(q, n, c_out * hw, out)
+    let c_out = weights.out_blocks() * weights.block_size();
+    FxBatch::from_flat(q, n, c_out * h * w, out)
 }
 
 /// Per-block-scaled narrow weight spectra — the "fine-grained
@@ -631,17 +535,18 @@ pub fn conv_forward_fx_scaled(
     w: usize,
 ) -> Vec<i16> {
     let fx = &weights.fx;
-    let bs = fx.bs;
-    let c_in = fx.in_blocks * bs;
-    let c_out = fx.out_blocks * bs;
+    let bs = fx.block_size();
+    let c_in = fx.in_blocks() * bs;
+    let c_out = fx.out_blocks() * bs;
     assert_eq!(x.len(), c_in * h * w, "input length mismatch");
     let pe = FxFftPe::new(bs, q);
     let bins = bs / 2 + 1;
     let act_frac = q.frac_bits();
     let mut out = vec![0i16; c_out * h * w];
 
-    let in_spectra = input_spectra(&pe, x, fx.in_blocks, h, w);
+    let in_spectra = input_spectra(&pe, x, fx.in_blocks(), h, w);
     record_fx_layer(fx, h, w);
+    let shape = fx.shape(h, w);
 
     parallel::par_chunk_map(&mut out[..], bs * h * w, |bo, out_block| {
         let _lat = FX_PLAN_EXEC_NS.span();
@@ -654,13 +559,13 @@ pub fn conv_forward_fx_scaled(
             for xx in 0..w {
                 acc_re.fill(0);
                 acc_im.fill(0);
-                for e in &fx.entries[bo] {
-                    let Some(pix) = e.input_pixel(y, xx, h, w) else {
+                for e in fx.entries.block(bo) {
+                    let Some(pix) = e.input_pixel(y, xx, shape) else {
                         continue;
                     };
                     // Product frac = act_frac + wfrac; rescale to
                     // 2·act_frac by shifting by (wfrac − act_frac).
-                    let shift = i64::from(weights.fracs[e.w_off / bins]) - i64::from(act_frac);
+                    let shift = i64::from(weights.fracs[e.live]) - i64::from(act_frac);
                     let xs = &in_spectra[pix * bins..][..bins];
                     for (k, (a, b)) in xs.iter().zip(fx.entry_bins(e)).enumerate() {
                         let re =

@@ -202,19 +202,32 @@ pub fn emac_block_lanes(
         "acc planes must be (BS/2+1)*lanes"
     );
     let _ = q; // the wide MAC never narrows, so the format is not consulted
-    for k in 0..bins {
-        let w = weight_bins[k];
-        let (wre, wim) = (i32::from(w.re), i32::from(w.im));
-        let xr = &xre[k * lanes..(k + 1) * lanes];
-        let xi = &xim[k * lanes..(k + 1) * lanes];
-        let ar = &mut acc_re[k * lanes..(k + 1) * lanes];
-        let ai = &mut acc_im[k * lanes..(k + 1) * lanes];
-        for l in 0..lanes {
-            let re = i32::from(xr[l]);
-            let im = i32::from(xi[l]);
-            ar[l] = ar[l].saturating_add(re * wre).saturating_sub(im * wim);
-            ai[l] = ai[l].saturating_add(re * wim).saturating_add(im * wre);
-        }
+    for (k, &w) in weight_bins.iter().enumerate() {
+        let lanes = k * lanes..(k + 1) * lanes;
+        mac_lanes(
+            w,
+            &xre[lanes.clone()],
+            &xim[lanes.clone()],
+            &mut acc_re[lanes.clone()],
+            &mut acc_im[lanes],
+        );
+    }
+}
+
+/// The eMAC's inner step: one weight bin times a run of input words,
+/// accumulated element by element into 32-bit accumulators with the
+/// saturating complex MAC of [`crate::fixed::ComplexAcc::mac`]. The run
+/// is any set of independent lanes (samples, pixels), so the one conv
+/// schedule hands it whole output-row runs.
+pub fn mac_lanes(w: ComplexFx, xre: &[i16], xim: &[i16], acc_re: &mut [i32], acc_im: &mut [i32]) {
+    let (wre, wim) = (i32::from(w.re), i32::from(w.im));
+    let n = acc_re.len();
+    let (xre, xim, acc_im) = (&xre[..n], &xim[..n], &mut acc_im[..n]);
+    for l in 0..n {
+        let re = i32::from(xre[l]);
+        let im = i32::from(xim[l]);
+        acc_re[l] = acc_re[l].saturating_add(re * wre).saturating_sub(im * wim);
+        acc_im[l] = acc_im[l].saturating_add(re * wim).saturating_add(im * wre);
     }
 }
 

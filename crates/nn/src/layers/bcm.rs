@@ -3,15 +3,19 @@
 //!
 //! A [`BcmConv2d`] stores only its [`GateStack`]: `BS` values per block
 //! (paper §II-A), trained either directly or, for hadaBCM (§III-A), as two
-//! factors whose Hadamard product folds into the same plain BCM. The
-//! forward pass expands the folded vectors to a dense weight and reuses
-//! the im2col core, which is mathematically identical to the
-//! "FFT → eMAC → IFFT" path (the `circulant` crate's property tests pin
-//! that equivalence; the hardware model in `hwsim` exercises the FFT path
-//! itself). The backward pass projects the dense weight gradient back onto
-//! the circulant subspace — the exact chain rule through the weight-tying
-//! `W[i][j] = w[(i−j) mod BS]` — and, for hadaBCM, splits it between the
-//! factors; both steps live in the stack.
+//! factors whose Hadamard product folds into the same plain BCM.
+//!
+//! An inference forward runs the paper's datapath: the live blocks'
+//! folded vectors are transformed once into half-spectra, and the layer
+//! runs "FFT → eMAC → IFFT" through `circulant::schedule`'s one conv
+//! schedule (the `f32` instance of the schedule `hwsim`'s fixed-point
+//! datapath runs), so pruned blocks cost nothing and no dense weight is
+//! built. A training forward expands the folded vectors to a dense weight
+//! and reuses the im2col core — mathematically the same product, and what
+//! the backward pass needs. The backward pass projects the dense weight
+//! gradient back onto the circulant subspace — the exact chain rule
+//! through the weight-tying `W[i][j] = w[(i−j) mod BS]` — and, for
+//! hadaBCM, splits it between the factors; both steps live in the stack.
 //!
 //! Each BCM layer lists its stacks in local block order
 //! ([`StackedLayer`]); one blanket impl writes the whole [`BcmLayer`]
@@ -190,6 +194,13 @@ impl BcmConv2d {
         Self::with_weights("bcmconv", GateStack::from_snapshot(weights), stride, pad)
     }
 
+    /// Whether the dense expansion and the conv spectra are built.
+    #[cfg(test)]
+    pub(crate) fn caches_built(&self) -> (bool, bool) {
+        let (dense, _, spectral) = self.weights.caches_built();
+        (dense, spectral)
+    }
+
     fn with_weights(kind: &str, weights: GateStack, stride: usize, pad: usize) -> Self {
         let l = *weights.layout();
         BcmConv2d {
@@ -205,8 +216,15 @@ impl Layer for BcmConv2d {
         &self.name
     }
 
+    /// A training forward multiplies the dense im2col expansion (the
+    /// backward pass needs it); an inference forward runs the spectral
+    /// datapath over the live blocks and never builds the expansion.
     fn forward(&mut self, x: &Tensor<f32>, train: bool) -> Tensor<f32> {
-        self.core.forward(x, self.weights.dense(), train)
+        if train {
+            self.core.forward(x, self.weights.dense(), true)
+        } else {
+            self.core.forward_spectral(x, self.weights.spectral())
+        }
     }
 
     fn backward(&mut self, grad: &Tensor<f32>) -> Tensor<f32> {
@@ -419,42 +437,60 @@ mod tests {
         assert_eq!(hc.folded_param_count(), 144); // folds to plain BCM
     }
 
+    /// An eval forward builds the live-block spectra once and reuses them,
+    /// never builds the dense expansion, and every mutable path drops the
+    /// spectra.
     #[test]
-    fn hadabcm_eval_forward_reuses_one_expansion() {
+    fn eval_forward_reuses_spectra_and_never_expands() {
         let mut rng = StdRng::seed_from_u64(9);
-        let mut hc = BcmConv2d::new_hada(&mut rng, 8, 8, 3, 1, 1, 4);
-        let x: Tensor<f32> = init::gaussian(&mut rng, &[2, 8, 4, 4], 0.0, 1.0);
-        let _ = hc.forward(&x, false);
-        assert!(
-            hc.weights.caches_built().0,
-            "eval forward caches the expansion"
-        );
-        let built = hc.weights.dense().as_slice().as_ptr();
-        let _ = hc.forward(&x, false);
-        assert_eq!(
-            hc.weights.dense().as_slice().as_ptr(),
-            built,
-            "a second eval forward reuses the expansion"
-        );
-        // Every mutable path forces a rebuild.
-        hc.step(&SgdUpdate {
+        let update = SgdUpdate {
             lr: 0.1,
             momentum: 0.9,
             weight_decay: 1e-4,
-        });
-        assert!(!hc.weights.caches_built().0, "step drops the expansion");
+        };
+        let mut hc = BcmConv2d::new_hada(&mut rng, 8, 8, 3, 1, 1, 4);
+        let x: Tensor<f32> = init::gaussian(&mut rng, &[2, 8, 4, 4], 0.0, 1.0);
+        let _ = hc.forward(&x, false);
+        assert_eq!(
+            hc.weights.caches_built(),
+            (false, false, true),
+            "an eval forward builds the spectra and no expansion"
+        );
+        let built = hc.weights.spectral() as *const _;
+        let _ = hc.forward(&x, false);
+        assert!(
+            std::ptr::eq(hc.weights.spectral(), built),
+            "a second eval forward reuses the spectra"
+        );
+        assert!(!hc.weights.caches_built().0, "still no expansion");
+        // Every mutable path drops the spectra.
+        hc.step(&update);
+        assert!(!hc.weights.caches_built().2, "step drops the spectra");
         let _ = hc.forward(&x, false);
         hc.eliminate(&[3]);
-        assert!(
-            !hc.weights.caches_built().0,
-            "eliminate drops the expansion"
-        );
+        assert!(!hc.weights.caches_built().2, "eliminate drops the spectra");
         let _ = hc.forward(&x, false);
         let _ = hc.params_mut();
-        assert!(
-            !hc.weights.caches_built().0,
-            "params_mut drops the expansion"
-        );
+        assert!(!hc.weights.caches_built().2, "params_mut drops the spectra");
+        assert!(!hc.weights.caches_built().0, "no path built an expansion");
+    }
+
+    /// The spectral inference forward tracks the dense im2col training
+    /// forward on strided, padded and pruned layers.
+    #[test]
+    fn eval_forward_matches_dense_forward() {
+        let mut rng = StdRng::seed_from_u64(10);
+        for (k, stride, pad) in [(3, 1, 1), (3, 2, 0), (1, 2, 1), (5, 1, 2)] {
+            let mut bcm = BcmConv2d::new(&mut rng, 8, 16, k, stride, pad, 4);
+            bcm.eliminate(&(0..bcm.block_count()).step_by(3).collect::<Vec<_>>());
+            let x: Tensor<f32> = init::gaussian(&mut rng, &[3, 8, 6, 5], 0.0, 1.0);
+            let want = bcm.forward(&x, true);
+            let got = bcm.forward(&x, false);
+            assert_eq!(got.dims(), want.dims());
+            for (a, b) in got.as_slice().iter().zip(want.as_slice()) {
+                assert!((a - b).abs() < 1e-5, "k={k} s={stride} p={pad}: {a} vs {b}");
+            }
+        }
     }
 
     #[test]

@@ -276,7 +276,7 @@ mod tests {
         let _ = l.backward(&Tensor::ones(&[2, 8]));
         assert!(l.weights.caches_built().0, "backward keeps it for reuse");
         let _ = l.forward(&x, false);
-        assert_eq!(l.weights.caches_built(), (true, true));
+        assert_eq!(l.weights.caches_built(), (true, true, false));
         l.step(&SgdUpdate {
             lr: 0.1,
             momentum: 0.9,
@@ -291,7 +291,7 @@ mod tests {
         let _ = l.forward(&x, true);
         let _ = l.forward(&x, false);
         let _ = l.params_mut();
-        assert_eq!(l.weights.caches_built(), (false, false));
+        assert_eq!(l.weights.caches_built(), (false, false, false));
     }
 
     #[test]

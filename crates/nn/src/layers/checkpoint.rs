@@ -1342,6 +1342,22 @@ mod tests {
         assert_eq!((bcm.block_count(), bcm.live_blocks()), (1 << 16, 0));
         assert_eq!(stored_words(&net), 0);
         assert_eq!(to_bytes(&net, &meta).unwrap(), bytes);
+        // Its eval forward on a 1×1 map returns zeros: no output block has
+        // a live entry, so none runs an eMAC or an IFFT, and no dense
+        // expansion (2^28 floats, 1 GiB) is built.
+        let Some(LayerSnapshot::BcmConv2d {
+            stride,
+            pad,
+            weights,
+        }) = net.layers()[0].snapshot()
+        else {
+            panic!("a BCM conv record decodes to a BCM conv");
+        };
+        let mut conv = BcmConv2d::from_parts(stride, pad, weights);
+        let y = conv.forward(&Tensor::ones(&[1, 1 << 14, 1, 1]), false);
+        assert_eq!(y.dims(), &[1, 1 << 14, 1, 1]);
+        assert!(y.as_slice().iter().all(|&v| v == 0.0));
+        assert_eq!(conv.caches_built(), (false, true), "(dense, spectra)");
         // Half live: 8 of 16 blocks at BS 4 store exactly 8·4 words, in
         // skip order, and re-encode to the same bytes.
         let payload: Vec<f32> = (1..=32).map(|v| v as f32).collect();

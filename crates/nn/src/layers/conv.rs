@@ -3,6 +3,7 @@
 
 use crate::layers::{Layer, Param, NO_TRAINING_FORWARD};
 use crate::optim::SgdUpdate;
+use circulant::schedule::{ConvShape, SpectralConv};
 use rand::Rng;
 use tensor::{init, parallel, Tensor};
 
@@ -136,6 +137,26 @@ impl ConvCore {
             ow,
         });
         out
+    }
+
+    /// Inference forward of NCHW `x` on the spectral datapath: the layer's
+    /// prepared live-block spectra, never a dense weight. Keeps nothing for
+    /// `backward`.
+    pub fn forward_spectral(&mut self, x: &Tensor<f32>, conv: &SpectralConv) -> Tensor<f32> {
+        let dims = x.dims();
+        assert_eq!(dims.len(), 4, "conv expects NCHW input");
+        assert_eq!(dims[1], self.c_in, "input channel mismatch");
+        let (n, h, w) = (dims[0], dims[2], dims[3]);
+        let (oh, ow) = self.output_hw(h, w);
+        self.cache = None;
+        let shape = ConvShape {
+            h,
+            w,
+            stride: self.stride,
+            pad: self.pad,
+        };
+        let y = conv.forward(x.as_slice(), n, shape);
+        Tensor::from_vec(y, &[n, self.c_out, oh, ow])
     }
 
     /// Backward: returns `(dW_mat, dx)` for the upstream NCHW gradient.

@@ -25,18 +25,24 @@
 //! rows' momentum, and [`BcmLayout`] walks live ordinals in block order.
 //! A pruned block has no stored word, so nothing has to keep it at zero.
 //!
-//! **Cache rule.** A stack owns two derived caches: the dense expansion
-//! shared by forward and backward (zero at pruned blocks), and the folded
-//! grid with prepared spectra for 1-tap inference. The factors are
-//! private, and every path that can change them — [`GateStack::step`],
+//! **Cache rule.** A stack owns three derived caches: the dense expansion
+//! a training forward and the backward pass share (zero at pruned
+//! blocks), the folded grid with prepared spectra for 1-tap inference,
+//! and, for conv inference, the live blocks' prepared half-spectra with
+//! their eMAC entry lists ([`SpectralConv`], the `f32` instance of
+//! `circulant::schedule`'s one conv schedule; pruned blocks have no
+//! spectrum). A conv inference forward builds only the last, so a served
+//! conv never holds a dense expansion. The factors are private, and every
+//! path that can change them — [`GateStack::step`],
 //! [`GateStack::eliminate`] and the single mutable accessor
 //! [`GateStack::params_mut`] that each layer's `params_mut` (and so
-//! `Network::sync_params_from`) goes through — drops both. A stale
-//! expansion is therefore unrepresentable.
+//! `Network::sync_params_from`) goes through — drops all three. A stale
+//! cache is therefore unrepresentable.
 
 use crate::layers::checkpoint::StackSnapshot;
 use crate::layers::Param;
 use crate::optim::SgdUpdate;
+use circulant::schedule::SpectralConv;
 use circulant::{BlockCirculant, CirculantMatrix, ConvBlockCirculant};
 use rand::Rng;
 use std::borrow::Cow;
@@ -208,7 +214,7 @@ fn folded(factors: &[Param]) -> Cow<'_, [f32]> {
 }
 
 /// One block-circulant weight: its trained factors, a per-block pruning
-/// mask, and lazily-built dense/spectral caches kept valid by
+/// mask, and lazily-built dense and spectral caches kept valid by
 /// construction.
 #[derive(Debug, Clone)]
 pub(crate) struct GateStack {
@@ -222,6 +228,9 @@ pub(crate) struct GateStack {
     dense: Option<Tensor<f32>>,
     /// Folded 1-tap grid with prepared weight spectra for inference.
     spectra: Option<BlockCirculant<f32>>,
+    /// Live blocks' prepared half-spectra and entry lists: the conv
+    /// inference path.
+    spectral: Option<SpectralConv>,
 }
 
 impl GateStack {
@@ -272,6 +281,7 @@ impl GateStack {
             pruned,
             dense: None,
             spectra: None,
+            spectral: None,
         }
     }
 
@@ -313,7 +323,7 @@ impl GateStack {
         &self.factors
     }
 
-    /// The only mutable path to the factors: drops both caches, since the
+    /// The only mutable path to the factors: drops every cache, since the
     /// caller may rewrite the values.
     pub(crate) fn params_mut(&mut self) -> &mut [Param] {
         self.drop_caches();
@@ -323,6 +333,7 @@ impl GateStack {
     fn drop_caches(&mut self) {
         self.dense = None;
         self.spectra = None;
+        self.spectral = None;
     }
 
     /// The dense `[c_out, c_in·k·k]` expansion of the folded vectors,
@@ -341,6 +352,24 @@ impl GateStack {
             let grid = layout.grid(&folded(factors), pruned);
             grid.prepare_spectra();
             grid
+        })
+    }
+
+    /// The live blocks' prepared half-spectra with their entry lists — the
+    /// "FFT → eMAC → IFFT" inference path of a conv stack, built on first
+    /// use after any change to the factors.
+    pub(crate) fn spectral(&mut self) -> &SpectralConv {
+        let (l, factors, pruned) = (&self.layout, &self.factors, &self.pruned);
+        self.spectral.get_or_insert_with(|| {
+            let skip: Vec<bool> = pruned.iter().map(|&p| !p).collect();
+            SpectralConv::new(
+                l.bs,
+                l.k,
+                l.out_blocks,
+                l.in_blocks,
+                &skip,
+                &folded(factors),
+            )
         })
     }
 
@@ -369,7 +398,7 @@ impl GateStack {
         }
     }
 
-    /// Applies one SGD update to every factor and drops the caches.
+    /// Applies one SGD update to every factor and drops every cache.
     pub(crate) fn step(&mut self, update: &SgdUpdate) {
         self.drop_caches();
         for factor in &mut self.factors {
@@ -432,9 +461,14 @@ impl GateStack {
         self.factors.iter().map(Param::len).sum()
     }
 
-    /// Whether the dense and spectral caches are currently built.
+    /// Whether the dense expansion, the 1-tap grid and the conv spectra
+    /// are currently built.
     #[cfg(test)]
-    pub(crate) fn caches_built(&self) -> (bool, bool) {
-        (self.dense.is_some(), self.spectra.is_some())
+    pub(crate) fn caches_built(&self) -> (bool, bool, bool) {
+        (
+            self.dense.is_some(),
+            self.spectra.is_some(),
+            self.spectral.is_some(),
+        )
     }
 }

@@ -7,10 +7,14 @@
 //! - **Golden training fingerprint:** a few seeded forward/backward/step
 //!   rounds with an Algorithm 1 elimination midway, hashed bit for bit
 //!   (every round's output and input gradient, the trained network's
-//!   checkpoint bytes, and the final train- and inference-mode outputs).
-//!   The constants pin the training arithmetic of every BCM layer kind, so
-//!   a refactor of the weight store that changes a single bit fails here.
-//!   They were recorded on x86_64 Linux; the recurrent and attention cells
+//!   checkpoint bytes, and the final training-mode output). The constants
+//!   pin the training arithmetic of every BCM layer kind, so a refactor of
+//!   the weight store that changes a single bit fails here.
+//! - **Golden eval fingerprint:** the trained network's inference-mode
+//!   output, pinned apart because a BCM conv infers on the spectral
+//!   datapath and trains on the dense im2col one.
+//!
+//!   Both were recorded on x86_64 Linux; the recurrent and attention cells
 //!   call `exp`/`tanh`, whose last bit may differ on another libm.
 //! - **Live-only storage:** a pruned stack stores its live blocks' words
 //!   and nothing for pruned ones.
@@ -128,22 +132,18 @@ fn bcmattn_replica_matches_fresh_clone_after_sync() {
 
 /// Four seeded training rounds, a quarter of the blocks eliminated after
 /// the second, then a hash of every round's output and input gradient,
-/// the checkpoint bytes of the trained network, and the final
-/// train/inference outputs. The checkpoint holds the (folded) weights and
-/// biases without the in-memory storage layout, so the hash pins the
-/// arithmetic, not how the weight store arranges its words.
-fn training_fingerprint(kind: &str) -> u64 {
+/// the checkpoint bytes of the trained network, and the final training
+/// forward. The checkpoint holds the (folded) weights and biases without
+/// the in-memory storage layout, so the hash pins the arithmetic, not how
+/// the weight store arranges its words. Returns the trained network, its
+/// input and the hash.
+fn trained(kind: &str) -> (Network, Tensor<f32>, u64) {
     let (mut net, x) = build(kind, 21);
     let meta = CheckpointMeta {
         input_dims: x.dims()[1..].to_vec(),
         frac_bits: 8,
     };
     let mut h = Fnv1a::new();
-    let feed = |h: &mut Fnv1a, t: &Tensor<f32>| {
-        for v in t.as_slice() {
-            h.write_u32(v.to_bits());
-        }
-    };
     for round in 0..4u64 {
         if round == 2 {
             let blocks = net.bcm_block_count();
@@ -157,27 +157,63 @@ fn training_fingerprint(kind: &str) -> u64 {
     }
     h.write(&checkpoint::to_bytes(&net, &meta).expect("every BCM kind checkpoints"));
     feed(&mut h, &net.forward(&x, true));
+    (net, x, h.finish())
+}
+
+fn feed(h: &mut Fnv1a, t: &Tensor<f32>) {
+    for v in t.as_slice() {
+        h.write_u32(v.to_bits());
+    }
+}
+
+/// The hash of the trained network's inference forward. A BCM conv's
+/// inference forward runs the spectral datapath and its training forward
+/// the dense im2col, so this is pinned apart from the training arithmetic.
+fn eval_fingerprint(kind: &str) -> u64 {
+    let (mut net, x, _) = trained(kind);
+    let mut h = Fnv1a::new();
     feed(&mut h, &net.forward(&x, false));
     h.finish()
 }
 
-#[test]
-fn training_fingerprint_is_pinned_for_every_bcm_layer_kind() {
-    const GOLDEN: [(&str, u64); 6] = [
-        ("bcmconv", 0xbfbb_7eac_0ffa_9a1c),
-        ("hadabcmconv", 0x5157_4cdd_6dcc_606c),
-        ("bcmlinear", 0x8108_794d_6ac9_93e9),
-        ("bcmlstm", 0x2b02_c439_2f2a_3ff8),
-        ("bcmgru", 0xb5da_3139_79dd_714a),
-        ("bcmattn", 0x434c_b912_ac53_6a35),
-    ];
-    let got: Vec<(&str, u64)> = GOLDEN
+fn assert_pinned(golden: &[(&str, u64)], fingerprint: impl Fn(&str) -> u64) {
+    let got: Vec<(&str, u64)> = golden
         .iter()
-        .map(|&(kind, _)| (kind, training_fingerprint(kind)))
+        .map(|&(kind, _)| (kind, fingerprint(kind)))
         .collect();
-    for (&(kind, want), &(_, fp)) in GOLDEN.iter().zip(&got) {
+    for (&(kind, want), &(_, fp)) in golden.iter().zip(&got) {
         assert_eq!(fp, want, "{kind}: fingerprint {fp:#018x}; all: {got:x?}");
     }
+}
+
+#[test]
+fn training_fingerprint_is_pinned_for_every_bcm_layer_kind() {
+    assert_pinned(
+        &[
+            ("bcmconv", 0x9afc_1e9c_2058_922f),
+            ("hadabcmconv", 0x8372_4500_27c4_edb6),
+            ("bcmlinear", 0x9085_daf8_32cc_ea06),
+            ("bcmlstm", 0x29e9_3e19_3388_5b53),
+            ("bcmgru", 0xa60f_91a8_2b70_4706),
+            ("bcmattn", 0xf335_a084_5bdf_555c),
+        ],
+        |kind| trained(kind).2,
+    );
+}
+
+#[test]
+fn eval_fingerprint_is_pinned_for_every_bcm_layer_kind() {
+    assert_pinned(
+        &[
+            ("bcmconv", 0x23fa_6ef5_ef23_7cfd),
+            ("hadabcmconv", 0x55d1_40b0_bba1_dfcd),
+            ("bcmlinear", 0x26ad_4300_e4c3_93d2),
+            ("bcmlstm", 0x070e_97fc_7e86_a972),
+            ("bcmgru", 0xdd60_3e42_6af7_a201),
+            ("bcmattn", 0x15aa_9a3d_8f54_5294),
+        ],
+        eval_fingerprint,
+    );
 }
 
 /// A `vgg_tiny` with the least important half of its blocks eliminated,

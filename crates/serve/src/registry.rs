@@ -203,8 +203,9 @@ pub struct Model {
 
 impl Model {
     /// Wraps a deployed network for serving under `name`, building every
-    /// BCM layer's weight cache (dense expansions for convolutions,
-    /// prepared spectra for 1-tap stacks) with one zero-sample forward,
+    /// BCM layer's inference cache (the live blocks' prepared half-spectra
+    /// and entry lists for convolutions, the prepared grid for 1-tap
+    /// stacks; never a dense expansion) with one zero-sample eval forward,
     /// which also derives the output length.
     ///
     /// # Panics
@@ -347,7 +348,10 @@ impl ModelEntry {
 
     /// Runs a float batch: returns the per-sample output rows.
     /// Bit-identical to forwarding each sample alone — every layer in the
-    /// stack treats batch rows independently in inference mode.
+    /// stack treats batch rows independently in inference mode, and a BCM
+    /// conv runs the paper's "FFT → eMAC → IFFT" datapath over its live
+    /// blocks with samples in independent lanes, split over output blocks,
+    /// so neither the batch width nor the worker count changes a bit.
     pub fn forward_f32_batch(&self, samples: &[Vec<f32>]) -> Vec<Vec<f32>> {
         let n = samples.len();
         assert!(n > 0, "empty batch");

@@ -18,13 +18,16 @@ echo "== lane/gang bit-identity suites on one worker =="
 # golden weight-store fingerprints) must be bit-identical across any
 # worker count. The workspace run above uses the host default; this
 # re-runs the referees with the serial path forced. The fx lane suite
-# runs 512 cases here (proptest's default is 256) because the one lane
-# body's clipped border loop is the case space it covers.
+# runs 512 cases here (proptest's default is 64) because the one lane
+# body's clipped border loop is the case space it covers; so does the
+# float conv suite (the f32 instance of the same schedule: every batch
+# width bit-identical to width 1, and within 1e-5 of the dense im2col).
 RPBCM_THREADS=1 PROPTEST_CASES=512 cargo test -q -p hwsim --test fx_lane_bitident
 RPBCM_THREADS=1 cargo test -q -p serve --test seq_gang_bitident
 RPBCM_THREADS=1 cargo test -q -p serve --test sessions
 RPBCM_THREADS=1 cargo test -q -p nn --lib seq::
 RPBCM_THREADS=1 cargo test -q -p nn --test weight_store
+RPBCM_THREADS=1 PROPTEST_CASES=512 cargo test -q -p nn --test spectral_conv
 RPBCM_THREADS=1 cargo test -q -p hwsim --lib recurrent::
 RPBCM_THREADS=1 cargo test -q -p serve --lib session::
 RPBCM_THREADS=1 cargo test -q -p circulant
