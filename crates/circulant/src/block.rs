@@ -1,10 +1,10 @@
 //! Block-circulant partitioning of weight matrices and convolution kernels.
 
+use crate::schedule::{ConvShape, SpectralConv};
 use crate::CirculantMatrix;
 use fft::real::HalfSpectrum;
-use fft::Complex;
 use std::sync::OnceLock;
-use tensor::{parallel, Scalar, Tensor};
+use tensor::{Scalar, Tensor};
 
 /// Spectral-cache builds (the weight FFTs actually ran).
 static SPECTRA_BUILDS: telemetry::Counter = telemetry::Counter::new("circulant.spectra.builds");
@@ -13,14 +13,6 @@ static SPECTRA_HITS: telemetry::Counter = telemetry::Counter::new("circulant.spe
 /// Spectral-cache invalidations from mutable block access.
 static SPECTRA_INVALIDATIONS: telemetry::Counter =
     telemetry::Counter::new("circulant.spectra.invalidations");
-/// eMAC block products actually computed (live blocks).
-static EMAC_COMPUTED: telemetry::Counter =
-    telemetry::Counter::new("circulant.emac.blocks_computed");
-/// eMAC block products skipped by the skip-index (pruned blocks).
-static EMAC_SKIPPED: telemetry::Counter = telemetry::Counter::new("circulant.emac.blocks_skipped");
-/// Per output-block-row latency distribution of the eMAC-accumulate +
-/// IFFT kernel (nanoseconds) — the FFT→eMAC→IFFT inner loop of Fig. 4.
-static ROW_MATVEC_NS: telemetry::Histogram = telemetry::Histogram::new("circulant.row_matvec_ns");
 
 /// A weight matrix partitioned into a grid of circulant blocks
 /// (paper Fig. 1b for the convolution case; this type is the 2-d
@@ -48,24 +40,10 @@ pub struct BlockCirculant<T: Scalar> {
     /// Row-major grid of blocks, length `row_blocks * col_blocks`.
     blocks: Vec<CirculantMatrix<T>>,
     /// Lazily-built spectral weight cache (frequency-domain weight storage
-    /// of paper Fig. 4b). Invalidated by every mutable block access.
-    spectra: OnceLock<SpectralCache<T>>,
-}
-
-/// The built spectral weight cache: per-block liveness plus the weight
-/// bins laid out as flat split re/im planes (`[block][bin]`, bins
-/// innermost). The split layout is what the one eMAC kernel behind every
-/// [`BlockCirculant`] product consumes — contiguous scalar slices it
-/// broadcasts across the lane planes, instead of an array-of-structs of
-/// complex values.
-#[derive(Debug, Clone)]
-struct SpectralCache<T: Scalar> {
-    /// `true` = live block, `false` = pruned (no spectrum stored).
-    live: Vec<bool>,
-    /// Real parts, `blocks * (bs/2 + 1)` entries; pruned blocks zero-filled.
-    wre: Vec<T>,
-    /// Imaginary parts, same layout as `wre`.
-    wim: Vec<T>,
+    /// of paper Fig. 4b): the grid as a 1-tap [`SpectralConv`] over its
+    /// live blocks, boxed so an unbuilt cache costs one pointer.
+    /// Invalidated by every mutable block access.
+    spectra: OnceLock<Box<SpectralConv<T>>>,
 }
 
 /// Equality is over the time-domain weights only; the spectral cache is a
@@ -290,10 +268,10 @@ impl<T: Scalar> BlockCirculant<T> {
         y
     }
 
-    /// Builds the per-block weight spectra now (they are otherwise built on
-    /// the first [`Self::matvec`]/[`Self::matmat`] call). Idempotent; cheap
-    /// when already built. Pruned blocks get no spectrum, mirroring the
-    /// skip-index scheme.
+    /// Builds the live blocks' weight spectra now (they are otherwise built
+    /// on the first [`Self::matvec`]/[`Self::matmat`] call). Idempotent;
+    /// cheap when already built. Pruned blocks get no spectrum, mirroring
+    /// the skip-index scheme.
     ///
     /// The cache lives until the next mutable block access
     /// ([`Self::block_mut`] / [`Self::iter_mut`]), which drops it; see
@@ -313,26 +291,18 @@ impl<T: Scalar> BlockCirculant<T> {
     /// bc.prepare_spectra(); // idempotent
     /// ```
     pub fn prepare_spectra(&self) {
+        self.spectral();
+    }
+
+    /// The cached 1-tap [`SpectralConv`], building it if needed.
+    fn spectral(&self) -> &SpectralConv<T> {
         self.spectra.get_or_init(|| {
             SPECTRA_BUILDS.inc();
-            let bins = self.block_size / 2 + 1;
-            let mut live = Vec::with_capacity(self.blocks.len());
-            let mut wre = vec![T::ZERO; self.blocks.len() * bins];
-            let mut wim = vec![T::ZERO; self.blocks.len() * bins];
-            for (b, blk) in self.blocks.iter().enumerate() {
-                if blk.is_zero() {
-                    live.push(false);
-                    continue;
-                }
-                live.push(true);
-                let spec = HalfSpectrum::forward(blk.defining_vector());
-                for (k, z) in spec.bins().iter().enumerate() {
-                    wre[b * bins + k] = z.re;
-                    wim[b * bins + k] = z.im;
-                }
-            }
-            SpectralCache { live, wre, wim }
-        });
+            let live = self.blocks.iter().filter(|b| !b.is_zero());
+            let vecs: Vec<T> = live.flat_map(|b| b.defining_vector()).copied().collect();
+            let (bs, rb, cb) = (self.block_size, self.row_blocks, self.col_blocks);
+            Box::new(SpectralConv::new(bs, 1, rb, cb, &self.skip_index(), &vecs))
+        })
     }
 
     /// Whether the spectral weight cache is currently built.
@@ -340,29 +310,8 @@ impl<T: Scalar> BlockCirculant<T> {
         self.spectra.get().is_some()
     }
 
-    /// The cached spectra, building them if needed.
-    fn cached_spectra(&self) -> &SpectralCache<T> {
-        if self.spectra.get().is_some() {
-            SPECTRA_HITS.inc();
-        }
-        self.prepare_spectra();
-        self.spectra
-            .get()
-            .expect("prepare_spectra initializes the cache")
-    }
-
     /// Matrix–vector product via "FFT → eMAC → IFFT" with spectrum-domain
-    /// accumulation: each input chunk is transformed once, partial products
-    /// are accumulated per output chunk in the frequency domain, and one
-    /// IFFT per output chunk recovers the result — the computation order the
-    /// accelerator implements.
-    ///
-    /// Weight spectra come from the per-block cache (built on first use,
-    /// invalidated by mutable access), so repeated calls pay only the input
-    /// FFTs — the software analogue of the accelerator holding weights in
-    /// the frequency domain. Pruned (all-zero) blocks are skipped, exactly
-    /// like the PE controller's skip-index scheme. This is the lane kernel
-    /// of [`Self::matvec_lanes`] with one lane; it runs serially.
+    /// accumulation: [`Self::matmat`] of one sample.
     ///
     /// # Panics
     ///
@@ -386,7 +335,7 @@ impl<T: Scalar> BlockCirculant<T> {
     /// }
     /// ```
     pub fn matvec(&self, x: &[T]) -> Vec<T> {
-        self.matvec_lanes(&[x]).swap_remove(0)
+        self.matmat(x, 1)
     }
 
     /// The seed implementation: identical math, but re-runs the weight FFT
@@ -421,24 +370,31 @@ impl<T: Scalar> BlockCirculant<T> {
         y
     }
 
-    /// Lane-batched matrix–vector product: up to a PE-array's worth of
-    /// independent input vectors (the gang width, typically ≤ 8) advance
-    /// through **one** pass over the cached weight spectra, with the
-    /// sample dimension innermost. Runs serially on the calling thread —
-    /// the session gang's entry point.
+    /// Batched matrix–matrix product: `batch` input vectors, each of dense
+    /// column length, packed row-major in `xs` (`xs[s·cols .. (s+1)·cols]`
+    /// is sample `s`). Returns the outputs packed the same way
+    /// (`[batch, rows]` row-major).
     ///
-    /// This is the one spectral kernel behind [`Self::matvec`] (one lane)
-    /// and [`Self::matmat`] (one lane group per worker). Each lane's
-    /// arithmetic is independent of how many lanes share the pass, so
-    /// every lane's output is **bit-identical** to a separate
-    /// [`Self::matvec`] call on that lane's input — gang-mates never
-    /// perturb each other. The serving tier's session gang scheduler
-    /// relies on this contract.
+    /// The grid runs as a 1-tap conv of one pixel through the one conv
+    /// schedule ([`SpectralConv::forward`] on [`ConvShape::PIXEL`]): each
+    /// input chunk is transformed once, partial products accumulate per
+    /// output chunk in the frequency domain over the live blocks only (the
+    /// PE controller's skip index), and one IFFT per output chunk recovers
+    /// the result — the computation order the accelerator implements.
+    /// Weight spectra come from the cache (built on first use, invalidated
+    /// by mutable access), so repeated calls pay only the input FFTs.
+    ///
+    /// Up to eight samples share one pass; the output blocks of a pass are
+    /// split over the [`tensor::parallel`] workers (serial inside a worker
+    /// or a `serial_scope`, and for a pass of one sample, so
+    /// [`Self::matvec`] runs on the calling thread). Each sample's
+    /// arithmetic is independent of its pass-mates and of the worker
+    /// count, so every sample's output is **bit-identical** to a separate
+    /// [`Self::matvec`] call on it, and to [`Self::matvec_uncached`].
     ///
     /// # Panics
     ///
-    /// Panics if any `xs[s].len()` differs from the dense column count or
-    /// `BS` is not a power of two.
+    /// Panics if `xs.len() != batch * cols` or `BS` is not a power of two.
     ///
     /// # Example
     ///
@@ -448,137 +404,18 @@ impl<T: Scalar> BlockCirculant<T> {
     ///
     /// let dense = Tensor::from_fn(&[4, 4], |i| i as f64);
     /// let bc = BlockCirculant::project_from_dense(&dense, 4);
-    /// let a = [1.0, 0.0, 0.0, 0.0];
-    /// let b = [0.0, 1.0, 0.0, 0.0];
-    /// let lanes = bc.matvec_lanes(&[&a, &b]);
-    /// assert_eq!(lanes[0], bc.matvec(&a));
-    /// assert_eq!(lanes[1], bc.matvec(&b));
+    /// let (a, b) = ([1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0]);
+    /// let both = bc.matmat(&[a, b].concat(), 2);
+    /// assert_eq!(both[..4], bc.matvec(&a)[..]);
+    /// assert_eq!(both[4..], bc.matvec(&b)[..]);
     /// ```
-    pub fn matvec_lanes(&self, xs: &[&[T]]) -> Vec<Vec<T>> {
-        if xs.is_empty() {
-            return Vec::new();
-        }
-        let rows = self.dense_dims().0;
-        let spectra = self.cached_spectra();
-        let mut outs: Vec<Vec<T>> = xs.iter().map(|_| vec![T::ZERO; rows]).collect();
-        let mut ys: Vec<&mut [T]> = outs.iter_mut().map(Vec::as_mut_slice).collect();
-        self.lanes_into(spectra, xs, &mut ys);
-        outs
-    }
-
-    /// Batched matrix–matrix product: `batch` input vectors, each of dense
-    /// column length, packed row-major in `xs` (`xs[s·cols .. (s+1)·cols]`
-    /// is sample `s`). Returns the outputs packed the same way
-    /// (`[batch, rows]` row-major).
-    ///
-    /// The weight spectra are built once and reused by every sample — the
-    /// way the accelerator's double-buffered dataflow amortizes weight
-    /// streaming across input tiles. The batch is split into one
-    /// contiguous sample range per [`parallel`] worker, and each range runs
-    /// the lane kernel of [`Self::matvec_lanes`] once; since lanes never
-    /// perturb each other, results do not depend on the worker count.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `xs.len() != batch * cols` or `BS` is not a power of two.
     pub fn matmat(&self, xs: &[T], batch: usize) -> Vec<T> {
-        let (rows, cols) = self.dense_dims();
-        assert_eq!(xs.len(), batch * cols, "matmat dimension mismatch");
-        if batch == 0 {
-            return Vec::new();
-        }
-        let spectra = self.cached_spectra();
-        let per_range = batch.div_ceil(parallel::current_workers());
-        let mut out = vec![T::ZERO; batch * rows];
-        parallel::par_chunk_map(&mut out[..], per_range * rows, |r, y| {
-            let lo = r * per_range * cols;
-            let lanes: Vec<&[T]> = xs[lo..lo + y.len() / rows * cols].chunks(cols).collect();
-            let mut ys: Vec<&mut [T]> = y.chunks_mut(rows).collect();
-            self.lanes_into(spectra, &lanes, &mut ys);
-        });
-        out
-    }
-
-    /// The spectral eMAC kernel: `xs.len()` lanes through one pass over
-    /// the weight spectra, lane `s`'s product written to `outs[s]`.
-    ///
-    /// Layout mirrors the fixed-point lane kernels in `hwsim`: each lane's
-    /// input chunks are forward-FFT'd with the scalar real transform
-    /// ([`fft::real::forward_half_into`], which [`HalfSpectrum::forward`]
-    /// also runs) into one reused bin buffer and scattered into
-    /// `[col_block][bin][lane]` split re/im planes; the
-    /// eMAC accumulate then runs bin-outer / lane-inner over `[bin][lane]`
-    /// accumulator planes, so one weight-bin load serves every lane and
-    /// the inner loop is a contiguous stream the autovectorizer widens.
-    /// Per lane and bin the expression tree is exactly `acc += w * x` on
-    /// complex values over ascending col-blocks (the
-    /// [`HalfSpectrum::emac_accumulate`] order). Each lane's output row
-    /// then gathers its `bins` accumulators into one pooled complex buffer
-    /// and runs [`fft::real::inverse_half_into`], the IFFT
-    /// [`Self::matvec_uncached`] runs, so results are bit-identical to it
-    /// by construction.
-    fn lanes_into(&self, spectra: &SpectralCache<T>, xs: &[&[T]], outs: &mut [&mut [T]]) {
         let cols = self.dense_dims().1;
-        let n = xs.len();
-        let bs = self.block_size;
-        let bins = bs / 2 + 1;
-        // Per-lane scalar forward FFTs into one reused bin buffer,
-        // scattered into lane planes.
-        let mut xre = vec![T::ZERO; self.col_blocks * bins * n];
-        let mut xim = vec![T::ZERO; self.col_blocks * bins * n];
-        let mut spec = vec![Complex::zero(); bins];
-        for (s, x) in xs.iter().enumerate() {
-            assert_eq!(x.len(), cols, "matvec dimension mismatch");
-            for bj in 0..self.col_blocks {
-                fft::real::forward_half_into(&x[bj * bs..(bj + 1) * bs], &mut spec);
-                for (k, z) in spec.iter().enumerate() {
-                    xre[(bj * bins + k) * n + s] = z.re;
-                    xim[(bj * bins + k) * n + s] = z.im;
-                }
-            }
+        assert_eq!(xs.len(), batch * cols, "matmat dimension mismatch");
+        if self.spectra_ready() {
+            SPECTRA_HITS.inc();
         }
-        // Accumulator planes `[bin][lane]`, reused across output rows.
-        let mut are = vec![T::ZERO; bins * n];
-        let mut aim = vec![T::ZERO; bins * n];
-        fft::workspace::with_scratch::<T, _>(|row| {
-            for bi in 0..self.row_blocks {
-                let _lat = ROW_MATVEC_NS.span();
-                are.fill(T::ZERO);
-                aim.fill(T::ZERO);
-                let mut computed = 0u64;
-                for bj in 0..self.col_blocks {
-                    let blk = bi * self.col_blocks + bj;
-                    if !spectra.live[blk] {
-                        continue; // skip-index hit
-                    }
-                    let wre = &spectra.wre[blk * bins..(blk + 1) * bins];
-                    let wim = &spectra.wim[blk * bins..(blk + 1) * bins];
-                    // One weight bin broadcast against a row of lanes.
-                    let lane_bins = bj * bins * n..(bj + 1) * bins * n;
-                    let acc = are.chunks_exact_mut(n).zip(aim.chunks_exact_mut(n));
-                    let x = xre[lane_bins.clone()].chunks_exact(n);
-                    let x = x.zip(xim[lane_bins].chunks_exact(n));
-                    for (((ar, ai), (br, bm)), (&wr, &wi)) in acc.zip(x).zip(wre.iter().zip(wim)) {
-                        let lanes = ar.iter_mut().zip(ai.iter_mut()).zip(br.iter().zip(bm));
-                        for ((a_r, a_i), (&b_r, &b_m)) in lanes {
-                            *a_r += wr * b_r - wi * b_m;
-                            *a_i += wr * b_m + wi * b_r;
-                        }
-                    }
-                    computed += 1;
-                }
-                // One block product per lane; two adds per row (not per
-                // block) keep the probe off the inner loop.
-                EMAC_COMPUTED.add(computed * n as u64);
-                EMAC_SKIPPED.add((self.col_blocks as u64 - computed) * n as u64);
-                // Per-lane scalar IFFT out of the lane planes.
-                for (s, out) in outs.iter_mut().enumerate() {
-                    row.clear();
-                    row.extend((0..bins).map(|k| Complex::new(are[k * n + s], aim[k * n + s])));
-                    fft::real::inverse_half_into(bs, row, &mut out[bi * bs..(bi + 1) * bs]);
-                }
-            }
-        });
+        self.spectral().forward(xs, batch, ConvShape::PIXEL)
     }
 
     /// Per-block skip-index bitmap: `true` = compute, `false` = pruned
@@ -703,16 +540,6 @@ impl<T: Scalar> ConvBlockCirculant<T> {
         self.grids.iter_mut()
     }
 
-    /// Builds every tap grid's spectral weight cache (see
-    /// [`BlockCirculant::prepare_spectra`]). Mutation through
-    /// [`Self::grid_mut`]/[`Self::iter_mut`] lands on the contained grids'
-    /// own mutable accessors, which invalidate their caches.
-    pub fn prepare_spectra(&self) {
-        for g in &self.grids {
-            g.prepare_spectra();
-        }
-    }
-
     /// Total BCM count: `kh · kw · (c_out/BS) · (c_in/BS)`.
     pub fn block_count(&self) -> usize {
         self.grids.iter().map(|g| g.block_count()).sum()
@@ -769,7 +596,7 @@ mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
-    use tensor::init;
+    use tensor::{init, parallel};
 
     fn random_bc(seed: u64, bs: usize, rb: usize, cb: usize) -> BlockCirculant<f64> {
         let mut rng = StdRng::seed_from_u64(seed);
@@ -806,49 +633,44 @@ mod tests {
     }
 
     #[test]
-    fn matvec_lanes_bit_identical_to_scalar_f64() {
+    fn matmat_bit_identical_to_uncached_f64() {
         let mut bc = random_bc(11, 8, 3, 2);
         *bc.block_mut(1, 0) = CirculantMatrix::zeros(8);
-        for width in 1..=8usize {
-            let xs: Vec<Vec<f64>> = (0..width)
-                .map(|s| (0..16).map(|i| ((i + 3 * s) as f64 * 0.31).cos()).collect())
+        for width in 1..=9usize {
+            let xs: Vec<f64> = (0..width * 16)
+                .map(|i| ((i % 16 + 3 * (i / 16)) as f64 * 0.31).cos())
                 .collect();
-            let refs: Vec<&[f64]> = xs.iter().map(|x| x.as_slice()).collect();
-            let lanes = bc.matvec_lanes(&refs);
-            for (s, x) in xs.iter().enumerate() {
-                let solo = bc.matvec(x);
-                let got: Vec<u64> = lanes[s].iter().map(|v| v.to_bits()).collect();
-                let want: Vec<u64> = solo.iter().map(|v| v.to_bits()).collect();
+            let lanes = bc.matmat(&xs, width);
+            for (s, (x, got)) in xs.chunks(16).zip(lanes.chunks(24)).enumerate() {
+                let got: Vec<u64> = got.iter().map(|v| v.to_bits()).collect();
+                let want: Vec<u64> = bc.matvec_uncached(x).iter().map(|v| v.to_bits()).collect();
                 assert_eq!(got, want, "lane {s} of width {width} diverged");
             }
         }
     }
 
     #[test]
-    fn matvec_lanes_bit_identical_to_scalar_f32() {
+    fn matmat_bit_identical_to_uncached_f32() {
         let mut bc = random_bc_f32(13, 4, 2, 3);
         *bc.block_mut(0, 2) = CirculantMatrix::zeros(4);
         *bc.block_mut(1, 1) = CirculantMatrix::zeros(4);
-        for width in 1..=8usize {
-            let xs: Vec<Vec<f32>> = (0..width)
-                .map(|s| (0..12).map(|i| ((i * 7 + s) as f32 * 0.17).sin()).collect())
+        for width in 1..=9usize {
+            let xs: Vec<f32> = (0..width * 12)
+                .map(|i| ((i % 12 * 7 + i / 12) as f32 * 0.17).sin())
                 .collect();
-            let refs: Vec<&[f32]> = xs.iter().map(|x| x.as_slice()).collect();
-            let lanes = bc.matvec_lanes(&refs);
-            for (s, x) in xs.iter().enumerate() {
-                let solo = bc.matvec(x);
-                let got: Vec<u32> = lanes[s].iter().map(|v| v.to_bits()).collect();
-                let want: Vec<u32> = solo.iter().map(|v| v.to_bits()).collect();
+            let lanes = bc.matmat(&xs, width);
+            for (s, (x, got)) in xs.chunks(12).zip(lanes.chunks(8)).enumerate() {
+                let got: Vec<u32> = got.iter().map(|v| v.to_bits()).collect();
+                let want: Vec<u32> = bc.matvec_uncached(x).iter().map(|v| v.to_bits()).collect();
                 assert_eq!(got, want, "lane {s} of width {width} diverged");
             }
         }
     }
 
     #[test]
-    fn matvec_lanes_empty_input() {
+    fn matmat_empty_input() {
         let bc = random_bc(7, 4, 2, 2);
-        let refs: Vec<&[f64]> = Vec::new();
-        assert!(bc.matvec_lanes(&refs).is_empty());
+        assert!(bc.matmat(&[], 0).is_empty());
     }
 
     #[test]
@@ -1027,13 +849,5 @@ mod tests {
             assert_eq!(bits(serial), want, "serial, batch {batch}");
         }
         assert!(bc.matmat(&[], 0).is_empty());
-    }
-
-    #[test]
-    fn conv_prepare_spectra_covers_all_taps() {
-        let dense = Tensor::<f64>::ones(&[8, 8, 3, 3]);
-        let conv = ConvBlockCirculant::project_from_dense(&dense, 4);
-        conv.prepare_spectra();
-        assert!(conv.iter().all(|g| g.spectra_ready()));
     }
 }

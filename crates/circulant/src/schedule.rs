@@ -11,8 +11,10 @@
 //! [`LaneMode`] trait — supplies the arithmetic: the input transform, the
 //! multiply-accumulate of one weight bin, and the finish (narrowing, where
 //! the mode has one, and the IFFT). `hwsim`'s 16-bit fixed-point datapath
-//! is one instance; [`SpectralConv`], over [`fft::Fft`] and `f32` MACs, is
-//! the float one.
+//! is one instance; [`SpectralConv`], over [`fft::Fft`] and float MACs, is
+//! the float one: every float BCM inference product runs it, 1-tap layers
+//! (FC, recurrent and attention gates, [`crate::BlockCirculant`]) as a
+//! `1 × 1` conv of one pixel.
 //!
 //! **Lanes.** Samples ride innermost (`[.. ][lane]`), so one weight bin
 //! serves every sample of the batch, as the accelerator's parallel PE
@@ -22,12 +24,19 @@
 //! at any batch width and any worker count.
 
 use fft::{Complex, Fft};
-use tensor::parallel;
+use tensor::{parallel, Scalar};
 
 /// Per output channel block latency of the eMAC walk and finish
 /// (nanoseconds): one observation covers every output pixel of one block.
 static OUT_BLOCK_NS: telemetry::Histogram =
     telemetry::Histogram::new("circulant.schedule.out_block_ns");
+/// eMAC block products [`SpectralConv::forward`] computed (live blocks),
+/// one per sample and output pixel.
+static EMAC_COMPUTED: telemetry::Counter =
+    telemetry::Counter::new("circulant.emac.blocks_computed");
+/// eMAC block products the skip index spared (pruned blocks), counted as
+/// [`EMAC_COMPUTED`].
+static EMAC_SKIPPED: telemetry::Counter = telemetry::Counter::new("circulant.emac.blocks_skipped");
 
 /// One live eMAC operand of an output block: the kernel tap, the input
 /// block whose spectrum it reads, and the live ordinal that locates its
@@ -148,6 +157,15 @@ pub struct ConvShape {
 }
 
 impl ConvShape {
+    /// A one-pixel map: a 1-tap layer (FC or gate matrix) runs as a `1 × 1`
+    /// conv of it.
+    pub const PIXEL: ConvShape = ConvShape {
+        h: 1,
+        w: 1,
+        stride: 1,
+        pad: 0,
+    };
+
     /// Output `(height, width)` of a `k × k` window.
     ///
     /// # Panics
@@ -390,25 +408,27 @@ fn input_spectra<M: LaneMode>(
 
 /// Largest number of samples [`SpectralConv::forward`] runs through one
 /// pass of the schedule; wider batches run in groups of this many.
-const F32_LANES: usize = 8;
+const LANES: usize = 8;
 
-/// The `f32` instance of the conv schedule: a layer's live blocks'
+/// The float instance of the conv schedule: a layer's live blocks'
 /// half-spectra, prepared once, with its entry lists and its transform.
+/// Generic over the scalar so the `f64` [`crate::BlockCirculant`] runs the
+/// same arithmetic as the `f32` serving path.
 ///
 /// Transforms go through one [`fft::Fft`] plan, one lane at a time; the
 /// eMAC accumulates `acc += w · x` on complex values in `[bin][lane]`
 /// planes. Pruned blocks have no spectrum and cost nothing.
 #[derive(Debug, Clone)]
-pub struct SpectralConv {
+pub struct SpectralConv<T: Scalar> {
     entries: EntryLists,
-    plan: Fft<f32>,
+    plan: Fft<T>,
     /// Live blocks' bins, `[live][bin]`, real parts.
-    wre: Vec<f32>,
+    wre: Vec<T>,
     /// Imaginary parts, same layout as `wre`.
-    wim: Vec<f32>,
+    wim: Vec<T>,
 }
 
-impl SpectralConv {
+impl<T: Scalar> SpectralConv<T> {
     /// Prepares a square `k × k` layer from its skip index (tap-major, then
     /// output block, then input block) and its live blocks' defining
     /// vectors, `[live, BS]` flat in skip order.
@@ -423,7 +443,7 @@ impl SpectralConv {
         out_blocks: usize,
         in_blocks: usize,
         skip: &[bool],
-        vecs: &[f32],
+        vecs: &[T],
     ) -> Self {
         let entries = EntryLists::new(bs, k, out_blocks, in_blocks, skip);
         assert_eq!(
@@ -455,48 +475,65 @@ impl SpectralConv {
     /// Runs the layer on `n` samples `[n, c_in, h, w]`, returning
     /// `[n, c_out, oh, ow]`: [`conv_lanes`] over groups of at most 8
     /// samples. Each sample's output is bit-identical at
-    /// every batch width and worker count.
+    /// every batch width and worker count. A 1-tap layer runs on
+    /// [`ConvShape::PIXEL`], `[n, c_in]` in and `[n, c_out]` out; at
+    /// `n = 1` it runs on the calling thread.
+    ///
+    /// Adds one `circulant.emac.blocks_computed` per live block, sample and
+    /// output pixel, and one `circulant.emac.blocks_skipped` per pruned one.
     ///
     /// # Panics
     ///
     /// As [`conv_lanes`].
-    pub fn forward(&self, xs: &[f32], n: usize, shape: ConvShape) -> Vec<f32> {
-        let (oh, ow) = shape.output_hw(self.entries.k);
-        let bs = self.entries.bs;
-        let in_len = self.entries.in_blocks * bs * shape.h * shape.w;
-        let out_len = self.entries.out_blocks() * bs * oh * ow;
+    pub fn forward(&self, xs: &[T], n: usize, shape: ConvShape) -> Vec<T> {
+        let lists = &self.entries;
+        let (oh, ow) = shape.output_hw(lists.k);
+        let bs = lists.bs;
+        let in_len = lists.in_blocks * bs * shape.h * shape.w;
+        let out_len = lists.out_blocks() * bs * oh * ow;
         assert_eq!(xs.len(), n * in_len, "batch input length mismatch");
+        let products = (n * oh * ow) as u64;
+        let blocks = lists.k * lists.k * lists.out_blocks() * lists.in_blocks;
+        EMAC_COMPUTED.add(lists.live as u64 * products);
+        EMAC_SKIPPED.add((blocks - lists.live) as u64 * products);
         let mut out = Vec::with_capacity(n * out_len);
-        for lo in (0..n).step_by(F32_LANES) {
-            let lanes = (n - lo).min(F32_LANES);
+        for lo in (0..n).step_by(LANES) {
+            let lanes = (n - lo).min(LANES);
             let group = &xs[lo * in_len..(lo + lanes) * in_len];
-            out.extend(conv_lanes(self, group, lanes, shape));
+            let pass = || conv_lanes(self, group, lanes, shape);
+            // One sample at one output pixel (a 1-tap product of a single
+            // sample) is too little work to pay for a fork.
+            out.extend(if lanes * oh * ow == 1 {
+                parallel::serial_scope(pass)
+            } else {
+                pass()
+            });
         }
         out
     }
 }
 
-impl LaneMode for SpectralConv {
-    type Word = f32;
-    type Acc = f32;
-    type Scratch = Vec<Complex<f32>>;
+impl<T: Scalar> LaneMode for SpectralConv<T> {
+    type Word = T;
+    type Acc = T;
+    type Scratch = Vec<Complex<T>>;
 
     fn entries(&self) -> &EntryLists {
         &self.entries
     }
 
-    fn scratch(&self, _n: usize) -> Vec<Complex<f32>> {
+    fn scratch(&self, _n: usize) -> Vec<Complex<T>> {
         vec![Complex::zero(); self.entries.bs]
     }
 
     fn fft(
         &self,
-        block: &mut [f32],
-        re: &mut [f32],
-        im: &mut [f32],
+        block: &mut [T],
+        re: &mut [T],
+        im: &mut [T],
         bin_stride: usize,
         n: usize,
-        buf: &mut Vec<Complex<f32>>,
+        buf: &mut Vec<Complex<T>>,
     ) {
         for s in 0..n {
             for (z, lanes) in buf.iter_mut().zip(block.chunks_exact(n)) {
@@ -513,11 +550,11 @@ impl LaneMode for SpectralConv {
     fn mac(
         &self,
         live: usize,
-        xre: &[f32],
-        xim: &[f32],
+        xre: &[T],
+        xim: &[T],
         x_stride: usize,
-        are: &mut [f32],
-        aim: &mut [f32],
+        are: &mut [T],
+        aim: &mut [T],
         acc_stride: usize,
         len: usize,
     ) {
@@ -538,12 +575,12 @@ impl LaneMode for SpectralConv {
 
     fn finish(
         &self,
-        are: &[f32],
-        aim: &[f32],
+        are: &[T],
+        aim: &[T],
         bin_stride: usize,
-        out: &mut [f32],
+        out: &mut [T],
         n: usize,
-        buf: &mut Vec<Complex<f32>>,
+        buf: &mut Vec<Complex<T>>,
     ) {
         let bs = self.entries.bs;
         for s in 0..n {

@@ -39,8 +39,12 @@ impl<T: Scalar> HalfSpectrum<T> {
     /// Panics if `x.len()` is not a power of two.
     pub fn forward(x: &[T]) -> Self {
         let n = x.len();
-        let mut bins = vec![Complex::zero(); n / 2 + 1];
-        forward_half_into(x, &mut bins);
+        // The full spectrum is computed in a pooled scratch buffer and only
+        // the independent bins are kept.
+        let bins = crate::workspace::with_scratch::<T, _>(|full| {
+            crate::plan::with_plan::<T, _>(n, |plan| plan.forward_real_into(x, full));
+            full[..=n / 2].to_vec()
+        });
         HalfSpectrum { n, bins }
     }
 
@@ -109,7 +113,19 @@ impl<T: Scalar> HalfSpectrum<T> {
     ///
     /// Panics if `out.len() != n`.
     pub fn inverse_into(&self, out: &mut [T]) {
-        inverse_half_into(self.n, &self.bins, out);
+        let n = self.n;
+        assert_eq!(out.len(), n, "inverse of n={n} needs an n-length output");
+        crate::workspace::with_scratch::<T, _>(|full| {
+            full.resize(n, Complex::zero());
+            full[..=n / 2].copy_from_slice(&self.bins);
+            for k in 1..n / 2 {
+                full[n - k] = self.bins[k].conj();
+            }
+            crate::plan::with_plan::<T, _>(n, |plan| plan.inverse(full));
+            for (o, z) in out.iter_mut().zip(full.iter()) {
+                *o = z.re;
+            }
+        });
     }
 
     /// An all-zero half-spectrum for accumulation.
@@ -124,58 +140,6 @@ impl<T: Scalar> HalfSpectrum<T> {
             bins: vec![Complex::zero(); n / 2 + 1],
         }
     }
-}
-
-/// Forward-transforms a real signal into caller-provided half-spectrum
-/// bins `0 ..= n/2`: the full spectrum is computed in a pooled scratch
-/// buffer and only the independent bins are copied out — zero
-/// allocations once the thread's arena is warm. The inverse of
-/// [`inverse_half_into`].
-///
-/// # Panics
-///
-/// Panics if `x.len()` is not a power of two or
-/// `bins.len() != x.len()/2 + 1`.
-pub fn forward_half_into<T: Scalar>(x: &[T], bins: &mut [Complex<T>]) {
-    let n = x.len();
-    assert_eq!(
-        bins.len(),
-        n / 2 + 1,
-        "half spectrum of n={n} needs n/2+1 bins"
-    );
-    crate::workspace::with_scratch::<T, _>(|full| {
-        crate::plan::with_plan::<T, _>(n, |plan| plan.forward_real_into(x, full));
-        bins.copy_from_slice(&full[..=n / 2]);
-    });
-}
-
-/// Inverse-transforms raw half-spectrum bins into a caller-provided real
-/// slice: the bins are expanded to the full conjugate-symmetric spectrum
-/// in a pooled scratch buffer and inverse-transformed there — zero
-/// allocations once the thread's arena is warm.
-///
-/// # Panics
-///
-/// Panics if `bins.len() != n/2 + 1`, `out.len() != n`, or `n` is not a
-/// power of two.
-pub fn inverse_half_into<T: Scalar>(n: usize, bins: &[Complex<T>], out: &mut [T]) {
-    assert_eq!(
-        bins.len(),
-        n / 2 + 1,
-        "half spectrum of n={n} needs n/2+1 bins"
-    );
-    assert_eq!(out.len(), n, "inverse of n={n} needs an n-length output");
-    crate::workspace::with_scratch::<T, _>(|full| {
-        full.resize(n, Complex::zero());
-        full[..=n / 2].copy_from_slice(bins);
-        for k in 1..n / 2 {
-            full[n - k] = bins[k].conj();
-        }
-        crate::plan::with_plan::<T, _>(n, |plan| plan.inverse(full));
-        for (o, z) in out.iter_mut().zip(full.iter()) {
-            *o = z.re;
-        }
-    });
 }
 
 #[cfg(test)]

@@ -9,10 +9,8 @@
 //! allocations (the vectors grow once to the largest transform size seen
 //! and are then recycled).
 //!
-//! This is the crate's one scratch arena: every float spectral kernel —
-//! the real transforms, the half-spectrum inverse and the
-//! `BlockCirculant` lane kernel's per-row IFFT — borrows its complex
-//! buffers here.
+//! This is the crate's one scratch arena: the real transforms and the
+//! half-spectrum forward and inverse borrow their complex buffers here.
 //!
 //! Like the plan cache in [`crate::plan`], the pool is thread-local:
 //! workers spawned by `tensor::parallel` each warm their own arena and
@@ -26,11 +24,9 @@ use std::cell::RefCell;
 use std::collections::HashMap;
 use tensor::Scalar;
 
-/// Per-thread, per-scalar-type bound on pooled buffers. The deepest
-/// nesting on the current hot paths is two (a lane kernel's row buffer
-/// around the inverse transform's expansion buffer), so the bound is
-/// generous; it exists to keep pathological nesting from
-/// retaining buffers without limit.
+/// Per-thread, per-scalar-type bound on pooled buffers. The current hot
+/// paths borrow one buffer at a time, so the bound is generous; it exists
+/// to keep pathological nesting from retaining buffers without limit.
 pub const MAX_POOLED_BUFFERS: usize = 8;
 
 /// Scratch requests served from the thread's pool.

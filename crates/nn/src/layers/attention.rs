@@ -15,6 +15,7 @@ use crate::layers::checkpoint::{LayerSnapshot, StackSnapshot};
 use crate::layers::gates::GateStack;
 use crate::layers::{BcmLayer, Layer, Param, NO_TRAINING_FORWARD};
 use crate::optim::SgdUpdate;
+use circulant::schedule::ConvShape;
 use circulant::ConvBlockCirculant;
 use rand::Rng;
 use tensor::Tensor;
@@ -124,7 +125,7 @@ impl Layer for BcmAttention {
         let mut samples = Vec::with_capacity(if train { n } else { 0 });
         // Training projects through the dense expansion (reused by
         // backward); inference batches all T timesteps through the cached
-        // spectral grids.
+        // spectra.
         let dense = train.then(|| {
             (
                 self.q.dense().transpose(),
@@ -150,9 +151,9 @@ impl Layer for BcmAttention {
                     )
                 }
                 None => (
-                    self.q.grid().matmat(&xn, t_len),
-                    self.k.grid().matmat(&xn, t_len),
-                    self.v.grid().matmat(&xn, t_len),
+                    self.q.spectral().forward(&xn, t_len, ConvShape::PIXEL),
+                    self.k.spectral().forward(&xn, t_len, ConvShape::PIXEL),
+                    self.v.spectral().forward(&xn, t_len, ConvShape::PIXEL),
                 ),
             };
             // scores[r][c] = scale · q_r · k_c, then row softmax.

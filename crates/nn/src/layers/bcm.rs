@@ -197,8 +197,7 @@ impl BcmConv2d {
     /// Whether the dense expansion and the conv spectra are built.
     #[cfg(test)]
     pub(crate) fn caches_built(&self) -> (bool, bool) {
-        let (dense, _, spectral) = self.weights.caches_built();
-        (dense, spectral)
+        self.weights.caches_built()
     }
 
     fn with_weights(kind: &str, weights: GateStack, stride: usize, pad: usize) -> Self {
@@ -453,7 +452,7 @@ mod tests {
         let _ = hc.forward(&x, false);
         assert_eq!(
             hc.weights.caches_built(),
-            (false, false, true),
+            (false, true),
             "an eval forward builds the spectra and no expansion"
         );
         let built = hc.weights.spectral() as *const _;
@@ -465,13 +464,13 @@ mod tests {
         assert!(!hc.weights.caches_built().0, "still no expansion");
         // Every mutable path drops the spectra.
         hc.step(&update);
-        assert!(!hc.weights.caches_built().2, "step drops the spectra");
+        assert!(!hc.weights.caches_built().1, "step drops the spectra");
         let _ = hc.forward(&x, false);
         hc.eliminate(&[3]);
-        assert!(!hc.weights.caches_built().2, "eliminate drops the spectra");
+        assert!(!hc.weights.caches_built().1, "eliminate drops the spectra");
         let _ = hc.forward(&x, false);
         let _ = hc.params_mut();
-        assert!(!hc.weights.caches_built().2, "params_mut drops the spectra");
+        assert!(!hc.weights.caches_built().1, "params_mut drops the spectra");
         assert!(!hc.weights.caches_built().0, "no path built an expansion");
     }
 

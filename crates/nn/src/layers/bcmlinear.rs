@@ -15,6 +15,7 @@ use crate::layers::checkpoint::{LayerSnapshot, StackSnapshot};
 use crate::layers::gates::GateStack;
 use crate::layers::{BcmLayer, Layer, Param, NO_TRAINING_FORWARD};
 use crate::optim::SgdUpdate;
+use circulant::schedule::ConvShape;
 use circulant::{BlockCirculant, ConvBlockCirculant};
 use rand::Rng;
 use tensor::Tensor;
@@ -84,7 +85,11 @@ impl Layer for BcmLinear {
         let mut y = if train {
             x.matmul(&self.weights.dense().transpose())
         } else {
-            Tensor::from_vec(self.weights.grid().matmat(x.as_slice(), n), &[n, outf])
+            let y = self
+                .weights
+                .spectral()
+                .forward(x.as_slice(), n, ConvShape::PIXEL);
+            Tensor::from_vec(y, &[n, outf])
         };
         let b = self.bias.value.as_slice();
         for row in 0..n {
@@ -256,8 +261,8 @@ mod tests {
         for (a, b) in dense.as_slice().iter().zip(spectral.as_slice()) {
             assert!((a - b).abs() < 1e-4, "{a} vs {b}");
         }
-        // Pruning invalidates the cached grid; the spectral path honors the
-        // new skip index.
+        // Pruning invalidates the cached spectra; the spectral path honors
+        // the new skip index.
         l.eliminate(&[0, 5]);
         let dense = l.forward(&x, true);
         let spectral = l.forward(&x, false);
@@ -276,7 +281,7 @@ mod tests {
         let _ = l.backward(&Tensor::ones(&[2, 8]));
         assert!(l.weights.caches_built().0, "backward keeps it for reuse");
         let _ = l.forward(&x, false);
-        assert_eq!(l.weights.caches_built(), (true, true, false));
+        assert_eq!(l.weights.caches_built(), (true, true));
         l.step(&SgdUpdate {
             lr: 0.1,
             momentum: 0.9,
@@ -291,7 +296,7 @@ mod tests {
         let _ = l.forward(&x, true);
         let _ = l.forward(&x, false);
         let _ = l.params_mut();
-        assert_eq!(l.weights.caches_built(), (false, false, false));
+        assert_eq!(l.weights.caches_built(), (false, false));
     }
 
     #[test]

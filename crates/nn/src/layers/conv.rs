@@ -142,7 +142,7 @@ impl ConvCore {
     /// Inference forward of NCHW `x` on the spectral datapath: the layer's
     /// prepared live-block spectra, never a dense weight. Keeps nothing for
     /// `backward`.
-    pub fn forward_spectral(&mut self, x: &Tensor<f32>, conv: &SpectralConv) -> Tensor<f32> {
+    pub fn forward_spectral(&mut self, x: &Tensor<f32>, conv: &SpectralConv<f32>) -> Tensor<f32> {
         let dims = x.dims();
         assert_eq!(dims.len(), 4, "conv expects NCHW input");
         assert_eq!(dims[1], self.c_in, "input channel mismatch");

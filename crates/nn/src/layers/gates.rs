@@ -12,7 +12,7 @@
 //! **Factorization.** A stack trains either one defining vector per block
 //! (plain BCM, paper §II-A) or hadaBCM's two factors `a`, `b` (§III-A),
 //! whose Hadamard product `a ⊙ b` is the block's vector. Everything that
-//! reads weights — the dense expansion, the spectral grid, the folded
+//! reads weights — the dense expansion, the inference spectra, the folded
 //! weights, importances and the checkpoint record — reads the folded
 //! vectors; everything that trains walks the factors, and the Eq. (1)
 //! gradient split lives in [`GateStack::accumulate_grad`] alone.
@@ -25,18 +25,18 @@
 //! rows' momentum, and [`BcmLayout`] walks live ordinals in block order.
 //! A pruned block has no stored word, so nothing has to keep it at zero.
 //!
-//! **Cache rule.** A stack owns three derived caches: the dense expansion
+//! **Cache rule.** A stack owns two derived caches: the dense expansion
 //! a training forward and the backward pass share (zero at pruned
-//! blocks), the folded grid with prepared spectra for 1-tap inference,
-//! and, for conv inference, the live blocks' prepared half-spectra with
-//! their eMAC entry lists ([`SpectralConv`], the `f32` instance of
+//! blocks), and, for inference, the live blocks' prepared half-spectra
+//! with their eMAC entry lists ([`SpectralConv`], the `f32` instance of
 //! `circulant::schedule`'s one conv schedule; pruned blocks have no
-//! spectrum). A conv inference forward builds only the last, so a served
-//! conv never holds a dense expansion. The factors are private, and every
+//! spectrum). Every eval forward — a conv's, and a 1-tap layer's as a
+//! `1 × 1` conv of one pixel — builds only the second, so a served layer
+//! never holds a dense expansion. The factors are private, and every
 //! path that can change them — [`GateStack::step`],
 //! [`GateStack::eliminate`] and the single mutable accessor
 //! [`GateStack::params_mut`] that each layer's `params_mut` (and so
-//! `Network::sync_params_from`) goes through — drops all three. A stale
+//! `Network::sync_params_from`) goes through — drops both. A stale
 //! cache is therefore unrepresentable.
 
 use crate::layers::checkpoint::StackSnapshot;
@@ -226,11 +226,9 @@ pub(crate) struct GateStack {
     pruned: Vec<bool>,
     /// Dense im2col expansion shared by forward and backward.
     dense: Option<Tensor<f32>>,
-    /// Folded 1-tap grid with prepared weight spectra for inference.
-    spectra: Option<BlockCirculant<f32>>,
-    /// Live blocks' prepared half-spectra and entry lists: the conv
-    /// inference path.
-    spectral: Option<SpectralConv>,
+    /// Live blocks' prepared half-spectra and entry lists: the inference
+    /// path.
+    spectral: Option<SpectralConv<f32>>,
 }
 
 impl GateStack {
@@ -280,7 +278,6 @@ impl GateStack {
             factors,
             pruned,
             dense: None,
-            spectra: None,
             spectral: None,
         }
     }
@@ -332,7 +329,6 @@ impl GateStack {
 
     fn drop_caches(&mut self) {
         self.dense = None;
-        self.spectra = None;
         self.spectral = None;
     }
 
@@ -344,21 +340,11 @@ impl GateStack {
             .get_or_insert_with(|| layout.expand(&folded(factors), pruned))
     }
 
-    /// The folded grid with prepared spectra — the batched
-    /// "FFT → eMAC → IFFT" inference path of a 1-tap stack.
-    pub(crate) fn grid(&mut self) -> &BlockCirculant<f32> {
-        let (layout, factors, pruned) = (&self.layout, &self.factors, &self.pruned);
-        self.spectra.get_or_insert_with(|| {
-            let grid = layout.grid(&folded(factors), pruned);
-            grid.prepare_spectra();
-            grid
-        })
-    }
-
     /// The live blocks' prepared half-spectra with their entry lists — the
-    /// "FFT → eMAC → IFFT" inference path of a conv stack, built on first
-    /// use after any change to the factors.
-    pub(crate) fn spectral(&mut self) -> &SpectralConv {
+    /// "FFT → eMAC → IFFT" inference path of every stack (a 1-tap stack
+    /// runs it on [`circulant::schedule::ConvShape::PIXEL`]), built on
+    /// first use after any change to the factors.
+    pub(crate) fn spectral(&mut self) -> &SpectralConv<f32> {
         let (l, factors, pruned) = (&self.layout, &self.factors, &self.pruned);
         self.spectral.get_or_insert_with(|| {
             let skip: Vec<bool> = pruned.iter().map(|&p| !p).collect();
@@ -461,14 +447,9 @@ impl GateStack {
         self.factors.iter().map(Param::len).sum()
     }
 
-    /// Whether the dense expansion, the 1-tap grid and the conv spectra
-    /// are currently built.
+    /// Whether the dense expansion and the spectra are currently built.
     #[cfg(test)]
-    pub(crate) fn caches_built(&self) -> (bool, bool, bool) {
-        (
-            self.dense.is_some(),
-            self.spectra.is_some(),
-            self.spectral.is_some(),
-        )
+    pub(crate) fn caches_built(&self) -> (bool, bool) {
+        (self.dense.is_some(), self.spectral.is_some())
     }
 }

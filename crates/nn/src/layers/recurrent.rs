@@ -16,10 +16,12 @@
 //! Both layers run sequence-to-sequence over `[N, F, T, 1]` tensors
 //! (features as channels, time as the H axis), train with full BPTT, and
 //! expose the [`BcmLayer`] surface so Algorithm 1 prunes whole gate
-//! blocks exactly as it prunes conv/FC blocks. The inference forward goes
-//! through `BlockCirculant::matmat` and the shared cell math in
-//! [`crate::seq`], which makes a batched eval forward bit-identical to
-//! the step-at-a-time [`crate::seq::SeqRunner`] the serving tier uses.
+//! blocks exactly as it prunes conv/FC blocks. The inference forward runs
+//! the gate products through the store's `SpectralConv` on a `1 × 1` map
+//! (the kernel `BlockCirculant::matmat` also runs) and the shared cell
+//! math in [`crate::seq`], which makes a batched eval forward
+//! bit-identical to the step-at-a-time [`crate::seq::SeqRunner`] the
+//! serving tier uses.
 
 use crate::layers::bcm::StackedLayer;
 use crate::layers::checkpoint::{LayerSnapshot, StackSnapshot};
@@ -27,6 +29,7 @@ use crate::layers::gates::GateStack;
 use crate::layers::{BcmLayer, Layer, Param, NO_TRAINING_FORWARD};
 use crate::optim::SgdUpdate;
 use crate::seq::{add_bias, gru_cell, lstm_cell};
+use circulant::schedule::ConvShape;
 use circulant::ConvBlockCirculant;
 use rand::Rng;
 use tensor::Tensor;
@@ -209,7 +212,7 @@ impl Layer for BcmLstm {
                     .matmul(wt)
                     .as_slice()
                     .to_vec(),
-                None => self.gates.grid().matmat(&z, n),
+                None => self.gates.spectral().forward(&z, n, ConvShape::PIXEL),
             };
             for s in 0..n {
                 add_bias(row_mut(&mut pre, s, g4), &bias);
@@ -469,14 +472,14 @@ impl Layer for BcmGru {
                     .matmul(wt)
                     .as_slice()
                     .to_vec(),
-                None => self.w.grid().matmat(&xt, n),
+                None => self.w.spectral().forward(&xt, n, ConvShape::PIXEL),
             };
             let mut pre_u = match &ud_t {
                 Some(ut) => Tensor::from_vec(h.clone(), &[n, hd])
                     .matmul(ut)
                     .as_slice()
                     .to_vec(),
-                None => self.u.grid().matmat(&h, n),
+                None => self.u.spectral().forward(&h, n, ConvShape::PIXEL),
             };
             let h_prev = h.clone();
             for s in 0..n {

@@ -7,11 +7,14 @@
 //! a full-sequence eval forward and a step-at-a-time [`SeqRunner`] replay
 //! the exact same arithmetic. That property rests on two pillars:
 //!
-//! 1. `BlockCirculant::matmat` and `BlockCirculant::matvec_lanes` run the
-//!    same lane kernel, whose per-lane arithmetic does not depend on how
-//!    many lanes share a pass. So the batched layer forward (one lane
-//!    group per worker) and the lane-gang stepper (at any width, one
-//!    included) compute every sample through the same expression tree.
+//! 1. The batched layer forward and the lane-gang stepper (at any width,
+//!    one included) run the gate products through one kernel, the `f32`
+//!    instance of `circulant::schedule`'s conv schedule at `1 × 1` (the
+//!    layer through its weight store's spectra, the stepper through
+//!    [`BlockCirculant::matmat`] on the folded grid). Its per-lane
+//!    arithmetic does not depend on how many lanes share a pass or on the
+//!    worker count, so both compute every sample through the same
+//!    expression tree.
 //! 2. Everything after the matvec — bias addition and the nonlinear cell
 //!    update — goes through the free functions in this module
 //!    ([`add_bias`], [`lstm_cell`], [`gru_cell`]), in the same order on
@@ -28,6 +31,7 @@ use crate::layers::checkpoint::LayerSnapshot;
 use crate::layers::Network;
 use circulant::BlockCirculant;
 use std::sync::Arc;
+use tensor::parallel;
 
 /// Logistic sigmoid — the gate nonlinearity of both cells.
 #[inline]
@@ -408,10 +412,11 @@ impl SeqRunner {
 /// FFT pipeline.
 ///
 /// This is the only step datapath: [`SeqRunner::step`] is a gang of one.
-/// Gate matvecs route through [`BlockCirculant::matvec_lanes`] (sample
-/// dimension innermost over the split spectral planes), the kernel the
-/// batched layer forward's `matmat` also runs, per-lane independent of
-/// the width;
+/// Each cell stages the gang's inputs in one `[n, cols]` buffer and runs
+/// one [`BlockCirculant::matmat`] per gate grid (sample dimension
+/// innermost), the kernel the batched layer forward also runs, per-lane
+/// independent of the width. A step runs on the calling thread (under
+/// [`parallel::serial_scope`]): a gang is too small to pay for a fork;
 /// everything non-linear — `add_bias`, [`lstm_cell`], [`gru_cell`], the
 /// head — runs per lane with the same per-sample code as the batched
 /// layer forward, so **every member's output and hidden state is
@@ -444,58 +449,66 @@ impl SeqRunnerBatch {
             );
             assert_eq!(x.len(), stack.input_len(), "step input length");
         }
-        let mut curs: Vec<Vec<f32>> = xs.iter().map(|x| x.to_vec()).collect();
-        for (ci, cell) in stack.cells.iter().enumerate() {
-            match cell {
-                Cell::Lstm {
-                    grid, bias, hidden, ..
-                } => {
-                    // Concatenate each lane's [x; h], run one lane matvec
-                    // over the shared grid, then finish the gates per lane
-                    // with the scalar cell code.
-                    let zs: Vec<Vec<f32>> = members
-                        .iter()
-                        .zip(&curs)
-                        .map(|(m, cur)| [cur.as_slice(), &m.state[ci][..*hidden]].concat())
-                        .collect();
-                    let z_refs: Vec<&[f32]> = zs.iter().map(|z| z.as_slice()).collect();
-                    let pres = grid.matvec_lanes(&z_refs);
-                    for ((m, cur), mut pre) in members.iter_mut().zip(&mut curs).zip(pres) {
-                        let (h, c) = m.state[ci].split_at_mut(*hidden);
-                        add_bias(&mut pre, bias);
-                        lstm_cell(&mut pre, h, c);
-                        *cur = h.to_vec();
+        let n = members.len();
+        // Every member's input to the current cell, `[n, width]`.
+        let mut cur = xs.concat();
+        parallel::serial_scope(|| {
+            for (ci, cell) in stack.cells.iter().enumerate() {
+                let mut next = Vec::with_capacity(n * cell.hidden());
+                match cell {
+                    Cell::Lstm {
+                        grid,
+                        bias,
+                        in_features,
+                        hidden,
+                    } => {
+                        // Stage each lane's [x; h], run one gang matmat over
+                        // the shared grid, then finish the gates per lane
+                        // with the scalar cell code.
+                        let z: Vec<f32> = (members.iter().zip(cur.chunks_exact(*in_features)))
+                            .flat_map(|(m, x)| x.iter().chain(&m.state[ci][..*hidden]).copied())
+                            .collect();
+                        let mut pre = grid.matmat(&z, n);
+                        let rows = members.iter_mut().zip(pre.chunks_exact_mut(4 * hidden));
+                        for (m, pre) in rows {
+                            let (h, c) = m.state[ci].split_at_mut(*hidden);
+                            add_bias(pre, bias);
+                            lstm_cell(pre, h, c);
+                            next.extend_from_slice(h);
+                        }
+                    }
+                    Cell::Gru {
+                        w,
+                        u,
+                        bias_w,
+                        bias_u,
+                        hidden,
+                        ..
+                    } => {
+                        let h: Vec<f32> = members
+                            .iter()
+                            .flat_map(|m| m.state[ci].iter().copied())
+                            .collect();
+                        let (mut pre_w, mut pre_u) = (w.matmat(&cur, n), u.matmat(&h, n));
+                        let rows = pre_w.chunks_exact_mut(3 * hidden);
+                        let rows = members
+                            .iter_mut()
+                            .zip(rows.zip(pre_u.chunks_exact_mut(3 * hidden)));
+                        for (m, (pre_w, pre_u)) in rows {
+                            add_bias(pre_w, bias_w);
+                            add_bias(pre_u, bias_u);
+                            gru_cell(pre_w, pre_u, &mut m.state[ci]);
+                            next.extend_from_slice(&m.state[ci]);
+                        }
                     }
                 }
-                Cell::Gru {
-                    w,
-                    u,
-                    bias_w,
-                    bias_u,
-                    ..
-                } => {
-                    let x_refs: Vec<&[f32]> = curs.iter().map(|c| c.as_slice()).collect();
-                    let h_refs: Vec<&[f32]> =
-                        members.iter().map(|m| m.state[ci].as_slice()).collect();
-                    let (pre_ws, pre_us) = (w.matvec_lanes(&x_refs), u.matvec_lanes(&h_refs));
-                    for ((m, cur), (mut pre_w, mut pre_u)) in members
-                        .iter_mut()
-                        .zip(&mut curs)
-                        .zip(pre_ws.into_iter().zip(pre_us))
-                    {
-                        let h = &mut m.state[ci];
-                        add_bias(&mut pre_w, bias_w);
-                        add_bias(&mut pre_u, bias_u);
-                        gru_cell(&mut pre_w, &mut pre_u, h);
-                        *cur = h.clone();
-                    }
-                }
+                cur = next;
             }
-        }
-        curs.into_iter()
-            .map(|cur| match &stack.head {
-                Some(head) => head.apply(&cur),
-                None => cur,
+        });
+        cur.chunks_exact(cur.len() / n)
+            .map(|h| match &stack.head {
+                Some(head) => head.apply(h),
+                None => h.to_vec(),
             })
             .collect()
     }

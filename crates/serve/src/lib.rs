@@ -12,8 +12,9 @@
 //! execute through either
 //!
 //! - the **float path** — an eval `Network::forward` over each BCM
-//!   layer's cached weights (dense im2col GEMM for convolutions, spectral
-//!   `matmat` for linear and recurrent layers), or
+//!   layer's cached live-block spectra (`circulant::schedule::SpectralConv`
+//!   for convolutions, and on a `1 × 1` map for linear and recurrent
+//!   layers), or
 //! - the **fixed-point datapath** ("FPGA mode") — the [`hwsim`] 16-bit
 //!   eMAC pipeline, when the deployed model is a stride-1 BCM conv stack.
 //!

@@ -20,8 +20,10 @@ echo "== lane/gang bit-identity suites on one worker =="
 # re-runs the referees with the serial path forced. The fx lane suite
 # runs 512 cases here (proptest's default is 64) because the one lane
 # body's clipped border loop is the case space it covers; so does the
-# float conv suite (the f32 instance of the same schedule: every batch
-# width bit-identical to width 1, and within 1e-5 of the dense im2col).
+# float BCM suite (the f32 instance of the same schedule, which every
+# float BCM product runs, convs and 1-tap layers alike: every batch
+# width bit-identical to width 1, and within 1e-5 of the dense training
+# forward).
 RPBCM_THREADS=1 PROPTEST_CASES=512 cargo test -q -p hwsim --test fx_lane_bitident
 RPBCM_THREADS=1 cargo test -q -p serve --test seq_gang_bitident
 RPBCM_THREADS=1 cargo test -q -p serve --test sessions

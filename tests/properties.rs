@@ -171,9 +171,10 @@ proptest! {
     }
 
     /// Lane grouping and worker count never change results: on a randomly
-    /// pruned grid, `matvec_lanes` over a random split of the batch into
-    /// lane groups, `matmat` at the default worker count, `matmat` under
-    /// `serial_scope` and the per-sample uncached oracle agree bit for bit.
+    /// pruned grid, `matmat` on each sub-batch of a random split of the
+    /// batch, `matmat` of the whole batch at the default worker count and
+    /// under `serial_scope`, and the per-sample uncached oracle agree bit
+    /// for bit.
     #[test]
     fn worker_count_is_bit_exact(
         log_bs in 2usize..=4,
@@ -202,12 +203,11 @@ proptest! {
             .flat_map(|x| grid.matvec_uncached(x))
             .collect();
         prop_assert_eq!(oracle.len(), n * rows);
-        let samples: Vec<&[f64]> = xs.chunks(cols).collect();
         let mut grouped = Vec::with_capacity(n * rows);
         let mut lo = 0;
         for s in 1..=n {
             if s == n || cuts[s] {
-                grouped.extend(grid.matvec_lanes(&samples[lo..s]).concat());
+                grouped.extend(grid.matmat(&xs[lo * cols..s * cols], s - lo));
                 lo = s;
             }
         }

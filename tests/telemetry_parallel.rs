@@ -6,8 +6,11 @@
 
 use std::sync::Mutex;
 
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 use rpbcm_repro::circulant::{BlockCirculant, CirculantMatrix};
-use rpbcm_repro::tensor::parallel;
+use rpbcm_repro::nn::layers::{BcmLayer, BcmLinear, Layer};
+use rpbcm_repro::tensor::{parallel, Tensor};
 
 /// Serializes the tests below: each reads global `tensor.parallel.*`
 /// counters before and after its own jobs, and the harness would
@@ -112,8 +115,9 @@ fn serial_fallback_counts_separately() {
     );
 }
 
-/// The eMAC counters count one block product per lane: a 3-lane gang adds
-/// exactly three times what one single-sample product adds.
+/// The eMAC counters count one block product per lane: a 3-lane `matmat`
+/// adds exactly three times what one single-sample product adds, and a
+/// `BcmLinear` eval forward counts its live and pruned blocks per sample.
 #[test]
 fn emac_counters_count_every_lane() {
     let _serial = REGISTRY.lock().unwrap_or_else(|e| e.into_inner());
@@ -144,11 +148,17 @@ fn emac_counters_count_every_lane() {
     let (c0, s0) = emacs();
     grid.matvec(&xs[0]);
     let (c1, s1) = emacs();
-    let refs: Vec<&[f32]> = xs.iter().map(Vec::as_slice).collect();
-    grid.matvec_lanes(&refs);
+    grid.matmat(&xs.concat(), 3);
     let (c3, s3) = emacs();
 
     // One sample: 2 rows × 3 col-blocks, 2 pruned.
     assert_eq!((c1 - c0, s1 - s0), (4, 2));
     assert_eq!((c3 - c1, s3 - s1), (3 * (c1 - c0), 3 * (s1 - s0)));
+
+    // The same 2 × 3 grid of BS 4 as a layer, blocks 1 and 4 pruned.
+    let mut lin = BcmLinear::new(&mut StdRng::seed_from_u64(5), 12, 8, 4);
+    lin.eliminate(&[1, 4]);
+    lin.forward(&Tensor::from_vec(xs.concat(), &[3, 12]), false);
+    let (c4, s4) = emacs();
+    assert_eq!((c4 - c3, s4 - s3), (3 * 4, 3 * 2));
 }
